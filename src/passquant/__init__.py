@@ -14,12 +14,9 @@ from .abstraction import (
     check_bisim_params,
     lipschitz_output_bound,
     lti_delta_iss,
-    symbolic_output,
-    symbolic_step,
 )
 from .bounds import (
     BoundReport,
-    MarginCertificate,
     Monomial,
     isps_certificate,
     loop_bounds,
@@ -53,6 +50,7 @@ from .passivity import (
     IndexSet,
     LambdaChoices,
     QuadraticStorage,
+    Verdict,
     choose_nu_hat,
     compose_feedback,
     degrade_quantization,

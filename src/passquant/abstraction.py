@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateError, ContractViolationError, ParameterError
+from .passivity import Verdict
 from .systems import (
     DiscreteLti,
     LtiModel,
@@ -30,12 +31,9 @@ from .systems import (
 
 __all__ = [
     "DeltaIssBound",
-    "BisimVerdict",
     "SymbolicController",
     "lti_delta_iss",
     "check_bisim_params",
-    "symbolic_step",
-    "symbolic_output",
     "lipschitz_output_bound",
 ]
 
@@ -68,12 +66,6 @@ class DeltaIssBound:
         return self.input_gain * s
 
 
-@dataclass(frozen=True)
-class BisimVerdict:
-    passed: bool
-    slack: float
-
-
 def lti_delta_iss(a, b) -> DeltaIssBound:
     """Incremental-stability bound for a Hurwitz LTI system.
 
@@ -92,17 +84,17 @@ def lti_delta_iss(a, b) -> DeltaIssBound:
     return DeltaIssBound(scale=scale, rate=rate, input_gain=gain)
 
 
-def check_bisim_params(bound: DeltaIssBound, eps, tau, mu, eta) -> BisimVerdict:
+def check_bisim_params(bound: DeltaIssBound, eps, tau, mu, eta) -> Verdict:
     """Feasibility of the (eps, mu)-bisimulation parameter inequality.
 
-    ``slack = eps - (beta1(eps, tau) + beta2(mu) + eta/2)``; nonnegative
-    slack certifies that the sampled system and its state-quantized twin
-    are (eps, mu)-approximately bisimilar.
+    The margin is the slack ``eps - (beta1(eps, tau) + beta2(mu) + eta/2)``;
+    nonnegative slack certifies that the sampled system and its
+    state-quantized twin are (eps, mu)-approximately bisimilar.
     """
     if min(eps, tau, mu, eta) <= 0:
         raise ParameterError("eps, tau, mu and eta must all be positive")
     slack = eps - (bound.beta1(eps, tau) + bound.beta2(mu) + eta / 2.0)
-    return BisimVerdict(passed=bool(slack >= 0.0), slack=float(slack))
+    return Verdict(passed=bool(slack >= 0.0), margin=float(slack))
 
 
 def _on_grid(values, pitch):
@@ -154,8 +146,8 @@ class SymbolicController:
             verdict = check_bisim_params(iss_bound, eps, self.tau, mu, eta)
             if not verdict.passed:
                 raise CertificateError(
-                    f"bisimulation parameter inequality fails (slack {verdict.slack:.3e})",
-                    slack=verdict.slack,
+                    f"bisimulation parameter inequality fails (slack {verdict.margin:.3e})",
+                    slack=verdict.margin,
                 )
         self.iss_bound = iss_bound
         x0 = np.asarray(x0, float)
@@ -203,16 +195,6 @@ class SymbolicController:
         twin.iss_bound = self.iss_bound
         twin._coords = self._coords.copy()
         return twin
-
-
-def symbolic_step(ctrl: SymbolicController, u):
-    """Functional form of :meth:`SymbolicController.step`."""
-    return ctrl.step(u)
-
-
-def symbolic_output(ctrl: SymbolicController, u):
-    """Functional form of :meth:`SymbolicController.output`."""
-    return ctrl.output(u)
 
 
 def lipschitz_output_bound(model):

@@ -17,13 +17,12 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .detectability import SdCertificate
+from .detectability import SdCertificate, _loop_theta
 from .errors import ParameterError
-from .passivity import ComposedIndices, IndexSet, QuadraticStorage
+from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix
 
 __all__ = [
     "BoundReport",
-    "MarginCertificate",
     "Monomial",
     "IspsCertificate",
     "single_system_bounds",
@@ -47,26 +46,6 @@ class BoundReport:
     level_d2: float
     constants: dict = field(default_factory=dict)
     storage: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class MarginCertificate:
-    """Minimum eigenvalue of ``eta2 * Mp - blockdiag(w1 Mb1, w2 Mb2)``.
-
-    A positive margin makes the detectability decrease dominate the state
-    bias globally; the matrix itself is the certified decrease form.
-    """
-
-    margin: float
-    passed: bool
-    kappa_matrix: np.ndarray
-
-
-def _storage_matrix(storage):
-    if isinstance(storage, QuadraticStorage):
-        return storage.p
-    p = np.atleast_2d(np.asarray(storage, dtype=float))
-    return 0.5 * (p + p.T)
 
 
 def _split(nu, rho, lam):
@@ -168,10 +147,7 @@ def loop_detectability_matrix(cert1: SdCertificate, cert2: SdCertificate):
     quantized subsystem's certificate by one half:
     ``p(x) = (1 - theta)(p1(x1) + p2(x2)/2)``.
     """
-    theta = max(
-        2.0 * cert1.theta / (2.0 * cert1.theta + 1.0),
-        2.0 * cert2.theta / (2.0 * cert2.theta + 1.0),
-    )
+    theta = _loop_theta(cert1, cert2)
     mp = (1.0 - theta) * scipy.linalg.block_diag(cert1.mp, 0.5 * cert2.mp)
     return max(cert1.window, cert2.window), theta, mp
 
@@ -229,7 +205,7 @@ def loop_bounds(
     """
     if r_norm < 0 or mu1 < 0 or mu2 < 0:
         raise ParameterError("r_norm, mu1 and mu2 must be nonnegative")
-    _, theta, _ = loop_detectability_matrix(cert1, cert2)
+    theta = _loop_theta(cert1, cert2)
     d2 = m * (1.0 - theta) * (cert2.window + 1) * (cert2.theta * mu1**2 + mu2**2)
     return _loop_report(
         idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first,
@@ -272,13 +248,12 @@ def symbolic_loop_bounds(
     )
 
 
-def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> MarginCertificate:
+def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> Verdict:
     """Check that the detectability decrease dominates the state bias.
 
     Forms ``eta2 * Mp - blockdiag(w1 Mb1, w2 Mb2)`` and passes iff its
-    minimum eigenvalue exceeds ``tol``.  This is a global check (stronger
-    than needed on any particular invariant set); the matrix doubles as the
-    certified decrease quadratic when it passes.
+    minimum eigenvalue (the margin) exceeds ``tol``.  This is a global check,
+    stronger than needed on any particular invariant set.
     """
     mp = np.atleast_2d(np.asarray(mp, float))
     mb = scipy.linalg.block_diag(
@@ -289,9 +264,8 @@ def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> MarginCertificat
         raise ParameterError(
             f"bias blocks stack to {mb.shape} but Mp is {mp.shape}"
         )
-    kappa = eta2 * mp - mb
-    margin = linalg.min_eig(kappa)
-    return MarginCertificate(margin=float(margin), passed=bool(margin > tol), kappa_matrix=kappa)
+    margin = linalg.min_eig(eta2 * mp - mb)
+    return Verdict(passed=bool(margin > tol), margin=float(margin))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ Failures are collected in a machine-readable list.
 """
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +26,6 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------------------
 # pipeline helpers
-
-
-def _discrete(spec: SystemSpec, tau):
-    if not spec.is_lti:
-        raise ToolkitError("operation requires an LTI system")
-    return discretize_exact(spec.model, tau)
 
 
 def _sampled_stage_indices(spec: SystemSpec, tau, lambdas):
@@ -54,28 +47,29 @@ def _sampled_stage_indices(spec: SystemSpec, tau, lambdas):
 
 
 def _controller_quantized_indices(cfg: AnalysisConfig, symbolic: bool):
+    """Controller indices after input/output quantization.
+
+    The symbolic twin keeps the quantized indices but carries the larger
+    bias of its state-quantization mismatch.
+    """
     stage = _sampled_stage_indices(cfg.controller, cfg.tau, cfg.lambdas)
     if cfg.mu1 is None:
         raise ToolkitError("quantization section required")
+    if symbolic and cfg.eps is None:
+        raise ToolkitError("symbolic analysis requires the symbolic section")
     lam = cfg.lambdas
+    lambdas = (lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5)
     m = cfg.controller.model.m
-    if symbolic:
-        if cfg.eps is None:
-            raise ToolkitError("symbolic analysis requires the symbolic section")
-        lip = abstraction.lipschitz_output_bound(cfg.controller.model)
-        delta = passivity.symbolic_quant_bias(
-            stage.nu, stage.rho, lip, cfg.eps, cfg.mu1, cfg.mu2, m,
-            lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5,
-        )
-        base = passivity.degrade_quantization(
-            stage.nu, stage.rho, cfg.mu1, cfg.mu2, m,
-            lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5, w=stage.w,
-        )
-        return passivity.IndexSet(nu=base.nu, rho=base.rho, delta=delta, w=stage.w)
-    return passivity.degrade_quantization(
-        stage.nu, stage.rho, cfg.mu1, cfg.mu2, m,
-        lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5, w=stage.w,
+    base = passivity.degrade_quantization(
+        stage.nu, stage.rho, cfg.mu1, cfg.mu2, m, *lambdas, w=stage.w
     )
+    if not symbolic:
+        return base
+    lip = abstraction.lipschitz_output_bound(cfg.controller.model)
+    delta = passivity.symbolic_quant_bias(
+        stage.nu, stage.rho, lip, cfg.eps, cfg.mu1, cfg.mu2, m, *lambdas
+    )
+    return replace(base, delta=delta)
 
 
 def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig, seed):
@@ -84,13 +78,12 @@ def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig, seed):
     if spec.sd_theta is not None:
         explicit = SdCertificate(window=spec.sd_window, theta=spec.sd_theta, mp=spec.sd_p)
     if spec.is_lti:
-        quad = _discrete(spec, cfg.tau)
-        if explicit is not None:
-            verdict = detectability.check_sd_certificate(quad, explicit)
-            return explicit, {"source": "supplied", "passed": verdict.passed, "margin": verdict.margin}
-        cert = detectability.lti_sd_certificate(quad, spec.sd_window)
+        quad = discretize_exact(spec.model, cfg.tau)
+        cert, source = explicit, "supplied"
+        if explicit is None:
+            cert, source = detectability.lti_sd_certificate(quad, spec.sd_window), "constructed"
         verdict = detectability.check_sd_certificate(quad, cert)
-        return cert, {"source": "constructed", "passed": verdict.passed, "margin": verdict.margin}
+        return cert, {"source": source, "passed": verdict.passed, "margin": verdict.margin}
     if explicit is None:
         raise ToolkitError("nonlinear systems need an explicit sd certificate")
     system = SampledModel(spec.model, cfg.tau)
@@ -102,11 +95,20 @@ def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig, seed):
     }
 
 
-def _compose(cfg: AnalysisConfig, symbolic: bool):
+def _symbolic_bias(cfg: AnalysisConfig):
+    """True unless the loop runs the plain quantized controller (``MODES[0]``).
+
+    Disturbance-injected runs use the symbolic-style constants: the injected
+    radius is exactly what a symbolic replacement would produce.
+    """
+    return cfg.mode != sim.MODES[0]
+
+
+def _compose(cfg: AnalysisConfig):
     if cfg.plant is None:
         raise ToolkitError("composition requires a plant section")
     plant_idx = _sampled_stage_indices(cfg.plant, cfg.tau, cfg.lambdas)
-    ctrl_idx = _controller_quantized_indices(cfg, symbolic)
+    ctrl_idx = _controller_quantized_indices(cfg, _symbolic_bias(cfg))
     nu_hat = cfg.nu_hat
     if nu_hat is None:
         nu_hat = passivity.choose_nu_hat(plant_idx, ctrl_idx)
@@ -114,25 +116,33 @@ def _compose(cfg: AnalysisConfig, symbolic: bool):
     return plant_idx, ctrl_idx, composed
 
 
+def _storage(cfg: AnalysisConfig, *blocks):
+    """Block-diagonal storage matrix, divided by tau when the config says so."""
+    v = scipy.linalg.block_diag(*blocks)
+    return v / cfg.tau if cfg.storage_tau_scaled else v
+
+
 def _loop_storage(cfg: AnalysisConfig):
     if cfg.storage_plant is None or cfg.storage_controller is None:
         raise ToolkitError("storage section with plant and controller matrices required")
-    v = scipy.linalg.block_diag(cfg.storage_plant, cfg.storage_controller)
-    if cfg.storage_tau_scaled:
-        v = v / cfg.tau
-    return v
+    return _storage(cfg, cfg.storage_plant, cfg.storage_controller)
 
 
-def _loop_config(cfg: AnalysisConfig, mode=None):
+def _beta_matrix(spec: SystemSpec):
+    """Gain-certificate beta matrix, or zeros when no certificate is given."""
+    n = spec.model.n
+    return spec.gain.beta_matrix if spec.gain is not None else np.zeros((n, n))
+
+
+def _loop_config(cfg: AnalysisConfig):
     if cfg.plant is None:
         raise ToolkitError("simulation requires a plant section")
     if cfg.horizon is None or cfg.x1_0 is None or cfg.x2_0 is None:
         raise ToolkitError("simulation section needs horizon, x1_0 and x2_0")
     if cfg.mu1 is None:
         raise ToolkitError("quantization section required")
-    mode = mode or cfg.mode or "sampled-quantized"
     disturbance_bound = None
-    if mode == "disturbance-injected":
+    if cfg.mode == "disturbance-injected":
         # the radius the symbolic replacement could inject: lip*eps + 2 sqrt(m) mu2
         if cfg.eps is None:
             raise ToolkitError("disturbance mode needs the symbolic section for eps")
@@ -141,7 +151,7 @@ def _loop_config(cfg: AnalysisConfig, mode=None):
     return sim.LoopConfig(
         plant=cfg.plant.model,
         controller=cfg.controller.model,
-        mode=mode,
+        mode=cfg.mode,
         tau=cfg.tau,
         mu1=cfg.mu1,
         mu2=cfg.mu2,
@@ -177,13 +187,8 @@ def _v_first(cfg: AnalysisConfig, storage, n_window):
 
 
 def _compute_bounds(cfg: AnalysisConfig):
-    """Full bound pipeline; returns (report, margin, composed, details).
-
-    Disturbance-injected runs use the symbolic-style constants: the injected
-    radius is exactly what a symbolic replacement would produce.
-    """
-    symbolic = cfg.mode in ("symbolic", "disturbance-injected")
-    plant_idx, ctrl_idx, composed = _compose(cfg, symbolic)
+    """Full bound pipeline; returns (report, margin, composed, details)."""
+    plant_idx, ctrl_idx, composed = _compose(cfg)
     cert1, info1 = _sd_certificate(cfg.plant, cfg, cfg.seed)
     cert2, info2 = _sd_certificate(cfg.controller, cfg, cfg.seed + 1)
     storage = _loop_storage(cfg)
@@ -191,7 +196,7 @@ def _compute_bounds(cfg: AnalysisConfig):
     v_first = _v_first(cfg, storage, n_window)
     r_norm = _reference_norm(cfg)
     m = cfg.controller.model.m
-    if symbolic:
+    if _symbolic_bias(cfg):
         lip = abstraction.lipschitz_output_bound(cfg.controller.model)
         report = bounds.symbolic_loop_bounds(
             composed, cert1, cert2, storage, r_norm, lip, cfg.eps,
@@ -203,11 +208,10 @@ def _compute_bounds(cfg: AnalysisConfig):
             cfg.mu1, cfg.mu2, m, lam=cfg.lam, d3=cfg.d3, v_first=v_first,
         )
     _, _, mp_loop = bounds.loop_detectability_matrix(cert1, cert2)
-    n1 = cfg.plant.model.n
-    n2 = cfg.controller.model.n
-    mb1 = cfg.plant.gain.beta_matrix if cfg.plant.gain is not None else np.zeros((n1, n1))
-    mb2 = cfg.controller.gain.beta_matrix if cfg.controller.gain is not None else np.zeros((n2, n2))
-    margin = bounds.margin_check(report.eta2, mp_loop, composed.w1, mb1, composed.w2, mb2)
+    margin = bounds.margin_check(
+        report.eta2, mp_loop,
+        composed.w1, _beta_matrix(cfg.plant), composed.w2, _beta_matrix(cfg.controller),
+    )
     details = {
         "plant_stage": plant_idx,
         "controller_stage": ctrl_idx,
@@ -232,12 +236,7 @@ def cmd_degrade(cfg: AnalysisConfig):
         )
         report["sampling"] = {"nu": idx.nu, "rho": idx.rho, "w": idx.w}
     if cfg.mu1 is not None:
-        stage = _sampled_stage_indices(spec, cfg.tau, cfg.lambdas)
-        lam = cfg.lambdas
-        idx = passivity.degrade_quantization(
-            stage.nu, stage.rho, cfg.mu1, cfg.mu2, spec.model.m,
-            lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5, w=stage.w,
-        )
+        idx = _controller_quantized_indices(cfg, symbolic=False)
         report["quantization"] = {"nu": idx.nu, "rho": idx.rho, "delta": idx.delta}
     if not report:
         failures.append("nothing to degrade: need indices+gain and/or quantization")
@@ -245,8 +244,7 @@ def cmd_degrade(cfg: AnalysisConfig):
 
 
 def cmd_compose(cfg: AnalysisConfig):
-    symbolic = cfg.mode in ("symbolic", "disturbance-injected")
-    plant_idx, ctrl_idx, composed = _compose(cfg, symbolic)
+    plant_idx, ctrl_idx, composed = _compose(cfg)
     report = {
         "plant_stage": {"nu": plant_idx.nu, "rho": plant_idx.rho, "w": plant_idx.w},
         "controller_stage": {
@@ -303,7 +301,7 @@ def cmd_bound(cfg: AnalysisConfig):
         cert, info = _sd_certificate(cfg.controller, cfg, cfg.seed)
         if cfg.storage_controller is None:
             raise ToolkitError("storage.controller required")
-        storage = cfg.storage_controller / (cfg.tau if cfg.storage_tau_scaled else 1.0)
+        storage = _storage(cfg, cfg.storage_controller)
         u_norm = float(np.linalg.norm(cfg.r2)) if cfg.r2 is not None else 0.0
         p_x0 = float(cfg.x2_0 @ cert.mp @ cfg.x2_0) if cfg.x2_0 is not None else 0.0
         rep = bounds.single_system_bounds(
@@ -324,7 +322,7 @@ def cmd_bound(cfg: AnalysisConfig):
 
     rep, margin, composed, details = _compute_bounds(cfg)
     report = {
-        "mode": cfg.mode or "sampled-quantized",
+        "mode": cfg.mode,
         "nu_hat": composed.nu,
         "rho_hat": composed.rho,
         "delta_hat": composed.delta,
@@ -359,11 +357,11 @@ def cmd_abstract_check(cfg: AnalysisConfig):
         "scale": bound.scale,
         "rate": bound.rate,
         "input_gain": bound.input_gain,
-        "slack": verdict.slack,
+        "slack": verdict.margin,
         "passed": verdict.passed,
     }
     if not verdict.passed:
-        failures.append(f"bisimulation parameter inequality fails (slack {verdict.slack:.3e})")
+        failures.append(f"bisimulation parameter inequality fails (slack {verdict.margin:.3e})")
     return report, failures
 
 
@@ -410,13 +408,7 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
         for eta in cfg.eta_sweep:
             traj_eta = sim.simulate(replace(loop, eta=float(eta)))
             traj_eta.to_csv(out_dir / f"trajectory_eta_{eta:g}.csv", storage=storage)
-            cut = (traj_eta.x1.shape[0] * 2) // 3
-            sup1 = float(np.max(np.abs(traj_eta.x1[cut:])))
-            sup2 = float(np.max(np.abs(traj_eta.x2s[cut:])))
-            sweep.append(
-                {"eta": float(eta), "sup_x1": sup1, "sup_x2s": sup2,
-                 "sup_combined": max(sup1, sup2)}
-            )
+            sweep.append(asdict(sim.SweepPoint.from_trajectory(eta, traj_eta)))
         report["eta_sweep"] = sweep
     return report, failures
 
@@ -429,54 +421,32 @@ def cmd_audit(cfg: AnalysisConfig, trajectory_path):
     quasi-passivity inequality over all trajectory windows.
     """
     failures = []
-    symbolic = cfg.mode in ("symbolic", "disturbance-injected")
-    _, _, composed = _compose(cfg, symbolic)
+    _, _, composed = _compose(cfg)
     storage = _loop_storage(cfg)
-    n1 = cfg.plant.model.n
-    n2 = cfg.controller.model.n
-    m = cfg.controller.model.m
-
-    with open(trajectory_path) as fh:
-        rows = list(csv.DictReader(fh))
-    states = np.array(
-        [
-            [float(row[f"x1_{i+1}"]) for i in range(n1)]
-            + [float(row[f"x2_{i+1}"]) for i in range(n2)]
-            for row in rows
-        ]
+    states, signals = sim.read_csv(
+        trajectory_path, cfg.plant.model.n, cfg.controller.model.n, cfg.controller.model.m
     )
-    sig_rows = rows[:-1]
-    get = lambda row, stem: [float(row[f"{stem}_{i+1}"]) for i in range(m)]
-    u1 = np.array([get(r, "u1") for r in sig_rows])
-    u2t = np.array([get(r, "u2tilde") for r in sig_rows])
-    y1 = np.array([get(r, "y1") for r in sig_rows])
-    y2t = np.array([get(r, "y2tilde") for r in sig_rows])
-    refs = np.hstack([y2t + u1, u2t - y1])
-    outs = np.hstack([y1, y2t])
+    refs = np.hstack([signals["y2tilde"] + signals["u1"], signals["u2tilde"] - signals["y1"]])
+    outs = np.hstack([signals["y1"], signals["y2tilde"]])
 
-    if composed.w1 > 0 or composed.w2 > 0:
-        mb1 = cfg.plant.gain.beta_matrix if cfg.plant.gain is not None else np.zeros((n1, n1))
-        mb2 = (
-            cfg.controller.gain.beta_matrix
-            if cfg.controller.gain is not None
-            else np.zeros((n2, n2))
-        )
-        stacked = scipy.linalg.block_diag(composed.w1 * mb1, composed.w2 * mb2)
-        bias = lambda x: float(x @ stacked @ x)
-        audit_idx = passivity.IndexSet(
-            nu=composed.nu, rho=composed.rho, delta=composed.delta, w=1.0
-        )
-    else:
-        bias = None
-        audit_idx = passivity.IndexSet(nu=composed.nu, rho=composed.rho, delta=composed.delta)
-
-    violation = passivity.dissipation_audit(states, refs, outs, storage, audit_idx, bias=bias)
+    # the weights sit in the stacked bias matrix; the audit reads it only
+    # when some weight is nonzero
+    stacked = scipy.linalg.block_diag(
+        composed.w1 * _beta_matrix(cfg.plant), composed.w2 * _beta_matrix(cfg.controller)
+    )
+    audit_idx = passivity.IndexSet(
+        nu=composed.nu, rho=composed.rho, delta=composed.delta,
+        w=1.0 if composed.w1 > 0 or composed.w2 > 0 else 0.0,
+    )
+    violation = passivity.dissipation_audit(
+        states, refs, outs, storage, audit_idx, bias=lambda x: float(x @ stacked @ x)
+    )
     passed = violation <= 1e-8
     if not passed:
         failures.append(f"dissipation inequality violated by {violation:.3e}")
     return {
         "trajectory": str(trajectory_path),
-        "steps_audited": int(min(len(sig_rows), 500)),
+        "steps_audited": int(refs.shape[0]),
         "max_violation": float(violation),
         "passed": passed,
     }, failures
@@ -486,7 +456,9 @@ def cmd_audit(cfg: AnalysisConfig, trajectory_path):
 # rendering and entry point
 
 
-def _render_text(report, failures, out=sys.stdout):
+def _render_text(report, failures):
+    out = sys.stdout
+
     def emit(prefix, value):
         if isinstance(value, dict):
             for key, sub in value.items():
@@ -562,8 +534,6 @@ def _jsonable(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, bool):
-        return value
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 

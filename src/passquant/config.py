@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .passivity import GainCertificate, IndexSet, LambdaChoices
+from .sim import MODES
 from .systems import LtiModel, NonlinearModel
 
 __all__ = [
@@ -216,7 +217,7 @@ class AnalysisConfig:
     x2_0: Optional[np.ndarray]
     x2s_0: Optional[np.ndarray]
     seed: int
-    mode: Optional[str]
+    mode: str
     trials: int
     storage_plant: Optional[np.ndarray]
     storage_controller: Optional[np.ndarray]
@@ -303,7 +304,7 @@ def parse_config(doc) -> AnalysisConfig:
     horizon = None
     x1_0 = x2_0 = x2s_0 = None
     seed = 0
-    mode = None
+    mode = MODES[0]
     trials = 10000
     if "simulation" in doc:
         msec = doc["simulation"]
@@ -325,7 +326,7 @@ def parse_config(doc) -> AnalysisConfig:
                 raise ConfigError("simulation.seed: must be a nonnegative integer")
         if "mode" in msec:
             mode = msec["mode"]
-            if mode not in ("sampled-quantized", "symbolic", "disturbance-injected"):
+            if mode not in MODES:
                 raise ConfigError(f"simulation.mode: unknown mode {mode!r}")
         if "trials" in msec:
             trials = msec["trials"]
@@ -377,9 +378,11 @@ def parse_config(doc) -> AnalysisConfig:
 
 def load_config(path) -> AnalysisConfig:
     """Read and validate a JSON configuration file."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path} ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON ({exc})") from exc
     return parse_config(doc)

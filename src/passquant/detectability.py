@@ -18,7 +18,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import CertificateError, DimensionError, NotDetectableError, ParameterError
-from .passivity import LmiVerdict
+from .passivity import Verdict
 from .systems import DiscreteLti
 
 __all__ = [
@@ -156,7 +156,7 @@ def lti_sd_certificate(system, window: int, floor=1e-8) -> SdCertificate:
     return SdCertificate(window=window, theta=theta, mp=0.5 * _schur_complement(o, h, theta))
 
 
-def check_sd_certificate(system, cert: SdCertificate, tol=1e-9) -> LmiVerdict:
+def check_sd_certificate(system, cert: SdCertificate, tol=1e-9) -> Verdict:
     """Exact verification of an SD certificate for a discrete LTI system.
 
     The certificate inequality holds for all (x, U) iff the block form
@@ -173,7 +173,12 @@ def check_sd_certificate(system, cert: SdCertificate, tol=1e-9) -> LmiVerdict:
         ]
     )
     margin = linalg.min_eig(0.5 * (blk + blk.T))
-    return LmiVerdict(passed=bool(margin >= -tol), margin=float(margin))
+    return Verdict(passed=bool(margin >= -tol), margin=float(margin))
+
+
+def _loop_theta(cert1: SdCertificate, cert2: SdCertificate):
+    """Input weight ``max(2 theta_i / (2 theta_i + 1))`` of the loop certificate."""
+    return max(2.0 * c.theta / (2.0 * c.theta + 1.0) for c in (cert1, cert2))
 
 
 def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
@@ -185,10 +190,7 @@ def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
         theta = max(2 theta1 / (2 theta1 + 1), 2 theta2 / (2 theta2 + 1))
         p(x) = (1 - theta) (p1(x1) + p2(x2))
     """
-    theta = max(
-        2.0 * cert1.theta / (2.0 * cert1.theta + 1.0),
-        2.0 * cert2.theta / (2.0 * cert2.theta + 1.0),
-    )
+    theta = _loop_theta(cert1, cert2)
     mp = (1.0 - theta) * scipy.linalg.block_diag(cert1.mp, cert2.mp)
     return SdCertificate(window=max(cert1.window, cert2.window), theta=theta, mp=mp)
 

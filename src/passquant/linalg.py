@@ -16,7 +16,6 @@ __all__ = [
     "max_eig",
     "min_eig",
     "is_nsd",
-    "is_psd",
     "expm",
     "quad_sublevel_max",
     "cholesky",
@@ -64,11 +63,6 @@ def min_eig(a):
 def is_nsd(a, tol=0.0):
     """True iff the symmetric matrix ``a`` has max eigenvalue <= ``tol``."""
     return bool(max_eig(a) <= tol)
-
-
-def is_psd(a, tol=0.0):
-    """True iff the symmetric matrix ``a`` has min eigenvalue >= ``-tol``."""
-    return bool(min_eig(a) >= -tol)
 
 
 def expm(a):

@@ -23,7 +23,7 @@ __all__ = [
     "GainCertificate",
     "LambdaChoices",
     "ComposedIndices",
-    "LmiVerdict",
+    "Verdict",
     "verify_lti_passivity",
     "max_index_bisection",
     "verify_gain_assumption",
@@ -142,8 +142,13 @@ class ComposedIndices:
 
 
 @dataclass(frozen=True)
-class LmiVerdict:
-    """Outcome of a feasibility check: ``margin`` is the critical eigenvalue."""
+class Verdict:
+    """Outcome of a certificate check.
+
+    ``margin`` is the quantity the decision compares against its tolerance:
+    a critical eigenvalue for matrix inequalities, the slack of the
+    bisimulation parameter inequality.
+    """
 
     passed: bool
     margin: float
@@ -179,7 +184,7 @@ def _passivity_lmi(model, p, nu, rho):
     return 0.5 * (blk + blk.T)
 
 
-def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> LmiVerdict:
+def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> Verdict:
     """Check whether an LTI system is IF-OFP(nu, rho) for a given storage.
 
     Parameters
@@ -196,7 +201,7 @@ def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> LmiVerdict:
 
     Returns
     -------
-    LmiVerdict
+    Verdict
         ``passed`` is True iff the form is negative semidefinite within
         ``tol``; ``margin`` is its max eigenvalue.
     """
@@ -204,7 +209,7 @@ def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> LmiVerdict:
         raise DimensionError("model must be an LtiModel or DiscreteLti")
     p = _storage_matrix(storage)
     margin = linalg.max_eig(_passivity_lmi(model, p, nu, rho))
-    return LmiVerdict(passed=bool(margin <= tol), margin=float(margin))
+    return Verdict(passed=bool(margin <= tol), margin=float(margin))
 
 
 def max_index_bisection(model, storage, fixed, fixed_value, tol=1e-8):
@@ -254,7 +259,7 @@ def verify_gain_assumption(model: LtiModel, cert: GainCertificate, tol=1e-8):
     m22 = -g * g * np.eye(model.m) + b.T @ c.T @ c @ b
     blk = np.block([[m11, m12], [m12.T, m22]])
     margin = linalg.max_eig(0.5 * (blk + blk.T))
-    return LmiVerdict(passed=bool(margin <= tol), margin=float(margin))
+    return Verdict(passed=bool(margin <= tol), margin=float(margin))
 
 
 def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
@@ -376,10 +381,7 @@ def choose_nu_hat(idx1: IndexSet, idx2: IndexSet, span=10.0, tol=1e-6):
         raise ParameterError("subsystem nu indices must be finite")
 
     def objective(nh):
-        return min(
-            idx1.rho - nh * idx2.nu / (idx2.nu - nh),
-            idx2.rho - nh * idx1.nu / (idx1.nu - nh),
-        )
+        return compose_feedback(idx1, idx2, nh).rho
 
     lo, hi = bound - span, bound - 1e-9
     gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -414,17 +416,13 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
     float
         ``max over k0 < k1`` of ``V(x[k1]) - V(x[k0]) - w*beta(x[k0])
         - sum(supply)``; a value <= 0 means the inequality held empirically.
-        Audits at most the first 500 steps.
+        Every step is audited, in O(K) time and memory.
     """
     states = np.asarray(states, float)
     inputs = np.asarray(inputs, float)
     outputs = np.asarray(outputs, float)
     if states.shape[0] != inputs.shape[0] + 1 or inputs.shape != outputs.shape:
         raise DimensionError("trajectory arrays are misaligned")
-    k_steps = min(inputs.shape[0], 500)
-    states = states[: k_steps + 1]
-    inputs = inputs[:k_steps]
-    outputs = outputs[:k_steps]
 
     v_fun = storage if callable(storage) else QuadraticStorage(storage)
     v = np.array([v_fun(x) for x in states])
@@ -440,11 +438,11 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
             raise ParameterError("a bias callback is required when indices.w > 0")
         b = indices.w * np.array([bias(x) for x in states])
     else:
-        b = np.zeros(k_steps + 1)
+        b = np.zeros(states.shape[0])
 
-    # violation(k0, k1) = V[k1] - V[k0] - b[k0] - (cum[k1] - cum[k0]), k0 < k1
+    # violation(k0, k1) = V[k1] - V[k0] - b[k0] - (cum[k1] - cum[k0]), k0 < k1;
+    # subtraction is monotone, so the max over k0 pairs rhs[k1] with the
+    # running minimum of lhs, exactly as the pairwise maximum would
     rhs = v - cum
-    lhs = v - cum + b  # subtracted at the window start
-    diff = rhs[None, :] - lhs[:, None]
-    mask = np.triu(np.ones_like(diff, dtype=bool), k=1)
-    return float(diff[mask].max())
+    lhs = rhs + b  # subtracted at the window start
+    return float(np.max(rhs[1:] - np.minimum.accumulate(lhs[:-1])))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .abstraction import DeltaIssBound, SymbolicController
 from .bounds import BoundReport
-from .errors import DivergenceError, ParameterError, WellPosednessError
+from .errors import DivergenceError, ParameterError, ToolkitError, WellPosednessError
 from .passivity import QuadraticStorage
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize
 
@@ -30,9 +30,18 @@ __all__ = [
     "simulate",
     "ultimate_bound_audit",
     "eta_sweep",
+    "read_csv",
 ]
 
+# the first mode, the plain quantized controller, is the default
 MODES = ("sampled-quantized", "symbolic", "disturbance-injected")
+
+# signal column stems of the trajectory CSV, in column order
+_SIGNALS = ("u1", "u2tilde", "u2", "y1", "y2", "y2tilde")
+
+
+def _columns(stem, width):
+    return [f"{stem}_{i+1}" for i in range(width)]
 
 
 @dataclass
@@ -143,20 +152,14 @@ class Trajectory:
         ``u1, u2tilde, u2, y1, y2, y2tilde`` and ``V`` when a storage is
         attached.  A final row carries the terminal states.
         """
-        n1 = self.x1.shape[1]
-        n2 = self.x2.shape[1]
         m = self.u1.shape[1]
         second = self.x2s if self.x2s is not None else self.x2
+        signals = (self.u1, self.u2_tilde, self.u2, self.y1, self.y2, self.y2_tilde)
         header = (
             ["k"]
-            + [f"x1_{i+1}" for i in range(n1)]
-            + [f"x2_{i+1}" for i in range(n2)]
-            + [f"u1_{i+1}" for i in range(m)]
-            + [f"u2tilde_{i+1}" for i in range(m)]
-            + [f"u2_{i+1}" for i in range(m)]
-            + [f"y1_{i+1}" for i in range(m)]
-            + [f"y2_{i+1}" for i in range(m)]
-            + [f"y2tilde_{i+1}" for i in range(m)]
+            + _columns("x1", self.x1.shape[1])
+            + _columns("x2", second.shape[1])
+            + [name for stem in _SIGNALS for name in _columns(stem, m)]
             + ["V"]
         )
         vvals = self.storage_values(storage) if storage is not None else None
@@ -164,29 +167,51 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for k in range(self.horizon):
+            for k in range(self.horizon + 1):
+                if k < self.horizon:
+                    values = [fmt(v) for sig in signals for v in sig[k]]
+                else:
+                    values = [""] * (len(_SIGNALS) * m)
                 row = (
                     [k]
                     + [fmt(v) for v in self.x1[k]]
                     + [fmt(v) for v in second[k]]
-                    + [fmt(v) for v in self.u1[k]]
-                    + [fmt(v) for v in self.u2_tilde[k]]
-                    + [fmt(v) for v in self.u2[k]]
-                    + [fmt(v) for v in self.y1[k]]
-                    + [fmt(v) for v in self.y2[k]]
-                    + [fmt(v) for v in self.y2_tilde[k]]
+                    + values
                     + ([fmt(vvals[k])] if vvals is not None else [""])
                 )
                 writer.writerow(row)
-            k = self.horizon
-            row = (
-                [k]
-                + [fmt(v) for v in self.x1[k]]
-                + [fmt(v) for v in second[k]]
-                + [""] * (6 * m)
-                + ([fmt(vvals[k])] if vvals is not None else [""])
-            )
-            writer.writerow(row)
+
+
+def read_csv(path, n1, n2, m):
+    """Read back a CSV written by :meth:`Trajectory.to_csv`.
+
+    Returns ``(states, signals)``: the stacked ``(K+1, n1+n2)`` loop states
+    and a dict mapping each signal column stem (``u1``, ``u2tilde``, ``u2``,
+    ``y1``, ``y2``, ``y2tilde``) to its ``(K, m)`` array.  Raises
+    :class:`ToolkitError` naming the file, the first missing column or the
+    unparsable entry.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise ToolkitError(f"cannot read trajectory {path}: {exc.strerror}") from exc
+    header = reader.fieldnames or []
+
+    def table(stem, width, records):
+        names = _columns(stem, width)
+        for name in names:
+            if name not in header:
+                raise ToolkitError(f"trajectory {path}: missing column {name!r}")
+        try:
+            return np.array([[float(row[name]) for name in names] for row in records])
+        except (TypeError, ValueError) as exc:
+            raise ToolkitError(f"trajectory {path}: column {stem}: {exc}") from exc
+
+    states = np.hstack([table("x1", n1, rows), table("x2", n2, rows)])
+    signals = {stem: table(stem, m, rows[:-1]) for stem in _SIGNALS}
+    return states, signals
 
 
 def _check_well_posed(plant):
@@ -348,29 +373,27 @@ class SweepPoint:
     sup_x2s: float
     sup_combined: float
 
+    @classmethod
+    def from_trajectory(cls, eta, traj: Trajectory):
+        """Sup of ``|x|_inf`` over the final third of a symbolic run.
+
+        The first two thirds are treated as transient; this is a reporting
+        convention, not a certified entry time.
+        """
+        cut = (traj.x1.shape[0] * 2) // 3
+        sup1 = float(np.max(np.abs(traj.x1[cut:])))
+        sup2 = float(np.max(np.abs(traj.x2s[cut:])))
+        return cls(eta=float(eta), sup_x1=sup1, sup_x2s=sup2, sup_combined=max(sup1, sup2))
+
 
 def eta_sweep(config: LoopConfig, etas) -> List[SweepPoint]:
     """Ultimate sup norms of the loop states for each grid pitch.
 
-    Runs the symbolic loop per ``eta`` and reports the sup of ``|x|_inf``
-    over the final third of the horizon (the first two thirds are treated
-    as transient; this is a reporting convention, not a certified entry
-    time).
+    Runs the symbolic loop per ``eta``; see :meth:`SweepPoint.from_trajectory`.
     """
     if config.mode != "symbolic":
         raise ParameterError("eta sweeps require symbolic mode")
-    points = []
-    for eta in etas:
-        traj = simulate(replace(config, eta=float(eta)))
-        cut = (traj.x1.shape[0] * 2) // 3
-        sup1 = float(np.max(np.abs(traj.x1[cut:])))
-        sup2 = float(np.max(np.abs(traj.x2s[cut:])))
-        points.append(
-            SweepPoint(
-                eta=float(eta),
-                sup_x1=sup1,
-                sup_x2s=sup2,
-                sup_combined=max(sup1, sup2),
-            )
-        )
-    return points
+    return [
+        SweepPoint.from_trajectory(eta, simulate(replace(config, eta=float(eta))))
+        for eta in etas
+    ]

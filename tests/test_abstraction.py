@@ -14,8 +14,6 @@ from passquant import (
     lti_delta_iss,
     quantize,
     quantize_nearest,
-    symbolic_output,
-    symbolic_step,
 )
 from tests.conftest import make_cubic_plant
 
@@ -59,7 +57,7 @@ class TestBisimParams:
         bound = DeltaIssBound(scale=1.0, rate=1e3, input_gain=0.0)
         verdict = check_bisim_params(bound, eps=1.0, tau=0.3, mu=0.01, eta=1.0)
         assert verdict.passed
-        assert verdict.slack == pytest.approx(0.5, abs=1e-6)
+        assert verdict.margin == pytest.approx(0.5, abs=1e-6)
 
     def test_static_terms_alone_can_fail(self):
         bound = DeltaIssBound(scale=1.0, rate=1e3, input_gain=10.0)
@@ -70,7 +68,7 @@ class TestBisimParams:
         bound = lti_delta_iss(bench_model.a, bench_model.b)
         verdict = check_bisim_params(bound, eps=0.25, tau=0.3, mu=0.01, eta=0.1)
         assert verdict.passed
-        assert verdict.slack == pytest.approx(0.03224, abs=1e-4)
+        assert verdict.margin == pytest.approx(0.03224, abs=1e-4)
 
 
 class TestSymbolicController:
@@ -111,14 +109,14 @@ class TestSymbolicController:
         ctrl = self.make(bench_model, x0=(1.5, -1.6))
         u = quantize(np.array([0.3, -0.2]), 0.01)
         expected = bench_model.c @ ctrl.state + bench_model.d @ u
-        assert np.allclose(symbolic_output(ctrl, u), expected)
+        assert np.allclose(ctrl.output(u), expected)
 
     def test_grid_closure_bit_exact(self, bench_model):
         rng = np.random.default_rng(31)
         ctrl = self.make(bench_model, x0=rng.uniform(-2, 2, 2))
         for _ in range(200):
             u = quantize(rng.uniform(-1, 1, 2), 0.01)
-            state = symbolic_step(ctrl, u)
+            state = ctrl.step(u)
             assert np.array_equal(np.round(state / 0.1) * 0.1, state)
 
     def test_determinism_and_clone(self, bench_model):

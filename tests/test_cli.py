@@ -188,12 +188,44 @@ class TestAuditCommand:
         assert rep["passed"]
         assert rep["max_violation"] <= 1e-8
 
+    def test_trajectory_of_another_loop_is_reported(self, capsys, tmp_path):
+        # loop_c is single-input: its CSV lacks the second loop_a state column
+        code, _ = run_json(
+            capsys, "simulate", bundled_config_path("loop_c"), "--out", str(tmp_path)
+        )
+        assert code == 0
+        code, rep = run_json(
+            capsys,
+            "audit",
+            bundled_config_path("loop_a"),
+            "--trajectory",
+            str(tmp_path / "trajectory.csv"),
+        )
+        assert code == 1
+        assert "'x1_2'" in rep["error"]
+        assert rep["failures"] == [rep["error"]]
+
+    def test_missing_trajectory_file_is_reported(self, capsys, tmp_path):
+        missing = tmp_path / "none.csv"
+        code, rep = run_json(
+            capsys, "audit", bundled_config_path("loop_a"), "--trajectory", str(missing)
+        )
+        assert code == 1
+        assert str(missing) in rep["error"]
+
     def test_missing_trajectory_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["audit", "--config", bundled_config_path("loop_a")])
 
 
 class TestExitCodes:
+    def test_missing_config_is_reported(self, capsys, tmp_path):
+        missing = tmp_path / "none.json"
+        code, rep = run_json(capsys, "degrade", str(missing))
+        assert code == 1
+        assert str(missing) in rep["error"]
+        assert rep["failures"] == [rep["error"]]
+
     def test_config_error_is_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"sampling": {"tau": 0.3}}')

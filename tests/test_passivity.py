@@ -33,6 +33,20 @@ def rollout(disc, x0, inputs):
     return np.array(xs), np.asarray(inputs, float), np.array(ys)
 
 
+def pairwise_violation(xs, us, ys, storage, idx, bias=None):
+    """Dissipation-audit reference: every window k0 < k1 summed on its own."""
+    v = [float(x @ storage @ x) for x in xs]
+    supply = [
+        u @ y - idx.nu * (u @ u) - idx.rho * (y @ y) + idx.delta for u, y in zip(us, ys)
+    ]
+    worst = -np.inf
+    for k0 in range(len(us)):
+        start_bias = idx.w * bias(xs[k0]) if idx.w > 0 else 0.0
+        for k1 in range(k0 + 1, len(us) + 1):
+            worst = max(worst, v[k1] - v[k0] - start_bias - sum(supply[k0:k1]))
+    return worst
+
+
 class TestVerifyLmi:
     def test_continuous_published_indices(self, bench_model):
         # published 4-decimal indices sit ~2e-6 outside the exact boundary,
@@ -282,6 +296,36 @@ class TestDissipationAudit:
         idx = IndexSet(0.0, 0.1)
         with pytest.raises(DimensionError):
             dissipation_audit(np.zeros((5, 1)), np.zeros((3, 1)), np.zeros((3, 1)), np.eye(1), idx)
+
+    def test_violation_after_step_500_is_flagged(self, bench_discrete):
+        # at rest for 520 steps, then driven: the inflated rho only fails
+        # once the outputs are nonzero, after the first 500 steps
+        rng = np.random.default_rng(8)
+        us = np.vstack([np.zeros((520, 2)), rng.uniform(-1, 1, (200, 2))])
+        xs, us, ys = rollout(bench_discrete, np.zeros(2), us)
+        idx = IndexSet(0.20, 2.0)
+        storage = QuadraticStorage(P_BENCH)
+        assert dissipation_audit(xs[:501], us[:500], ys[:500], storage, idx) <= 0.0
+        assert dissipation_audit(xs, us, ys, storage, idx) > 0.0
+
+    def test_matches_pairwise_reference(self):
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            k, n, m = int(rng.integers(1, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            xs = rng.uniform(-2, 2, (k + 1, n))
+            us = rng.uniform(-1, 1, (k, m))
+            ys = rng.uniform(-1, 1, (k, m))
+            g = rng.standard_normal((n, n))
+            storage = g @ g.T
+            weighted = trial % 2 == 1
+            idx = IndexSet(
+                rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
+                delta=rng.uniform(0, 0.1), w=1.5 if weighted else 0.0,
+            )
+            bias = (lambda x: float(x @ x)) if weighted else None
+            got = dissipation_audit(xs, us, ys, storage, idx, bias=bias)
+            want = pairwise_violation(xs, us, ys, storage, idx, bias)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_lmi_pass_implies_clean_audit(self, bench_discrete):
         # any candidate the feasibility check accepts must audit clean

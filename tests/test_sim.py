@@ -6,13 +6,14 @@ from passquant import (
     DivergenceError,
     LoopConfig,
     LtiModel,
+    ToolkitError,
     WellPosednessError,
     eta_sweep,
     lipschitz_output_bound,
     simulate,
     ultimate_bound_audit,
 )
-from passquant.sim import AuditResult
+from passquant.sim import AuditResult, read_csv
 
 
 def lti_plant():
@@ -148,6 +149,25 @@ class TestCsv:
         assert header[-2] == "y2tilde_2"
         assert header[-1] == "V"
         assert len(lines) == 1 + 5 + 1  # header, one row per step, final state
+
+    def test_read_back_is_exact(self, cubic_plant, bench_model, tmp_path):
+        traj = simulate(symbolic_config(cubic_plant, bench_model, horizon=30))
+        path = tmp_path / "t.csv"
+        traj.to_csv(path)
+        states, signals = read_csv(path, 2, 2, 2)
+        assert np.array_equal(states, np.hstack([traj.x1, traj.x2s]))
+        recorded = (traj.u1, traj.u2_tilde, traj.u2, traj.y1, traj.y2, traj.y2_tilde)
+        for stem, arr in zip(("u1", "u2tilde", "u2", "y1", "y2", "y2tilde"), recorded):
+            assert np.array_equal(signals[stem], arr), stem
+
+    def test_unparsable_entry_is_reported(self, bench_model, tmp_path):
+        path = tmp_path / "t.csv"
+        simulate(base_config(bench_model, horizon=3)).to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(lines[2].split(",")[1], "oops", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ToolkitError, match="column x1"):
+            read_csv(path, 2, 2, 2)
 
 
 class TestUltimateBoundAudit:
