@@ -66,7 +66,6 @@ from .systems import (
     DiscreteLti,
     LtiModel,
     NonlinearModel,
-    QuantizerSpec,
     SampledModel,
     discretize_exact,
     flow,

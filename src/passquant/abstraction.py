@@ -185,17 +185,6 @@ class SymbolicController:
         u = self._require_grid_input(u)
         return self.model.output(self.state, u)
 
-    def clone(self):
-        twin = object.__new__(SymbolicController)
-        twin.model = self.model
-        twin.tau = self.tau
-        twin.eta = self.eta
-        twin.mu = self.mu
-        twin.eps = self.eps
-        twin.iss_bound = self.iss_bound
-        twin._coords = self._coords.copy()
-        return twin
-
 
 def lipschitz_output_bound(model):
     """Bound L with ``|h1(z1) - h1(z2)|_2 <= L |z1 - z2|_inf``.

@@ -11,7 +11,6 @@ implement the bias-margin condition and ISpS-style certificates.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +44,6 @@ class BoundReport:
     level_d1: float
     level_d2: float
     constants: dict = field(default_factory=dict)
-    storage: Optional[np.ndarray] = None
 
 
 def _split(nu, rho, lam):
@@ -136,7 +134,6 @@ def single_system_bounds(
             "xi3": xi3,
             "xi4": xi4,
         },
-        storage=v,
     )
 
 
@@ -172,7 +169,6 @@ def _loop_report(idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first, extra
         level_d1=float(level_d1),
         level_d2=float(level_d2),
         constants=constants,
-        storage=v,
     )
 
 

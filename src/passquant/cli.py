@@ -290,6 +290,17 @@ def cmd_sd(cfg: AnalysisConfig):
     return report, failures
 
 
+def _levels(rep: bounds.BoundReport):
+    """The report keys shared by the single-system and loop bounds."""
+    return {
+        "eta1": rep.eta1,
+        "eta2": rep.eta2,
+        "level_d1": rep.level_d1,
+        "level_d2": rep.level_d2,
+        "constants": {k: float(v) for k, v in rep.constants.items()},
+    }
+
+
 def cmd_bound(cfg: AnalysisConfig):
     failures = []
     if cfg.plant is None:
@@ -307,15 +318,7 @@ def cmd_bound(cfg: AnalysisConfig):
         rep = bounds.single_system_bounds(
             idx, cert, storage, u_norm, lam=cfg.lam, c5=cfg.c5, p_x0=p_x0
         )
-        report = {
-            "mode": "single-system",
-            "eta1": rep.eta1,
-            "eta2": rep.eta2,
-            "level_d1": rep.level_d1,
-            "level_d2": rep.level_d2,
-            "constants": {k: float(v) for k, v in rep.constants.items()},
-            "certificate": info,
-        }
+        report = {"mode": "single-system", **_levels(rep), "certificate": info}
         if not info["passed"]:
             failures.append("sd certificate failed")
         return report, failures
@@ -326,11 +329,7 @@ def cmd_bound(cfg: AnalysisConfig):
         "nu_hat": composed.nu,
         "rho_hat": composed.rho,
         "delta_hat": composed.delta,
-        "eta1": rep.eta1,
-        "eta2": rep.eta2,
-        "level_d1": rep.level_d1,
-        "level_d2": rep.level_d2,
-        "constants": {k: float(v) for k, v in rep.constants.items()},
+        **_levels(rep),
         "margin": {"value": margin.margin, "passed": margin.passed},
         "certificates": {
             "plant": details["cert_plant"][1],
@@ -426,8 +425,8 @@ def cmd_audit(cfg: AnalysisConfig, trajectory_path):
     states, signals = sim.read_csv(
         trajectory_path, cfg.plant.model.n, cfg.controller.model.n, cfg.controller.model.m
     )
-    refs = np.hstack([signals["y2tilde"] + signals["u1"], signals["u2tilde"] - signals["y1"]])
-    outs = np.hstack([signals["y1"], signals["y2tilde"]])
+    refs = np.hstack([signals["y2_tilde"] + signals["u1"], signals["u2_tilde"] - signals["y1"]])
+    outs = np.hstack([signals["y1"], signals["y2_tilde"]])
 
     # the weights sit in the stacked bias matrix; the audit reads it only
     # when some weight is nonzero
@@ -450,6 +449,19 @@ def cmd_audit(cfg: AnalysisConfig, trajectory_path):
         "max_violation": float(violation),
         "passed": passed,
     }, failures
+
+
+# command name -> (function, names of the parsed arguments it takes after
+# the configuration)
+_COMMANDS = {
+    "degrade": (cmd_degrade,),
+    "compose": (cmd_compose,),
+    "sd": (cmd_sd,),
+    "bound": (cmd_bound,),
+    "abstract-check": (cmd_abstract_check,),
+    "simulate": (cmd_simulate, "out"),
+    "audit": (cmd_audit, "trajectory"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +496,7 @@ def main(argv=None):
         prog="passquant",
         description="Passivity analysis of sampled and quantized controller implementations",
     )
-    parser.add_argument("command", choices=[
-        "degrade", "compose", "sd", "bound", "abstract-check", "simulate", "audit",
-    ])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--out", default=".", help="output directory for CSV artifacts")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
@@ -498,22 +508,10 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.command == "degrade":
-            report, failures = cmd_degrade(cfg)
-        elif args.command == "compose":
-            report, failures = cmd_compose(cfg)
-        elif args.command == "sd":
-            report, failures = cmd_sd(cfg)
-        elif args.command == "bound":
-            report, failures = cmd_bound(cfg)
-        elif args.command == "abstract-check":
-            report, failures = cmd_abstract_check(cfg)
-        elif args.command == "simulate":
-            report, failures = cmd_simulate(cfg, args.out)
-        else:
-            if args.trajectory is None:
-                parser.error("audit requires --trajectory")
-            report, failures = cmd_audit(cfg, args.trajectory)
+        if args.command == "audit" and args.trajectory is None:
+            parser.error("audit requires --trajectory")
+        command, *extra = _COMMANDS[args.command]
+        report, failures = command(cfg, *(getattr(args, name) for name in extra))
     except ToolkitError as exc:
         report = {"error": str(exc)}
         failures = [str(exc)]

@@ -2,8 +2,9 @@
 
 Configurations are plain JSON with the sections ``plant``, ``controller``,
 ``sampling``, ``quantization``, ``symbolic``, ``lambdas``, ``references``,
-``simulation`` and ``storage``.  Unknown keys are rejected; every validation
-error names the offending path.  Matrices are row-major flat arrays with
+``simulation`` and ``storage``.  Unknown keys are rejected, every array is
+checked against the dimensions of its system, and every validation error
+names the offending path.  Matrices are row-major flat arrays with
 declared dimensions: ``{"rows": 2, "cols": 2, "data": [...]}``.
 
 Nonlinear dynamics cannot ride in a data file, so nonlinear systems are
@@ -12,13 +13,13 @@ library API instead.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from importlib.resources import files
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .passivity import GainCertificate, IndexSet, LambdaChoices
 from .sim import MODES
 from .systems import LtiModel, NonlinearModel
@@ -76,14 +77,8 @@ def _require_keys(section, allowed, required, path):
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
-def _number(value, path):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number")
-    return float(value)
-
-
-def _matrix(value, path, rows=None, cols=None):
-    _require_keys(value, {"rows", "cols", "data"}, {"rows", "cols", "data"}, path)
+def _read_matrix(value, path, rows=None, cols=None):
+    _require_keys(value, {"rows", "cols", "data"}, ("rows", "cols", "data"), path)
     r, c = value["rows"], value["cols"]
     if not isinstance(r, int) or not isinstance(c, int) or r < 1 or c < 1:
         raise ConfigError(f"{path}: rows and cols must be positive integers")
@@ -95,24 +90,90 @@ def _matrix(value, path, rows=None, cols=None):
     if cols is not None and c != cols:
         raise ConfigError(f"{path}: expected {cols} cols, got {c}")
     try:
-        arr = np.array(data, dtype=float).reshape(r, c)
+        return np.array(data, dtype=float).reshape(r, c)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.data: entries must be numbers") from exc
-    return arr
 
 
-def _vector(value, path, length=None):
+# Schema parsers take (value, path, dims); ``dims`` maps a dimension name to
+# the size fixed by the parsed systems, or None when that system is absent.
+
+
+def _number(value, path, dims=None):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number")
+    return float(value)
+
+
+def _positive(value, path, dims=None):
+    value = _number(value, path)
+    if value <= 0:
+        raise ConfigError(f"{path}: must be positive")
+    return value
+
+
+def _positive_list(value, path, dims=None):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected an array of numbers")
-    try:
-        vec = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: entries must be numbers") from exc
-    if vec.ndim != 1:
-        raise ConfigError(f"{path}: expected a flat array")
-    if length is not None and vec.shape[0] != length:
-        raise ConfigError(f"{path}: expected {length} entries")
-    return vec
+    return [_positive(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _integer(low):
+    def parse(value, path, dims=None):
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ConfigError(f"{path}: must be a {('nonnegative', 'positive')[low]} integer")
+        return value
+
+    return parse
+
+
+def _boolean(value, path, dims=None):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a boolean")
+    return value
+
+
+def _mode(value, path, dims=None):
+    if value not in MODES:
+        raise ConfigError(f"{path}: unknown mode {value!r}")
+    return value
+
+
+def _vector(dim):
+    """Flat array of numbers with ``dims[dim]`` entries."""
+
+    def parse(value, path, dims):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected an array of numbers")
+        try:
+            vec = np.array(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: entries must be numbers") from exc
+        if vec.ndim != 1:
+            raise ConfigError(f"{path}: expected a flat array")
+        if dims[dim] is not None and vec.shape[0] != dims[dim]:
+            raise ConfigError(f"{path}: expected {dims[dim]} entries")
+        return vec
+
+    return parse
+
+
+def _square(dim):
+    """Matrix of ``dims[dim]`` rows and columns."""
+    return lambda value, path, dims: _read_matrix(value, path, dims[dim], dims[dim])
+
+
+def _zero_or(parse):
+    """The string ``"zero"`` (parsed as None) or what ``parse`` accepts."""
+    return lambda value, path, dims: None if value == "zero" else parse(value, path, dims)
+
+
+def _parse_section(section, path, schema, dims):
+    """Fields of one section; keys are parsed in schema order."""
+    required, keys = schema
+    _require_keys(section, keys, required, path)
+    return {name: parse(section[key], f"{path}.{key}", dims)
+            for key, (name, parse) in keys.items() if key in section}
 
 
 @dataclass
@@ -132,25 +193,34 @@ class SystemSpec:
         return isinstance(self.model, LtiModel)
 
 
-def _parse_indices(section, path):
-    _require_keys(section, {"nu", "rho"}, {"nu", "rho"}, path)
-    return IndexSet(nu=_number(section["nu"], f"{path}.nu"), rho=_number(section["rho"], f"{path}.rho"))
+_INDICES = (("nu", "rho"), {"nu": ("nu", _number), "rho": ("rho", _number)})
+
+# subsection of a system -> (required keys, {key: (field, parser)}); the one
+# dimension is the system's state size n
+_SYSTEM_SCHEMA = {
+    "indices": _INDICES,
+    "discrete_indices": _INDICES,
+    "gain": (("gamma", "beta"), {
+        "gamma": ("gamma", _positive), "beta": ("beta_matrix", _square("n"))}),
+    "sd": (("window",), {
+        "window": ("sd_window", _integer(0)), "theta": ("sd_theta", _number),
+        "p": ("sd_p", _square("n"))}),
+}
 
 
 def _parse_system(section, path):
-    allowed = {"type", "A", "B", "C", "D", "name", "indices", "discrete_indices", "gain", "sd"}
-    _require_keys(section, allowed, {"type"}, path)
+    _require_keys(section, {"type", "A", "B", "C", "D", "name", *_SYSTEM_SCHEMA}, ("type",), path)
     kind = section["type"]
     if kind == "lti":
         for key in ("A", "B", "C", "D"):
             if key not in section:
                 raise ConfigError(f"{path}.{key}: missing required key for an lti system")
-        a = _matrix(section["A"], f"{path}.A")
+        a = _read_matrix(section["A"], f"{path}.A")
         n = a.shape[0]
-        b = _matrix(section["B"], f"{path}.B", rows=n)
+        b = _read_matrix(section["B"], f"{path}.B", rows=n)
         m = b.shape[1]
-        c = _matrix(section["C"], f"{path}.C", rows=m, cols=n)
-        d = _matrix(section["D"], f"{path}.D", rows=m, cols=m)
+        c = _read_matrix(section["C"], f"{path}.C", rows=m, cols=n)
+        d = _read_matrix(section["D"], f"{path}.D", rows=m, cols=m)
         model = LtiModel(a, b, c, d)
     elif kind == "registered":
         if "name" not in section:
@@ -164,216 +234,106 @@ def _parse_system(section, path):
     else:
         raise ConfigError(f"{path}.type: must be 'lti' or 'registered'")
 
+    def sub(key):
+        return _parse_section(section[key], f"{path}.{key}", _SYSTEM_SCHEMA[key], {"n": model.n})
+
     spec = SystemSpec(model=model)
     if "indices" in section:
-        spec.indices = _parse_indices(section["indices"], f"{path}.indices")
+        spec.indices = IndexSet(**sub("indices"))
     if "discrete_indices" in section:
-        spec.discrete_indices = _parse_indices(
-            section["discrete_indices"], f"{path}.discrete_indices"
-        )
+        spec.discrete_indices = IndexSet(**sub("discrete_indices"))
     if "gain" in section:
-        gsec = section["gain"]
-        _require_keys(gsec, {"gamma", "beta"}, {"gamma", "beta"}, f"{path}.gain")
-        spec.gain = GainCertificate(
-            gamma=_number(gsec["gamma"], f"{path}.gain.gamma"),
-            beta_matrix=_matrix(gsec["beta"], f"{path}.gain.beta"),
-        )
+        try:
+            spec.gain = GainCertificate(**sub("gain"))
+        except ParameterError as exc:  # beta is not positive semidefinite
+            raise ConfigError(f"{path}.gain.beta: {exc}") from exc
     if "sd" in section:
-        ssec = section["sd"]
-        _require_keys(ssec, {"window", "theta", "p"}, {"window"}, f"{path}.sd")
-        window = ssec["window"]
-        if not isinstance(window, int) or window < 0:
-            raise ConfigError(f"{path}.sd.window: must be a nonnegative integer")
-        spec.sd_window = window
-        if ("theta" in ssec) != ("p" in ssec):
+        sd = sub("sd")
+        if ("sd_theta" in sd) != ("sd_p" in sd):
             raise ConfigError(f"{path}.sd: theta and p must be given together")
-        if "theta" in ssec:
-            spec.sd_theta = _number(ssec["theta"], f"{path}.sd.theta")
-            spec.sd_p = _matrix(ssec["p"], f"{path}.sd.p")
+        spec = replace(spec, **sd)
     return spec
 
 
 @dataclass
 class AnalysisConfig:
-    """Validated configuration; absent sections are None."""
+    """Validated configuration; absent sections keep the defaults below."""
 
     plant: Optional[SystemSpec]
     controller: SystemSpec
     tau: float
-    mu1: Optional[float]
-    mu2: Optional[float]
-    eta: Optional[float]
-    eps: Optional[float]
-    eta_sweep: Optional[list]
-    lambdas: LambdaChoices
-    nu_hat: Optional[float]
-    lam: Optional[float]
-    d3: Optional[float]
-    c5: Optional[float]
-    r1: Optional[np.ndarray]
-    r2: Optional[np.ndarray]
-    horizon: Optional[int]
-    x1_0: Optional[np.ndarray]
-    x2_0: Optional[np.ndarray]
-    x2s_0: Optional[np.ndarray]
-    seed: int
-    mode: str
-    trials: int
-    storage_plant: Optional[np.ndarray]
-    storage_controller: Optional[np.ndarray]
-    storage_tau_scaled: bool
+    mu1: Optional[float] = None
+    mu2: Optional[float] = None
+    eta: Optional[float] = None
+    eps: Optional[float] = None
+    eta_sweep: Optional[list] = None
+    lambdas: LambdaChoices = field(default_factory=LambdaChoices)
+    nu_hat: Optional[float] = None
+    lam: Optional[float] = None
+    d3: Optional[float] = None
+    c5: Optional[float] = None
+    r1: Optional[np.ndarray] = None
+    r2: Optional[np.ndarray] = None
+    horizon: Optional[int] = None
+    x1_0: Optional[np.ndarray] = None
+    x2_0: Optional[np.ndarray] = None
+    x2s_0: Optional[np.ndarray] = None
+    seed: int = 0
+    mode: str = MODES[0]
+    trials: int = 10000
+    storage_plant: Optional[np.ndarray] = None
+    storage_controller: Optional[np.ndarray] = None
+    storage_tau_scaled: bool = False
 
 
-_TOP_KEYS = {
-    "plant",
-    "controller",
-    "sampling",
-    "quantization",
-    "symbolic",
-    "lambdas",
-    "references",
-    "simulation",
-    "storage",
+_LAMBDAS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5")
+
+# section -> (required keys, {key: (AnalysisConfig field, parser)}), in the
+# order sections are validated; the λ's are fields of ``lambdas``.  The
+# dimensions are n1 (plant state), n2 (controller state) and m (signals).
+_SCHEMA = {
+    "sampling": (("tau",), {"tau": ("tau", _positive)}),
+    "quantization": (("mu1", "mu2"), {"mu1": ("mu1", _positive), "mu2": ("mu2", _positive)}),
+    "symbolic": (("eta", "epsilon"), {
+        "eta": ("eta", _positive), "epsilon": ("eps", _positive),
+        "eta_sweep": ("eta_sweep", _positive_list)}),
+    "lambdas": ((), {
+        **{key: (key, _positive) for key in _LAMBDAS},
+        "nu_hat": ("nu_hat", _number), "lam": ("lam", _number),
+        "d3": ("d3", _positive), "c5": ("c5", _positive)}),
+    "references": ((), {key: (key, _zero_or(_vector("m"))) for key in ("r1", "r2")}),
+    "simulation": ((), {
+        "horizon": ("horizon", _integer(1)), "x1_0": ("x1_0", _vector("n1")),
+        "x2_0": ("x2_0", _vector("n2")), "x2s_0": ("x2s_0", _vector("n2")),
+        "seed": ("seed", _integer(0)), "mode": ("mode", _mode),
+        "trials": ("trials", _integer(1))}),
+    "storage": ((), {
+        "plant": ("storage_plant", _square("n1")),
+        "controller": ("storage_controller", _square("n2")),
+        "tau_scaled": ("storage_tau_scaled", _boolean)}),
 }
 
 
 def parse_config(doc) -> AnalysisConfig:
-    """Validate a decoded JSON document and build the analysis objects."""
-    _require_keys(doc, _TOP_KEYS, {"controller", "sampling"}, "config")
+    """Validate a decoded JSON document and build the analysis objects.
 
+    The systems are parsed first; every other section then goes through
+    ``_SCHEMA``, which checks each array against the parsed dimensions.
+    """
+    _require_keys(doc, {"plant", "controller", *_SCHEMA}, ("controller", "sampling"), "config")
     plant = _parse_system(doc["plant"], "plant") if "plant" in doc else None
     controller = _parse_system(doc["controller"], "controller")
-
-    _require_keys(doc["sampling"], {"tau"}, {"tau"}, "sampling")
-    tau = _number(doc["sampling"]["tau"], "sampling.tau")
-    if tau <= 0:
-        raise ConfigError("sampling.tau: must be positive")
-
-    mu1 = mu2 = None
-    if "quantization" in doc:
-        qsec = doc["quantization"]
-        _require_keys(qsec, {"mu1", "mu2"}, {"mu1", "mu2"}, "quantization")
-        mu1 = _number(qsec["mu1"], "quantization.mu1")
-        mu2 = _number(qsec["mu2"], "quantization.mu2")
-        if mu1 <= 0 or mu2 <= 0:
-            raise ConfigError("quantization: mu1 and mu2 must be positive")
-
-    eta = eps = None
-    sweep = None
-    if "symbolic" in doc:
-        ssec = doc["symbolic"]
-        _require_keys(ssec, {"eta", "epsilon", "eta_sweep"}, {"eta", "epsilon"}, "symbolic")
-        eta = _number(ssec["eta"], "symbolic.eta")
-        eps = _number(ssec["epsilon"], "symbolic.epsilon")
-        if "eta_sweep" in ssec:
-            sweep = [
-                _number(v, f"symbolic.eta_sweep[{i}]") for i, v in enumerate(ssec["eta_sweep"])
-            ]
-
-    lam_kwargs = {}
-    nu_hat = lam = d3 = c5 = None
-    if "lambdas" in doc:
-        lsec = doc["lambdas"]
-        allowed = {"lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "nu_hat", "lam", "d3", "c5"}
-        _require_keys(lsec, allowed, set(), "lambdas")
-        for key in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"):
-            if key in lsec:
-                lam_kwargs[key] = _number(lsec[key], f"lambdas.{key}")
-        if "nu_hat" in lsec:
-            nu_hat = _number(lsec["nu_hat"], "lambdas.nu_hat")
-        if "lam" in lsec:
-            lam = _number(lsec["lam"], "lambdas.lam")
-        if "d3" in lsec:
-            d3 = _number(lsec["d3"], "lambdas.d3")
-        if "c5" in lsec:
-            c5 = _number(lsec["c5"], "lambdas.c5")
-    lambdas = LambdaChoices(**lam_kwargs)
-
-    r1 = r2 = None
-    if "references" in doc:
-        rsec = doc["references"]
-        _require_keys(rsec, {"r1", "r2"}, set(), "references")
-        for name in ("r1", "r2"):
-            if name in rsec and rsec[name] != "zero":
-                vec = _vector(rsec[name], f"references.{name}")
-                if name == "r1":
-                    r1 = vec
-                else:
-                    r2 = vec
-
-    horizon = None
-    x1_0 = x2_0 = x2s_0 = None
-    seed = 0
-    mode = MODES[0]
-    trials = 10000
-    if "simulation" in doc:
-        msec = doc["simulation"]
-        allowed = {"horizon", "x1_0", "x2_0", "x2s_0", "seed", "mode", "trials"}
-        _require_keys(msec, allowed, set(), "simulation")
-        if "horizon" in msec:
-            horizon = msec["horizon"]
-            if not isinstance(horizon, int) or horizon < 1:
-                raise ConfigError("simulation.horizon: must be a positive integer")
-        if "x1_0" in msec:
-            x1_0 = _vector(msec["x1_0"], "simulation.x1_0")
-        if "x2_0" in msec:
-            x2_0 = _vector(msec["x2_0"], "simulation.x2_0")
-        if "x2s_0" in msec:
-            x2s_0 = _vector(msec["x2s_0"], "simulation.x2s_0")
-        if "seed" in msec:
-            seed = msec["seed"]
-            if not isinstance(seed, int) or seed < 0:
-                raise ConfigError("simulation.seed: must be a nonnegative integer")
-        if "mode" in msec:
-            mode = msec["mode"]
-            if mode not in MODES:
-                raise ConfigError(f"simulation.mode: unknown mode {mode!r}")
-        if "trials" in msec:
-            trials = msec["trials"]
-            if not isinstance(trials, int) or trials < 1:
-                raise ConfigError("simulation.trials: must be a positive integer")
-
-    storage_plant = storage_controller = None
-    tau_scaled = False
-    if "storage" in doc:
-        vsec = doc["storage"]
-        _require_keys(vsec, {"plant", "controller", "tau_scaled"}, set(), "storage")
-        if "plant" in vsec:
-            storage_plant = _matrix(vsec["plant"], "storage.plant")
-        if "controller" in vsec:
-            storage_controller = _matrix(vsec["controller"], "storage.controller")
-        if "tau_scaled" in vsec:
-            if not isinstance(vsec["tau_scaled"], bool):
-                raise ConfigError("storage.tau_scaled: must be a boolean")
-            tau_scaled = vsec["tau_scaled"]
-
-    return AnalysisConfig(
-        plant=plant,
-        controller=controller,
-        tau=tau,
-        mu1=mu1,
-        mu2=mu2,
-        eta=eta,
-        eps=eps,
-        eta_sweep=sweep,
-        lambdas=lambdas,
-        nu_hat=nu_hat,
-        lam=lam,
-        d3=d3,
-        c5=c5,
-        r1=r1,
-        r2=r2,
-        horizon=horizon,
-        x1_0=x1_0,
-        x2_0=x2_0,
-        x2s_0=x2s_0,
-        seed=seed,
-        mode=mode,
-        trials=trials,
-        storage_plant=storage_plant,
-        storage_controller=storage_controller,
-        storage_tau_scaled=tau_scaled,
-    )
+    if plant is not None and plant.model.m != controller.model.m:
+        m1, m2 = plant.model.m, controller.model.m
+        raise ConfigError(f"plant: signal size {m1} differs from the controller's {m2}")
+    n1 = None if plant is None else plant.model.n
+    dims = {"n1": n1, "n2": controller.model.n, "m": controller.model.m}
+    fields = {}
+    for section, schema in _SCHEMA.items():
+        if section in doc:
+            fields.update(_parse_section(doc[section], section, schema, dims))
+    lambdas = LambdaChoices(**{key: fields.pop(key) for key in _LAMBDAS if key in fields})
+    return AnalysisConfig(plant=plant, controller=controller, lambdas=lambdas, **fields)
 
 
 def load_config(path) -> AnalysisConfig:

@@ -15,11 +15,8 @@ __all__ = [
     "sym_eig",
     "max_eig",
     "min_eig",
-    "is_nsd",
     "expm",
     "quad_sublevel_max",
-    "cholesky",
-    "solve",
     "lyap",
 ]
 
@@ -60,11 +57,6 @@ def min_eig(a):
     return sym_eig(a)[0][0]
 
 
-def is_nsd(a, tol=0.0):
-    """True iff the symmetric matrix ``a`` has max eigenvalue <= ``tol``."""
-    return bool(max_eig(a) <= tol)
-
-
 def expm(a):
     """Matrix exponential of a square matrix."""
     return scipy.linalg.expm(_as_square(a))
@@ -91,27 +83,6 @@ def quad_sublevel_max(m_form, p_form, xi):
         )
     lam = scipy.linalg.eigh(m_form, p_form, eigvals_only=True)[-1]
     return float(xi) * max(float(lam), 0.0)
-
-
-def cholesky(p):
-    """Lower-triangular Cholesky factor of a symmetric PD matrix."""
-    p = _as_symmetric(p, "P")
-    try:
-        return np.linalg.cholesky(p)
-    except np.linalg.LinAlgError as exc:
-        raise CertificateError(
-            f"matrix is not positive definite (min eigenvalue {min_eig(p):.3e})",
-            min_eigenvalue=min_eig(p),
-        ) from exc
-
-
-def solve(a, b):
-    """Solve ``a x = b`` by LU with partial pivoting."""
-    a = _as_square(a, "A")
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"rhs length {b.shape[0]} != matrix size {a.shape[0]}")
-    return np.linalg.solve(a, b)
 
 
 def lyap(a, q):

@@ -36,8 +36,10 @@ __all__ = [
 # the first mode, the plain quantized controller, is the default
 MODES = ("sampled-quantized", "symbolic", "disturbance-injected")
 
-# signal column stems of the trajectory CSV, in column order
-_SIGNALS = ("u1", "u2tilde", "u2", "y1", "y2", "y2tilde")
+# trajectory CSV column stem -> Trajectory field of each loop signal, in
+# column order
+_SIGNALS = {"u1": "u1", "u2tilde": "u2_tilde", "u2": "u2", "y1": "y1", "y2": "y2",
+            "y2tilde": "y2_tilde"}
 
 
 def _columns(stem, width):
@@ -154,7 +156,7 @@ class Trajectory:
         """
         m = self.u1.shape[1]
         second = self.x2s if self.x2s is not None else self.x2
-        signals = (self.u1, self.u2_tilde, self.u2, self.y1, self.y2, self.y2_tilde)
+        signals = [getattr(self, name) for name in _SIGNALS.values()]
         header = (
             ["k"]
             + _columns("x1", self.x1.shape[1])
@@ -186,10 +188,10 @@ def read_csv(path, n1, n2, m):
     """Read back a CSV written by :meth:`Trajectory.to_csv`.
 
     Returns ``(states, signals)``: the stacked ``(K+1, n1+n2)`` loop states
-    and a dict mapping each signal column stem (``u1``, ``u2tilde``, ``u2``,
-    ``y1``, ``y2``, ``y2tilde``) to its ``(K, m)`` array.  Raises
-    :class:`ToolkitError` naming the file, the first missing column or the
-    unparsable entry.
+    and a dict mapping each signal's :class:`Trajectory` field name (``u1``,
+    ``u2_tilde``, ``u2``, ``y1``, ``y2``, ``y2_tilde``) to its ``(K, m)``
+    array.  Raises :class:`ToolkitError` naming the file, the first missing
+    column, the unparsable entry, or the absence of any step.
     """
     try:
         with open(path, newline="") as fh:
@@ -198,6 +200,8 @@ def read_csv(path, n1, n2, m):
     except OSError as exc:
         raise ToolkitError(f"cannot read trajectory {path}: {exc.strerror}") from exc
     header = reader.fieldnames or []
+    if len(rows) < 2:
+        raise ToolkitError(f"trajectory {path}: no steps recorded")
 
     def table(stem, width, records):
         names = _columns(stem, width)
@@ -210,7 +214,7 @@ def read_csv(path, n1, n2, m):
             raise ToolkitError(f"trajectory {path}: column {stem}: {exc}") from exc
 
     states = np.hstack([table("x1", n1, rows), table("x2", n2, rows)])
-    signals = {stem: table(stem, m, rows[:-1]) for stem in _SIGNALS}
+    signals = {name: table(stem, m, rows[:-1]) for stem, name in _SIGNALS.items()}
     return states, signals
 
 
@@ -271,7 +275,7 @@ def simulate(config: LoopConfig) -> Trajectory:
     X1 = [x1.copy()]
     X2 = [x2.copy()]
     X2s = [ctrl_sym.state.copy()] if symbolic else None
-    U1, U2T, U2, Y1, Y2, Y2T = [], [], [], [], [], []
+    steps = []
     Y2TS = [] if symbolic else None
     W = [] if config.mode == "disturbance-injected" else None
 
@@ -309,23 +313,13 @@ def simulate(config: LoopConfig) -> Trajectory:
             raise DivergenceError(f"loop state diverged at step {k}", step=k)
         X1.append(x1.copy())
         X2.append(x2.copy())
-        U1.append(u1)
-        U2T.append(u2_tilde)
-        U2.append(u2)
-        Y1.append(y1)
-        Y2.append(y2)
-        Y2T.append(y2_tilde)
+        steps.append(dict(u1=u1, u2_tilde=u2_tilde, u2=u2, y1=y1, y2=y2, y2_tilde=y2_tilde))
 
     return Trajectory(
         mode=config.mode,
         x1=np.array(X1),
         x2=np.array(X2),
-        u1=np.array(U1),
-        u2_tilde=np.array(U2T),
-        u2=np.array(U2),
-        y1=np.array(Y1),
-        y2=np.array(Y2),
-        y2_tilde=np.array(Y2T),
+        **{name: np.array([step[name] for step in steps]) for name in _SIGNALS.values()},
         x2s=np.array(X2s) if symbolic else None,
         y2_tilde_shadow=np.array(Y2TS) if symbolic else None,
         w=np.array(W) if W is not None else None,

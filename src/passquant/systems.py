@@ -11,7 +11,6 @@ from .errors import DimensionError, DivergenceError, ParameterError
 __all__ = [
     "LtiModel",
     "NonlinearModel",
-    "QuantizerSpec",
     "DiscreteLti",
     "SampledModel",
     "quantize",
@@ -106,23 +105,6 @@ class NonlinearModel:
     @property
     def strictly_proper(self) -> bool:
         return self.h2 is None
-
-
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """Uniform quantizer with precision ``mu`` acting on ``dim`` channels."""
-
-    mu: float
-    dim: int
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ParameterError(f"quantizer precision must be positive, got {self.mu}")
-        if self.dim < 1:
-            raise ParameterError("quantizer dimension must be >= 1")
-
-    def __call__(self, s):
-        return quantize(s, self.mu)
 
 
 def quantize(s, mu):

@@ -1,9 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from passquant import ConfigError, load_config, parse_config
+from passquant import (
+    AnalysisConfig,
+    ConfigError,
+    LambdaChoices,
+    load_config,
+    parse_config,
+)
 from passquant.cli import main
 from passquant.config import bundled_config_path
 
@@ -69,6 +76,59 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError, match="simulation.mode"):
             parse_config(doc)
+
+
+def bundled_doc(name, key=None, value=None):
+    """A bundled config as a dict, with the dotted ``key`` set to ``value``."""
+    with open(bundled_config_path(name)) as fh:
+        doc = json.load(fh)
+    if key is not None:
+        *parents, last = key.split(".")
+        section = doc
+        for part in parents:
+            section = section[part]
+        section[last] = value
+    return doc
+
+
+EYE3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("loop_a", "simulation.x1_0", [1.0, 2.0, 3.0]),
+            ("loop_a", "plant", bundled_doc("loop_c")["plant"]),
+            ("loop_a", "storage.plant", EYE3),
+            ("loop_a", "simulation.x2_0", [1.0]),
+            ("example5", "plant.sd.p", EYE3),
+            ("example5", "plant.gain.beta", EYE3),
+            ("loop_a", "lambdas.lambda2", -1),
+            ("example5", "plant.gain.gamma", -1),
+            ("example5", "symbolic.eta_sweep", 0.1),
+        ],
+    )
+    def test_rejection_names_path(self, name, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(bundled_doc(name, key, value))
+
+    def test_constructor_defaults_match_parse(self):
+        doc = {"controller": bundled_doc("loop_a")["controller"], "sampling": {"tau": 0.3}}
+        cfg = parse_config(doc)
+        assert AnalysisConfig(plant=None, controller=cfg.controller, tau=0.3) == cfg
+        assert (cfg.seed, cfg.mode, cfg.trials) == (0, "sampled-quantized", 10000)
+        assert cfg.lambdas == LambdaChoices() and cfg.storage_tau_scaled is False
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_wrongly_sized_state_is_reported(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bundled_doc("loop_a", "simulation.x1_0", [1.0, 2.0, 3.0])))
+        code, rep = run_json(capsys, command, str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert set(rep) == {"command", "error", "failures"}
+        assert "simulation.x1_0" in rep["error"]
+        assert rep["failures"] == [rep["error"]]
 
 
 class TestDegradeCommand:
@@ -212,6 +272,21 @@ class TestAuditCommand:
         )
         assert code == 1
         assert str(missing) in rep["error"]
+
+    def test_trajectory_without_steps_is_reported(self, capsys, tmp_path):
+        code, _ = run_json(
+            capsys, "simulate", bundled_config_path("loop_a"), "--out", str(tmp_path)
+        )
+        assert code == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        path.write_text(lines[0] + "\n" + lines[-1] + "\n")
+        code, rep = run_json(
+            capsys, "audit", bundled_config_path("loop_a"), "--trajectory", str(path)
+        )
+        assert code == 1
+        assert str(path) in rep["error"]
+        assert rep["failures"] == [rep["error"]]
 
     def test_missing_trajectory_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -52,17 +52,6 @@ class TestSymEig:
             assert np.max(np.abs(a @ v - v @ np.diag(w))) <= 1e-9 * max(scale, 1.0)
 
 
-class TestNsd:
-    def test_negative_identity(self):
-        assert linalg.is_nsd(-np.eye(3), 0.0)
-
-    def test_boundary_zero_eigenvalue(self):
-        assert linalg.is_nsd(np.diag([0.0, -1.0]), 0.0)
-
-    def test_small_positive_fails(self):
-        assert not linalg.is_nsd(np.diag([1e-6, -1.0]), 0.0)
-
-
 class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(linalg.expm(np.zeros((3, 3))), np.eye(3))
@@ -120,23 +109,6 @@ class TestQuadSublevelMax:
 
 
 class TestCholeskySolveLyap:
-    def test_cholesky_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            g = rng.standard_normal((4, 4))
-            p = g @ g.T + 0.1 * np.eye(4)
-            low = linalg.cholesky(p)
-            assert np.max(np.abs(low @ low.T - p)) <= 1e-9
-            assert np.allclose(low, np.tril(low))
-
-    def test_cholesky_rejects_indefinite(self):
-        with pytest.raises(CertificateError):
-            linalg.cholesky(np.diag([1.0, -1.0]))
-
-    def test_solve_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(linalg.solve(np.eye(3), b), b)
-
     def test_lyap_closed_form(self):
         # A = -I: A'P + PA = -2P = -Q -> P = Q/2
         p = linalg.lyap(-np.eye(2), 2.0 * np.eye(2))

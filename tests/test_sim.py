@@ -156,9 +156,8 @@ class TestCsv:
         traj.to_csv(path)
         states, signals = read_csv(path, 2, 2, 2)
         assert np.array_equal(states, np.hstack([traj.x1, traj.x2s]))
-        recorded = (traj.u1, traj.u2_tilde, traj.u2, traj.y1, traj.y2, traj.y2_tilde)
-        for stem, arr in zip(("u1", "u2tilde", "u2", "y1", "y2", "y2tilde"), recorded):
-            assert np.array_equal(signals[stem], arr), stem
+        for name in ("u1", "u2_tilde", "u2", "y1", "y2", "y2_tilde"):
+            assert np.array_equal(signals[name], getattr(traj, name)), name
 
     def test_unparsable_entry_is_reported(self, bench_model, tmp_path):
         path = tmp_path / "t.csv"

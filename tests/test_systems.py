@@ -6,7 +6,6 @@ from passquant import (
     LtiModel,
     NonlinearModel,
     ParameterError,
-    QuantizerSpec,
     SampledModel,
     discretize_exact,
     flow,
@@ -40,19 +39,6 @@ class TestQuantize:
                 np.linalg.norm(q, axis=1) <= np.linalg.norm(s, axis=1) + 1e-12
             )
             assert np.array_equal(quantize(q, mu), q)  # idempotent, bit exact
-
-
-class TestQuantizerSpec:
-    def test_callable_matches_function(self):
-        q = QuantizerSpec(mu=0.1, dim=2)
-        s = np.array([0.26, -0.26])
-        assert np.array_equal(q(s), quantize(s, 0.1))
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            QuantizerSpec(mu=0.0, dim=1)
-        with pytest.raises(ParameterError):
-            QuantizerSpec(mu=0.1, dim=0)
 
 
 class TestQuantizeNearest:
