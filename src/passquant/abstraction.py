@@ -14,12 +14,11 @@ exactly on the grid ``eta * Z^n``.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
 from . import linalg
-from .errors import CertificateError, ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError
 from .passivity import Verdict
 from .systems import (
     DiscreteLti,
@@ -112,44 +111,18 @@ class SymbolicController:
     to the nearest grid point, which is the tightest admissible choice
     under the half-pitch transition rule.
 
-    Construction verifies the bisimulation parameter inequality for the
-    supplied incremental-stability bound unless ``unchecked`` is set.
+    Construction does not certify the twin: :func:`check_bisim_params`
+    decides whether ``(eps, mu, eta)`` make it approximately bisimilar to
+    ``model``.
     """
 
-    def __init__(
-        self,
-        model: Union[LtiModel, NonlinearModel, SampledModel],
-        tau: float,
-        eta: float,
-        mu: float,
-        eps: float,
-        x0,
-        iss_bound: Optional[DeltaIssBound] = None,
-        unchecked: bool = False,
-        substeps: int = 64,
-    ):
+    def __init__(self, model: SampledModel, eta: float, mu: float, eps: float, x0):
         if min(eta, mu, eps) <= 0:
             raise ParameterError("eta, mu and eps must be positive")
-        if isinstance(model, SampledModel):
-            self.model = model
-        else:
-            self.model = SampledModel(model, tau, substeps=substeps)
-        self.tau = self.model.tau
+        self.model = model
         self.eta = float(eta)
         self.mu = float(mu)
         self.eps = float(eps)
-        if not unchecked:
-            if iss_bound is None:
-                raise ParameterError(
-                    "an incremental-stability bound is required unless unchecked=True"
-                )
-            verdict = check_bisim_params(iss_bound, eps, self.tau, mu, eta)
-            if not verdict.passed:
-                raise CertificateError(
-                    f"bisimulation parameter inequality fails (slack {verdict.margin:.3e})",
-                    slack=verdict.margin,
-                )
-        self.iss_bound = iss_bound
         x0 = np.asarray(x0, float)
         if x0.shape != (self.model.n,):
             raise ParameterError(f"initial state must have shape ({self.model.n},)")

@@ -371,8 +371,8 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
     loop = _loop_config(cfg)
     try:
         storage = _loop_storage(cfg)
-    except ToolkitError:
-        storage = None
+    except ToolkitError as exc:
+        storage, skipped = None, str(exc)
 
     traj = sim.simulate(loop)
     csv_path = out_dir / "trajectory.csv"
@@ -384,7 +384,9 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
         "final_state_sup": float(np.max(np.abs(traj.loop_state(traj.horizon)))),
     }
 
-    try:
+    if storage is None:
+        report["audit"] = {"skipped": skipped}
+    else:
         bound_report, margin, _, _ = _compute_bounds(cfg)
         audit = sim.ultimate_bound_audit(traj, bound_report, storage)
         report["audit"] = {
@@ -399,8 +401,6 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
             failures.append("trajectory left the certified global level set")
         if not audit.post_entry_ok:
             failures.append("trajectory did not settle below the ultimate level")
-    except ToolkitError as exc:
-        report["audit"] = {"skipped": str(exc)}
 
     if cfg.eta_sweep and loop.mode == "symbolic":
         sweep = []

@@ -112,6 +112,13 @@ def _positive(value, path, dims=None):
     return value
 
 
+def _nonnegative(value, path, dims=None):
+    value = _number(value, path)
+    if value < 0:
+        raise ConfigError(f"{path}: must be nonnegative")
+    return value
+
+
 def _positive_list(value, path, dims=None):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected an array of numbers")
@@ -203,7 +210,7 @@ _SYSTEM_SCHEMA = {
     "gain": (("gamma", "beta"), {
         "gamma": ("gamma", _positive), "beta": ("beta_matrix", _square("n"))}),
     "sd": (("window",), {
-        "window": ("sd_window", _integer(0)), "theta": ("sd_theta", _number),
+        "window": ("sd_window", _integer(0)), "theta": ("sd_theta", _nonnegative),
         "p": ("sd_p", _square("n"))}),
 }
 

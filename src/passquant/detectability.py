@@ -69,26 +69,12 @@ class FalsifyResult:
         return self.counterexample is not None
 
 
-def _as_quad(system) -> DiscreteLti:
-    if isinstance(system, DiscreteLti):
-        return system
-    try:
-        ad, bd, c, d = system
-    except Exception as exc:
-        raise DimensionError("expected a DiscreteLti or an (Ad, Bd, C, D) quadruple") from exc
-    return DiscreteLti(
-        np.atleast_2d(np.asarray(ad, float)),
-        np.atleast_2d(np.asarray(bd, float)),
-        np.atleast_2d(np.asarray(c, float)),
-        np.atleast_2d(np.asarray(d, float)),
-    )
-
-
-def observability_stack(system, window: int):
+def observability_stack(system: DiscreteLti, window: int):
     """Stacked maps O, H with ``Y = O x[k0] + H U`` over ``window + 1`` steps."""
-    quad = _as_quad(system)
-    ad, bd, c, d = quad.ad, quad.bd, quad.c, quad.d
-    n = quad.n
+    if not isinstance(system, DiscreteLti):
+        raise DimensionError("system must be a DiscreteLti")
+    ad, bd, c, d = system.ad, system.bd, system.c, system.d
+    n = system.n
     mo = c.shape[0]
     mi = bd.shape[1]
     powers = [np.eye(n)]
@@ -109,7 +95,7 @@ def _schur_complement(o, h, theta):
     return 0.5 * (s + s.T)
 
 
-def lti_sd_certificate(system, window: int, floor=1e-8) -> SdCertificate:
+def lti_sd_certificate(system: DiscreteLti, window: int, floor=1e-8) -> SdCertificate:
     """Construct an SD certificate for a discrete LTI system.
 
     Requires the stacked observability matrix over the window to have full
@@ -122,13 +108,12 @@ def lti_sd_certificate(system, window: int, floor=1e-8) -> SdCertificate:
     and the certificate is returned with ``Mp = S(theta)/2``; the halving
     makes the certificate inequality strict and robust to round-off.
     """
-    quad = _as_quad(system)
-    o, h = observability_stack(quad, window)
+    o, h = observability_stack(system, window)
     rank = int(np.linalg.matrix_rank(o))
-    if rank < quad.n:
+    if rank < system.n:
         raise NotDetectableError(
             f"system is not detectable over a {window}-step window "
-            f"(observability rank {rank} < {quad.n})",
+            f"(observability rank {rank} < {system.n})",
             rank=rank,
             window=window,
         )
@@ -156,16 +141,15 @@ def lti_sd_certificate(system, window: int, floor=1e-8) -> SdCertificate:
     return SdCertificate(window=window, theta=theta, mp=0.5 * _schur_complement(o, h, theta))
 
 
-def check_sd_certificate(system, cert: SdCertificate, tol=1e-9) -> Verdict:
+def check_sd_certificate(system: DiscreteLti, cert: SdCertificate, tol=1e-9) -> Verdict:
     """Exact verification of an SD certificate for a discrete LTI system.
 
     The certificate inequality holds for all (x, U) iff the block form
     ``[[O'O - Mp, O'H], [H'O, theta I + H'H]]`` is positive semidefinite.
     """
-    quad = _as_quad(system)
-    if cert.mp.shape[0] != quad.n:
+    o, h = observability_stack(system, cert.window)
+    if cert.mp.shape[0] != system.n:
         raise DimensionError("certificate Mp size must match the state dimension")
-    o, h = observability_stack(quad, cert.window)
     blk = np.block(
         [
             [o.T @ o - cert.mp, o.T @ h],

@@ -57,10 +57,6 @@ class IndexSet:
         if self.w < 0:
             raise ParameterError(f"bias weight must be nonnegative, got {self.w}")
 
-    @property
-    def is_pure(self) -> bool:
-        return self.delta == 0.0 and self.w == 0.0
-
 
 @dataclass(frozen=True)
 class QuadraticStorage:

@@ -16,7 +16,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .abstraction import DeltaIssBound, SymbolicController
+from .abstraction import SymbolicController
 from .bounds import BoundReport
 from .errors import DivergenceError, ParameterError, ToolkitError, WellPosednessError
 from .passivity import QuadraticStorage
@@ -50,11 +50,10 @@ def _columns(stem, width):
 class LoopConfig:
     """Full description of one closed-loop run.
 
-    ``r1``/``r2`` may be None (zero), a constant vector, or a (horizon, m)
-    array.  Symbolic mode needs ``eta`` and ``eps`` and optionally an
-    incremental-stability bound (otherwise the controller is built
-    unchecked).  Disturbance mode draws ``w[k]`` uniformly from the ball of
-    radius ``disturbance_bound`` using ``seed``.
+    ``r1``/``r2`` may be None (zero) or a constant vector.  Symbolic mode
+    needs ``eta`` and ``eps``; :func:`abstraction.check_bisim_params`, not
+    the run, certifies them.  Disturbance mode draws ``w[k]`` uniformly from
+    the ball of radius ``disturbance_bound`` using ``seed``.
     """
 
     plant: Union[LtiModel, NonlinearModel]
@@ -73,8 +72,6 @@ class LoopConfig:
     r2: Optional[np.ndarray] = None
     disturbance_bound: Optional[float] = None
     seed: int = 0
-    substeps: int = 64
-    iss_bound: Optional[DeltaIssBound] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -98,16 +95,12 @@ class LoopConfig:
                 raise ParameterError("|x2_0 - x2s_0|_inf must not exceed eps")
 
 
-def _reference(r, horizon, m, name):
+def _reference(r, m, name):
     if r is None:
-        return np.zeros((horizon, m))
+        return np.zeros(m)
     r = np.asarray(r, float)
-    if r.ndim == 1:
-        if r.shape[0] != m:
-            raise ParameterError(f"{name} must have {m} entries")
-        return np.tile(r, (horizon, 1))
-    if r.shape != (horizon, m):
-        raise ParameterError(f"{name} must have shape ({horizon}, {m})")
+    if r.shape != (m,):
+        raise ParameterError(f"{name} must have {m} entries")
     return r
 
 
@@ -121,7 +114,6 @@ class Trajectory:
     loop.
     """
 
-    mode: str
     x1: np.ndarray
     x2: np.ndarray
     u1: np.ndarray
@@ -219,19 +211,13 @@ def read_csv(path, n1, n2, m):
 
 
 def _check_well_posed(plant):
-    if isinstance(plant, LtiModel):
-        if not plant.strictly_proper:
-            raise WellPosednessError(
-                "the plant must be strictly proper (no feedthrough); "
-                "otherwise the loop contains an algebraic cycle"
-            )
-    elif isinstance(plant, NonlinearModel):
-        if not plant.strictly_proper:
-            raise WellPosednessError(
-                "the plant output must not depend on the current input"
-            )
-    else:
+    if not isinstance(plant, (LtiModel, NonlinearModel)):
         raise ParameterError(f"unsupported plant type {type(plant).__name__}")
+    if not plant.strictly_proper:
+        raise WellPosednessError(
+            "the plant must be strictly proper (no feedthrough); "
+            "otherwise the loop contains an algebraic cycle"
+        )
 
 
 def simulate(config: LoopConfig) -> Trajectory:
@@ -246,84 +232,60 @@ def simulate(config: LoopConfig) -> Trajectory:
     finite range.
     """
     _check_well_posed(config.plant)
-    plant = SampledModel(config.plant, config.tau, substeps=config.substeps)
-    ctrl_exact = SampledModel(config.controller, config.tau, substeps=config.substeps)
+    plant = SampledModel(config.plant, config.tau)
+    ctrl_exact = SampledModel(config.controller, config.tau)
     m = config.plant.m
-    horizon = config.horizon
-    r1 = _reference(config.r1, horizon, m, "r1")
-    r2 = _reference(config.r2, horizon, m, "r2")
-
-    symbolic = config.mode == "symbolic"
+    r1 = _reference(config.r1, m, "r1")
+    r2 = _reference(config.r2, m, "r2")
     ctrl_sym = None
-    if symbolic:
+    if config.mode == "symbolic":
         x2s0 = config.x2s_0 if config.x2s_0 is not None else config.x2_0
-        ctrl_sym = SymbolicController(
-            ctrl_exact,
-            config.tau,
-            config.eta,
-            config.mu1,
-            config.eps,
-            x2s0,
-            iss_bound=config.iss_bound,
-            unchecked=config.iss_bound is None,
-        )
-
+        ctrl_sym = SymbolicController(ctrl_exact, config.eta, config.mu1, config.eps, x2s0)
+    disturbed = config.mode == "disturbance-injected"
     rng = np.random.default_rng(config.seed)
 
-    x1 = config.x1_0.copy()
-    x2 = config.x2_0.copy()
-    X1 = [x1.copy()]
-    X2 = [x2.copy()]
-    X2s = [ctrl_sym.state.copy()] if symbolic else None
+    # one record per state and one per step; a key absent from the first
+    # record leaves its Trajectory field None
+    x1, x2 = config.x1_0, config.x2_0
+    states = [dict(x1=x1, x2=x2)]
+    if ctrl_sym is not None:
+        states[0]["x2s"] = ctrl_sym.state
     steps = []
-    Y2TS = [] if symbolic else None
-    W = [] if config.mode == "disturbance-injected" else None
-
-    for k in range(horizon):
+    for k in range(config.horizon):
         y1 = np.asarray(config.plant.h1(x1), float) if isinstance(
             config.plant, NonlinearModel
         ) else config.plant.c @ x1
-        u2_tilde = r2[k] + y1
+        u2_tilde = r2 + y1
         u2 = quantize(u2_tilde, config.mu1)
-        if symbolic:
-            y2 = ctrl_sym.output(u2)
-            y2_shadow = ctrl_exact.output(x2, u2)
-            Y2TS.append(quantize(y2_shadow, config.mu2))
-        else:
-            y2 = ctrl_exact.output(x2, u2)
-        y2_tilde = quantize(y2, config.mu2)
-        applied = y2_tilde
-        if W is not None:
+        y2 = ctrl_exact.output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
+        y2_tilde = applied = quantize(y2, config.mu2)
+        step = dict(u2_tilde=u2_tilde, u2=u2, y1=y1, y2=y2, y2_tilde=y2_tilde)
+        if ctrl_sym is not None:
+            step["y2_tilde_shadow"] = quantize(ctrl_exact.output(x2, u2), config.mu2)
+        if disturbed:
             direction = rng.normal(size=m)
             norm = np.linalg.norm(direction)
             if norm == 0.0:
                 direction = np.zeros(m)
             else:
                 direction = direction / norm
-            w = rng.uniform(0.0, config.disturbance_bound) * direction
-            W.append(w)
-            applied = y2_tilde + w
-        u1 = r1[k] - applied
-        x1 = plant.step(x1, u1)
+            step["w"] = rng.uniform(0.0, config.disturbance_bound) * direction
+            applied = y2_tilde + step["w"]
+        step["u1"] = r1 - applied
+        x1 = plant.step(x1, step["u1"])
         x2 = ctrl_exact.step(x2, u2)
-        if symbolic:
-            ctrl_sym.step(u2)
-            X2s.append(ctrl_sym.state.copy())
+        state = dict(x1=x1, x2=x2)
+        if ctrl_sym is not None:
+            state["x2s"] = ctrl_sym.step(u2)
         if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
             raise DivergenceError(f"loop state diverged at step {k}", step=k)
-        X1.append(x1.copy())
-        X2.append(x2.copy())
-        steps.append(dict(u1=u1, u2_tilde=u2_tilde, u2=u2, y1=y1, y2=y2, y2_tilde=y2_tilde))
+        states.append(state)
+        steps.append(step)
 
-    return Trajectory(
-        mode=config.mode,
-        x1=np.array(X1),
-        x2=np.array(X2),
-        **{name: np.array([step[name] for step in steps]) for name in _SIGNALS.values()},
-        x2s=np.array(X2s) if symbolic else None,
-        y2_tilde_shadow=np.array(Y2TS) if symbolic else None,
-        w=np.array(W) if W is not None else None,
-    )
+    return Trajectory(**{
+        name: np.array([record[name] for record in records])
+        for records in (states, steps) for name in records[0]
+    })
 
 
 @dataclass(frozen=True)

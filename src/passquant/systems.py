@@ -58,9 +58,6 @@ class LtiModel:
     def m(self) -> int:
         return self.b.shape[1]
 
-    def deriv(self, x, u):
-        return self.a @ np.asarray(x, float) + self.b @ np.asarray(u, float)
-
     def output(self, x, u):
         return self.c @ np.asarray(x, float) + self.d @ np.asarray(u, float)
 
@@ -158,9 +155,6 @@ class DiscreteLti:
     def output(self, x, u):
         return self.c @ np.asarray(x, float) + self.d @ np.asarray(u, float)
 
-    def __iter__(self):
-        return iter((self.ad, self.bd, self.c, self.d))
-
 
 def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
     """Exact discretization of an LTI model under a zero-order hold.
@@ -208,13 +202,13 @@ class SampledModel:
     """A system behind a zero-order hold and uniform sampler of period ``tau``.
 
     Provides a uniform discrete ``step``/``output`` interface for LTI and
-    nonlinear sources; the LTI case caches its exact discretization.
+    nonlinear sources; the LTI case caches its exact discretization, the
+    nonlinear case steps by :func:`flow` with its default substeps.
     """
 
     source: Union[LtiModel, NonlinearModel]
     tau: float
-    substeps: int = 64
-    _disc: Optional[DiscreteLti] = field(default=None, repr=False)
+    _disc: Optional[DiscreteLti] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -230,14 +224,10 @@ class SampledModel:
     def m(self) -> int:
         return self.source.m
 
-    @property
-    def discrete(self) -> Optional[DiscreteLti]:
-        return self._disc
-
     def step(self, x, u):
         if self._disc is not None:
             return self._disc.step(x, u)
-        return flow(self.source, x, u, self.tau, self.substeps)
+        return flow(self.source, x, u, self.tau)
 
     def output(self, x, u):
         return self.source.output(x, u)

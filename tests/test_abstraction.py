@@ -7,6 +7,7 @@ from passquant import (
     DeltaIssBound,
     LtiModel,
     ParameterError,
+    SampledModel,
     SymbolicController,
     check_bisim_params,
     discretize_exact,
@@ -70,25 +71,19 @@ class TestBisimParams:
         assert verdict.passed
         assert verdict.margin == pytest.approx(0.03224, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "eps, mu, eta, passed", [(0.25, 0.01, 0.1, True), (0.01, 0.5, 2.0, False)]
+    )
+    def test_benchmark_parameter_sets(self, bench_model, eps, mu, eta, passed):
+        bound = lti_delta_iss(bench_model.a, bench_model.b)
+        assert check_bisim_params(bound, eps=eps, tau=0.3, mu=mu, eta=eta).passed == passed
+
 
 class TestSymbolicController:
-    def make(self, model, eta=0.1, mu=0.01, eps=0.25, x0=(1.5, -1.6), unchecked=True):
+    def make(self, model, eta=0.1, mu=0.01, eps=0.25, x0=(1.5, -1.6)):
         return SymbolicController(
-            model, tau=0.3, eta=eta, mu=mu, eps=eps, x0=np.array(x0), unchecked=unchecked
+            SampledModel(model, 0.3), eta=eta, mu=mu, eps=eps, x0=np.array(x0)
         )
-
-    def test_construction_checks_parameters(self, bench_model):
-        bound = lti_delta_iss(bench_model.a, bench_model.b)
-        ctrl = SymbolicController(
-            bench_model, 0.3, eta=0.1, mu=0.01, eps=0.25, x0=np.zeros(2), iss_bound=bound
-        )
-        assert ctrl.state.shape == (2,)
-        with pytest.raises(CertificateError):
-            SymbolicController(
-                bench_model, 0.3, eta=2.0, mu=0.5, eps=0.01, x0=np.zeros(2), iss_bound=bound
-            )
-        with pytest.raises(ParameterError):
-            SymbolicController(bench_model, 0.3, eta=0.1, mu=0.01, eps=0.25, x0=np.zeros(2))
 
     def test_zero_fixed_point(self, bench_model):
         ctrl = self.make(bench_model, x0=(0.0, 0.0))
@@ -142,8 +137,7 @@ class TestSymbolicController:
     def test_nonlinear_source_supported(self):
         plant = make_cubic_plant()
         ctrl = SymbolicController(
-            plant, tau=0.3, eta=0.05, mu=0.01, eps=0.25, x0=np.array([-0.7, -2.0]),
-            unchecked=True,
+            SampledModel(plant, 0.3), eta=0.05, mu=0.01, eps=0.25, x0=np.array([-0.7, -2.0])
         )
         state = ctrl.step(np.zeros(2))
         assert np.array_equal(np.round(state / 0.05) * 0.05, state)
@@ -159,9 +153,7 @@ class TestBisimTracking:
         rng = np.random.default_rng(34)
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
-            ctrl = SymbolicController(
-                bench_model, tau, eta=eta, mu=mu, eps=eps, x0=x, iss_bound=bound
-            )
+            ctrl = SymbolicController(SampledModel(bench_model, tau), eta=eta, mu=mu, eps=eps, x0=x)
             assert np.max(np.abs(ctrl.state - x)) <= eps
             for _ in range(100):
                 u = rng.uniform(-1, 1, 2)

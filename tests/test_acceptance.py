@@ -159,9 +159,7 @@ def test_criterion_07_bisimulation_tracking(bench_model):
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
-        ctrl = SymbolicController(
-            bench_model, tau, eta=eta, mu=mu, eps=eps, x0=x, iss_bound=bound
-        )
+        ctrl = SymbolicController(SampledModel(bench_model, tau), eta=eta, mu=mu, eps=eps, x0=x)
         for _ in range(100):
             u = rng.uniform(-1, 1, 2)
             x = disc.step(x, u)

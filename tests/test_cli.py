@@ -107,6 +107,7 @@ class TestConfigSchema:
             ("loop_a", "lambdas.lambda2", -1),
             ("example5", "plant.gain.gamma", -1),
             ("example5", "symbolic.eta_sweep", 0.1),
+            ("example5", "plant.sd.theta", -1),
         ],
     )
     def test_rejection_names_path(self, name, key, value):
@@ -217,6 +218,17 @@ class TestSimulateCommand:
         assert code == 0
         assert rep["audit"]["global_ok"] and rep["audit"]["post_entry_ok"]
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_bound_pipeline_failure_is_reported(self, capsys, tmp_path):
+        # the audit is skipped only for a config without loop storage; any
+        # other fault of the bound pipeline fails the run as `bound` does
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bundled_doc("loop_a", "lambdas.lam", 5)))
+        code, rep = run_json(capsys, "simulate", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert set(rep) == {"command", "error", "failures"}
+        assert "lam must lie in (0, rho)" in rep["error"]
+        assert rep["failures"] == [rep["error"]]
 
     def test_example5_sweep_writes_csvs_and_trend(self, capsys, tmp_path):
         code, rep = run_json(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from passquant import (
+    DimensionError,
     DiscreteLti,
     NotDetectableError,
     ParameterError,
@@ -27,6 +28,11 @@ class TestCertificateType:
 
 
 class TestConstruction:
+    def test_rejects_quadruple(self, double_integrator):
+        d = double_integrator
+        with pytest.raises(DimensionError):
+            lti_sd_certificate((d.ad, d.bd, d.c, d.d), 1)
+
     def test_double_integrator_rejected_at_window_zero(self, double_integrator):
         with pytest.raises(NotDetectableError) as err:
             lti_sd_certificate(double_integrator, 0)

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from passquant import cli, sim
 from passquant.cli import main
-from passquant.config import bundled_config_path
+from passquant.config import bundled_config_path, load_config
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = ("example1", "example2", "example5", "loop_a", "loop_b", "loop_c")
@@ -31,6 +32,9 @@ CONFIGS = ("example1", "example2", "example5", "loop_a", "loop_b", "loop_c")
 COMMANDS = ("degrade", "compose", "sd", "bound", "abstract-check", "simulate", "audit")
 FORMATS = {"json": "json", "text": "txt"}
 OUT = "<out>"
+# sha256 of the example5 disturbance-injected trajectory CSV, which no
+# bundled config runs; recorded before the closed-loop layer was rewritten
+DISTURBANCE_SHA256 = "04f6ef9a1d979e392cb0b68dedaadcb429571eb2534afbd2359196ed69b4b5a3"
 
 
 def run_config(config, fmt, out_dir):
@@ -66,6 +70,15 @@ def test_cli_output_matches_golden(config, fmt, tmp_path):
         assert stdout == golden_path(config, command, fmt).read_text(), command
         assert code == index["exit_codes"][f"{config}.{command}"], command
     assert hashes == index["csv_sha256"][config]
+
+
+def test_disturbance_injected_run_matches_golden(tmp_path):
+    # the radius lip*eps + 2 sqrt(m) mu2 comes from cli._loop_config
+    cfg = load_config(bundled_config_path("example5"))
+    cfg.mode = "disturbance-injected"
+    path = tmp_path / "trajectory.csv"
+    sim.simulate(cli._loop_config(cfg)).to_csv(path, storage=cli._loop_storage(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DISTURBANCE_SHA256
 
 
 def refresh(tmp_root):

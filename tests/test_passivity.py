@@ -355,7 +355,3 @@ class TestIndexSetInvariants:
     def test_rejects_negative_weight(self):
         with pytest.raises(ParameterError):
             IndexSet(0.0, 0.0, w=-1.0)
-
-    def test_pure_flag(self):
-        assert IndexSet(0.1, 0.2).is_pure
-        assert not IndexSet(0.1, 0.2, delta=0.01).is_pure

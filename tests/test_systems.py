@@ -92,9 +92,9 @@ class TestDiscretizeExact:
             discretize_exact(bench_model, 0.0)
 
     def test_quadruple_unpacks(self, bench_model):
-        ad, bd, c, d = discretize_exact(bench_model, 0.3)
-        assert ad.shape == (2, 2) and bd.shape == (2, 2)
-        assert np.array_equal(c, bench_model.c) and np.array_equal(d, bench_model.d)
+        disc = discretize_exact(bench_model, 0.3)
+        assert disc.ad.shape == (2, 2) and disc.bd.shape == (2, 2)
+        assert np.array_equal(disc.c, bench_model.c) and np.array_equal(disc.d, bench_model.d)
 
 
 class TestNonlinearModel:
@@ -119,7 +119,7 @@ class TestSampledModel:
         assert np.array_equal(sampled.output(x, u), bench_model.output(x, u))
 
     def test_nonlinear_steps_by_flow(self, cubic_plant):
-        sampled = SampledModel(cubic_plant, 0.3, substeps=64)
+        sampled = SampledModel(cubic_plant, 0.3)
         x = np.array([-0.7, -2.0])
         u = np.zeros(2)
         assert np.array_equal(sampled.step(x, u), flow(cubic_plant, x, u, 0.3, 64))
