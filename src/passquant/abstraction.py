@@ -116,13 +116,12 @@ class SymbolicController:
     ``model``.
     """
 
-    def __init__(self, model: SampledModel, eta: float, mu: float, eps: float, x0):
-        if min(eta, mu, eps) <= 0:
-            raise ParameterError("eta, mu and eps must be positive")
+    def __init__(self, model: SampledModel, eta: float, mu: float, x0):
+        if min(eta, mu) <= 0:
+            raise ParameterError("eta and mu must be positive")
         self.model = model
         self.eta = float(eta)
         self.mu = float(mu)
-        self.eps = float(eps)
         x0 = np.asarray(x0, float)
         if x0.shape != (self.model.n,):
             raise ParameterError(f"initial state must have shape ({self.model.n},)")

@@ -44,10 +44,15 @@ def bundled_config_path(name):
 
 def _example5_plant() -> NonlinearModel:
     def rhs(x, u):
+        # Python floats give the numpy-scalar results bit for bit at a
+        # fraction of the call cost; their ``**`` raises OverflowError where
+        # numpy returns inf, and flow reports that as divergence
+        x0, x1 = x.tolist()
+        u0, u1 = u.tolist()
         return np.array(
             [
-                -0.7 * x[0] - 0.2 * x[0] ** 3 - 0.5 * x[1] + 0.4 * u[0],
-                0.5 * x[0] - 0.3 * x[1] ** 3 + 0.5 * u[1],
+                -0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0,
+                0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1,
             ]
         )
 

@@ -20,7 +20,7 @@ from .abstraction import SymbolicController
 from .bounds import BoundReport
 from .errors import DivergenceError, ParameterError, ToolkitError, WellPosednessError
 from .passivity import QuadraticStorage
-from .systems import LtiModel, NonlinearModel, SampledModel, quantize
+from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
 __all__ = [
     "LoopConfig",
@@ -52,7 +52,9 @@ class LoopConfig:
 
     ``r1``/``r2`` may be None (zero) or a constant vector.  Symbolic mode
     needs ``eta`` and ``eps``; :func:`abstraction.check_bisim_params`, not
-    the run, certifies them.  Disturbance mode draws ``w[k]`` uniformly from
+    the run, certifies them.  The twin starts from ``x2s_0`` (``x2_0`` when
+    None) rounded to the ``eta`` grid, which must lie within ``eps`` of
+    ``x2_0`` in the inf-norm.  Disturbance mode draws ``w[k]`` uniformly from
     the ball of radius ``disturbance_bound`` using ``seed``.
     """
 
@@ -85,14 +87,21 @@ class LoopConfig:
         if self.mode == "symbolic":
             if self.eta is None or self.eps is None:
                 raise ParameterError("symbolic mode requires eta and eps")
+            if self.eta <= 0 or self.eps <= 0:
+                raise ParameterError("eta and eps must be positive")
         if self.mode == "disturbance-injected" and self.disturbance_bound is None:
             raise ParameterError("disturbance mode requires disturbance_bound")
         self.x1_0 = np.asarray(self.x1_0, float)
         self.x2_0 = np.asarray(self.x2_0, float)
         if self.x2s_0 is not None:
             self.x2s_0 = np.asarray(self.x2s_0, float)
-            if self.eps is not None and np.max(np.abs(self.x2s_0 - self.x2_0)) > self.eps:
-                raise ParameterError("|x2_0 - x2s_0|_inf must not exceed eps")
+        if self.mode == "symbolic":
+            # the twin starts from x2s_0 (or x2_0) rounded to the eta grid
+            start = quantize_nearest(self.x2_0 if self.x2s_0 is None else self.x2s_0, self.eta)
+            if np.max(np.abs(start - self.x2_0)) > self.eps:
+                raise ParameterError(
+                    "|x2_0 - x2s_0|_inf must not exceed eps once x2s_0 is rounded to the eta grid"
+                )
 
 
 def _reference(r, m, name):
@@ -240,7 +249,7 @@ def simulate(config: LoopConfig) -> Trajectory:
     ctrl_sym = None
     if config.mode == "symbolic":
         x2s0 = config.x2s_0 if config.x2s_0 is not None else config.x2_0
-        ctrl_sym = SymbolicController(ctrl_exact, config.eta, config.mu1, config.eps, x2s0)
+        ctrl_sym = SymbolicController(ctrl_exact, config.eta, config.mu1, x2s0)
     disturbed = config.mode == "disturbance-injected"
     rng = np.random.default_rng(config.seed)
 

@@ -1,5 +1,6 @@
 """System models, uniform quantizers, ZOH discretization and flow maps."""
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -107,19 +108,17 @@ class NonlinearModel:
 def quantize(s, mu):
     """Uniform quantization toward zero onto the grid ``mu * Z``.
 
-    Entrywise ``floor(s/mu) * mu`` for nonnegative entries and
-    ``ceil(s/mu) * mu`` for negative ones, so ``|Q(s) - s|_inf <= mu`` and
-    ``|Q(s)| <= |s|``.  A one-cell snap absorbs floating-point noise when
-    ``s`` already sits on the grid.
+    Entrywise ``trunc(s/mu) * mu`` (floor for nonnegative entries, ceil for
+    negative ones), so ``|Q(s) - s|_inf <= mu`` and ``|Q(s)| <= |s|``.  A
+    one-cell snap away from zero absorbs floating-point noise when ``s``
+    already sits on the grid.
     """
     if mu <= 0:
         raise ParameterError(f"quantizer precision must be positive, got {mu}")
     s = np.asarray(s, dtype=float)
-    r = s / mu
-    k = np.where(s >= 0, np.floor(r), np.ceil(r))
-    k = np.where((s >= 0) & ((k + 1) * mu <= s), k + 1, k)
-    k = np.where((s < 0) & ((k - 1) * mu >= s), k - 1, k)
-    return k * mu
+    k = np.trunc(s / mu)
+    away = k + np.copysign(1.0, s)
+    return np.where(np.abs(away * mu) <= np.abs(s), away, k) * mu
 
 
 def quantize_nearest(s, eta):
@@ -177,24 +176,48 @@ def flow(model: NonlinearModel, x0, u, tau: float, substeps: int = 64):
     """State reached at time ``tau`` under the constant input ``u``.
 
     Classical fourth-order Runge-Kutta with a fixed substep ``tau/substeps``
-    for determinism.  Raises :class:`DivergenceError` (with the substep
-    index) if the state becomes non-finite.
+    for determinism.  The state and the stages are Python floats, combined
+    entrywise in the order of the array form
+    ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit-identical
+    to it.  ``model.rhs`` receives a fresh 1-D float array and the input
+    array on every call, and must return ``n`` values.  Raises
+    :class:`DivergenceError` (with the substep index) if the state becomes
+    non-finite or the rhs overflows.
     """
     if tau <= 0:
         raise ParameterError(f"flow horizon must be positive, got {tau}")
     h = tau / substeps
-    x = np.asarray(x0, dtype=float).copy()
+    half, sixth = 0.5 * h, h / 6.0
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"initial state must be 1-D, got shape {x.shape}")
+    n = x.shape[0]
+    x = x.tolist()
     u = np.asarray(u, dtype=float)
     f = model.rhs
+
+    def rates(stage):
+        k = np.asarray(f(np.array(stage), u), float)
+        if k.shape != (n,):
+            raise DimensionError(f"rhs must return {n} values, got shape {k.shape}")
+        return k.tolist()
+
     for i in range(substeps):
-        k1 = np.asarray(f(x, u), float)
-        k2 = np.asarray(f(x + 0.5 * h * k1, u), float)
-        k3 = np.asarray(f(x + 0.5 * h * k2, u), float)
-        k4 = np.asarray(f(x + h * k3, u), float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        try:
+            k1 = rates(x)
+            k2 = rates([a + half * b for a, b in zip(x, k1)])
+            k3 = rates([a + half * b for a, b in zip(x, k2)])
+            k4 = rates([a + h * b for a, b in zip(x, k3)])
+        except OverflowError as exc:
+            # float arithmetic raises where the array form yields inf
+            raise DivergenceError(f"state diverged at substep {i}", step=i) from exc
+        x = [
+            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, x)):
             raise DivergenceError(f"state diverged at substep {i}", step=i)
-    return x
+    return np.array(x)
 
 
 @dataclass

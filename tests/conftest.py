@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from passquant import DiscreteLti, LtiModel, NonlinearModel, discretize_exact
+from passquant.config import bundled_config_path, load_config
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,9 @@ def make_cubic_plant() -> NonlinearModel:
 @pytest.fixture(scope="session")
 def cubic_plant() -> NonlinearModel:
     return make_cubic_plant()
+
+
+@pytest.fixture(scope="session")
+def example5_plant() -> NonlinearModel:
+    """The registered nonlinear plant of the bundled example5 configuration."""
+    return load_config(bundled_config_path("example5")).plant.model

@@ -80,10 +80,8 @@ class TestBisimParams:
 
 
 class TestSymbolicController:
-    def make(self, model, eta=0.1, mu=0.01, eps=0.25, x0=(1.5, -1.6)):
-        return SymbolicController(
-            SampledModel(model, 0.3), eta=eta, mu=mu, eps=eps, x0=np.array(x0)
-        )
+    def make(self, model, eta=0.1, mu=0.01, x0=(1.5, -1.6)):
+        return SymbolicController(SampledModel(model, 0.3), eta=eta, mu=mu, x0=np.array(x0))
 
     def test_zero_fixed_point(self, bench_model):
         ctrl = self.make(bench_model, x0=(0.0, 0.0))
@@ -137,7 +135,7 @@ class TestSymbolicController:
     def test_nonlinear_source_supported(self):
         plant = make_cubic_plant()
         ctrl = SymbolicController(
-            SampledModel(plant, 0.3), eta=0.05, mu=0.01, eps=0.25, x0=np.array([-0.7, -2.0])
+            SampledModel(plant, 0.3), eta=0.05, mu=0.01, x0=np.array([-0.7, -2.0])
         )
         state = ctrl.step(np.zeros(2))
         assert np.array_equal(np.round(state / 0.05) * 0.05, state)
@@ -153,7 +151,7 @@ class TestBisimTracking:
         rng = np.random.default_rng(34)
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
-            ctrl = SymbolicController(SampledModel(bench_model, tau), eta=eta, mu=mu, eps=eps, x0=x)
+            ctrl = SymbolicController(SampledModel(bench_model, tau), eta=eta, mu=mu, x0=x)
             assert np.max(np.abs(ctrl.state - x)) <= eps
             for _ in range(100):
                 u = rng.uniform(-1, 1, 2)

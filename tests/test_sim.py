@@ -6,6 +6,7 @@ from passquant import (
     DivergenceError,
     LoopConfig,
     LtiModel,
+    ParameterError,
     ToolkitError,
     WellPosednessError,
     eta_sweep,
@@ -126,6 +127,30 @@ class TestSimulate:
         cfg = base_config(bench_model, plant=unstable, horizon=500)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             simulate(cfg)
+
+    def test_overflowing_plant_is_divergence(self, example5_plant, bench_model):
+        cfg = base_config(bench_model, plant=example5_plant, x1_0=np.array([1e110, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            simulate(cfg)
+
+
+class TestLoopConfig:
+    def test_twin_start_checked_after_rounding(self, cubic_plant, bench_model):
+        # 0.21 is within eps of x2_0, but the twin starts from 0.4 on the
+        # eta grid, 0.4 away
+        with pytest.raises(ParameterError, match="rounded"):
+            symbolic_config(cubic_plant, bench_model, eta=0.4, x2_0=np.zeros(2),
+                            x2s_0=np.array([0.21, 0.21]))
+
+    def test_start_rounded_within_eps_accepted(self, cubic_plant, bench_model):
+        cfg = symbolic_config(cubic_plant, bench_model, eta=0.4, horizon=2,
+                              x2_0=np.zeros(2), x2s_0=np.array([0.19, -0.19]))
+        assert np.array_equal(simulate(cfg).x2s[0], np.zeros(2))
+
+    def test_x2_0_start_checked_after_rounding(self, cubic_plant, bench_model):
+        # without x2s_0 the twin starts from x2_0 on a grid coarser than 2 eps
+        with pytest.raises(ParameterError, match="rounded"):
+            symbolic_config(cubic_plant, bench_model, eta=0.6, x2_0=np.array([0.3, 0.0]))
 
 
 class TestCsv:

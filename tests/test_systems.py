@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from passquant import (
+    DimensionError,
     DivergenceError,
     LtiModel,
     NonlinearModel,
@@ -13,6 +14,38 @@ from passquant import (
     quantize_nearest,
 )
 from tests.test_linalg import series_expm
+
+
+def array_rk4(model, x0, u, tau, substeps=64):
+    """Reference: the RK4 step on numpy arrays that :func:`flow` reproduces."""
+    h = tau / substeps
+    x = np.asarray(x0, dtype=float).copy()
+    u = np.asarray(u, dtype=float)
+    f = model.rhs
+    for i in range(substeps):
+        k1 = np.asarray(f(x, u), float)
+        k2 = np.asarray(f(x + 0.5 * h * k1, u), float)
+        k3 = np.asarray(f(x + 0.5 * h * k2, u), float)
+        k4 = np.asarray(f(x + h * k3, u), float)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"state diverged at substep {i}", step=i)
+    return x
+
+
+def three_pass_quantize(s, mu):
+    """Reference: floor/ceil toward zero, then one snap per sign."""
+    s = np.asarray(s, dtype=float)
+    r = s / mu
+    k = np.where(s >= 0, np.floor(r), np.ceil(r))
+    k = np.where((s >= 0) & ((k + 1) * mu <= s), k + 1, k)
+    k = np.where((s < 0) & ((k - 1) * mu >= s), k - 1, k)
+    return k * mu
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestQuantize:
@@ -28,6 +61,21 @@ class TestQuantize:
     def test_rejects_bad_precision(self):
         with pytest.raises(ParameterError):
             quantize(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("mu", [0.01, 0.1, 0.37, 1.0 / 64.0, 1e-3, 2.5])
+    def test_bit_identical_to_three_pass_form(self, mu):
+        rng = np.random.default_rng(12)
+        grid = np.arange(-2000, 2001) * mu
+        s = np.concatenate([
+            rng.uniform(-50.0, 50.0, 20000),
+            rng.normal(0.0, 10.0 * mu, 20000),
+            grid,
+            np.nextafter(grid, np.inf),
+            np.nextafter(grid, -np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324],
+        ])
+        assert same_bits(quantize(s, mu), three_pass_quantize(s, mu))
+        assert same_bits(quantize(-0.0, mu), three_pass_quantize(-0.0, mu))
 
     def test_random_properties(self):
         rng = np.random.default_rng(10)
@@ -150,6 +198,47 @@ class TestFlow:
         a = flow(cubic_plant, x0, u, 0.3, substeps=64)
         b = flow(cubic_plant, x0, u, 0.3, substeps=128)
         assert np.max(np.abs(a - b)) <= 1e-6
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_bit_identical_to_array_form(self, example5_plant, cubic_plant, on_grid):
+        # cubic_plant evaluates example5's rhs on numpy scalars, so this also
+        # pins the float form of the registered rhs to the array form
+        rng = np.random.default_rng(13 if on_grid else 14)
+        for _ in range(100):
+            x = rng.uniform(-3.0, 3.0, 2)
+            u = rng.uniform(-2.0, 2.0, 2)
+            if on_grid:
+                u = quantize(u, 0.01)
+            want = array_rk4(cubic_plant, x, u, 0.3)
+            assert same_bits(flow(example5_plant, x, u, 0.3), want)
+            assert same_bits(flow(cubic_plant, x, u, 0.3), want)
+
+    def test_rhs_receives_fresh_arrays(self):
+        seen = []
+
+        def rhs(x, u):
+            seen.append(x)
+            x[:] = 0.0  # a fresh array per call: writing it changes nothing
+            return np.zeros(2)
+
+        model = NonlinearModel(2, 1, rhs=rhs, h1=lambda x: x[:1])
+        seen.clear()
+        x0 = np.array([1.0, -2.0])
+        assert np.array_equal(flow(model, x0, np.zeros(1), 0.5, substeps=2), [1.0, -2.0])
+        assert len(seen) == 8 and len({id(x) for x in seen}) == 8
+        assert all(x.dtype == float and x.shape == (2,) for x in seen)
+
+    def test_rejects_wrongly_sized_rhs(self):
+        model = NonlinearModel(2, 1, rhs=lambda x, u: np.zeros(1), h1=lambda x: x[:1])
+        with pytest.raises(DimensionError):
+            flow(model, np.array([1.0, -2.0]), np.zeros(1), 0.5)
+
+    def test_overflow_in_rhs_is_divergence(self, example5_plant):
+        # float ** raises OverflowError where the array form yields inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                flow(example5_plant, np.array([1e110, 0.0]), np.zeros(2), 0.3)
+        assert err.value.step == 0
 
     def test_divergence_reports_step(self):
         model = NonlinearModel(1, 1, rhs=lambda x, u: x**3, h1=lambda x: x)
