@@ -17,13 +17,10 @@ from .abstraction import (
 )
 from .bounds import (
     BoundReport,
-    Monomial,
-    isps_certificate,
     loop_bounds,
     margin_check,
     single_system_bounds,
     symbolic_loop_bounds,
-    ultimate_bound_class_k,
 )
 from .config import AnalysisConfig, load_config, parse_config, registered_models
 from .detectability import (

@@ -96,20 +96,15 @@ def check_bisim_params(bound: DeltaIssBound, eps, tau, mu, eta) -> Verdict:
     return Verdict(passed=bool(slack >= 0.0), margin=float(slack))
 
 
-def _on_grid(values, pitch):
-    values = np.asarray(values, float)
-    return bool(np.array_equal(np.round(values / pitch) * pitch, values))
-
-
 class SymbolicController:
     """State-quantized executable twin of a sampled controller.
 
-    The state is stored as integer grid coordinates, so it remains exactly
-    on ``eta * Z^n`` for all time.  Inputs must already lie on the ``mu``
-    grid (quantize with the input quantizer first); each step applies the
-    exact sampled transition from the grid state and rounds the successor
-    to the nearest grid point, which is the tightest admissible choice
-    under the half-pitch transition rule.
+    ``state`` is a float array on the grid ``eta * Z^n``: each step applies
+    the exact sampled transition from the grid state and rounds the
+    successor to the nearest grid point, which is the tightest admissible
+    choice under the half-pitch transition rule.  ``step`` rebinds
+    ``state`` and never writes into it.  Transition inputs must already lie
+    on the ``mu`` grid (quantize with the input quantizer first).
 
     Construction does not certify the twin: :func:`check_bisim_params`
     decides whether ``(eps, mu, eta)`` make it approximately bisimilar to
@@ -125,36 +120,23 @@ class SymbolicController:
         x0 = np.asarray(x0, float)
         if x0.shape != (self.model.n,):
             raise ParameterError(f"initial state must have shape ({self.model.n},)")
-        self._coords = np.asarray(
-            np.round(quantize_nearest(x0, self.eta) / self.eta), dtype=np.int64
-        )
-
-    @property
-    def state(self):
-        return self._coords * self.eta
-
-    def _require_grid_input(self, u):
-        u = np.asarray(u, float)
-        if u.shape != (self.model.m,):
-            raise ContractViolationError(f"input must have shape ({self.model.m},)")
-        if not _on_grid(u, self.mu):
-            raise ContractViolationError(
-                f"input must lie on the {self.mu} grid; quantize it first"
-            )
-        return u
+        # + 0.0 turns a -0.0 grid value into 0.0
+        self.state = quantize_nearest(x0, self.eta) + 0.0
 
     def step(self, u):
         """Advance one sampling period; returns the new grid state."""
-        u = self._require_grid_input(u)
-        nxt = self.model.step(self.state, u)
-        self._coords = np.asarray(
-            np.round(quantize_nearest(nxt, self.eta) / self.eta), dtype=np.int64
-        )
+        u = np.asarray(u, float)
+        if u.shape != (self.model.m,):
+            raise ContractViolationError(f"input must have shape ({self.model.m},)")
+        if not np.array_equal(np.round(u / self.mu) * self.mu, u):
+            raise ContractViolationError(
+                f"input must lie on the {self.mu} grid; quantize it first"
+            )
+        self.state = quantize_nearest(self.model.step(self.state, u), self.eta) + 0.0
         return self.state
 
     def output(self, u):
-        """Output map evaluated at the grid state and the grid input."""
-        u = self._require_grid_input(u)
+        """Output map of ``model`` at the grid state."""
         return self.model.output(self.state, u)
 
 

@@ -6,10 +6,9 @@ stays below a global level (the set ``D1``) and eventually enters and stays
 below an ultimate level (the set ``D2``).  The operations here compute those
 levels for a single system, for the sampled-and-quantized feedback loop, and
 for the loop closed around a state-quantized symbolic controller; they also
-implement the bias-margin condition and ISpS-style certificates.
+implement the bias-margin condition.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,19 +17,15 @@ import scipy.linalg
 from . import linalg
 from .detectability import SdCertificate, _loop_theta
 from .errors import ParameterError
-from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix
+from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
 
 __all__ = [
     "BoundReport",
-    "Monomial",
-    "IspsCertificate",
     "single_system_bounds",
     "loop_bounds",
     "symbolic_loop_bounds",
     "loop_detectability_matrix",
     "margin_check",
-    "isps_certificate",
-    "ultimate_bound_class_k",
 ]
 
 
@@ -232,11 +227,9 @@ def symbolic_loop_bounds(
     adjustment becomes ``d2 = (N2+1) [theta2 m mu1^2 +
     (lip*eps + 3 sqrt(m) mu2)^2]``.
     """
-    if lip < 0 or eps < 0:
-        raise ParameterError("lip and eps must be nonnegative")
     if r_norm < 0 or mu1 < 0 or mu2 < 0:
         raise ParameterError("r_norm, mu1 and mu2 must be nonnegative")
-    radius = lip * eps + 3.0 * math.sqrt(m) * mu2
+    radius = _twin_radius(lip, eps, m, mu2, 3)
     d2 = (cert2.window + 1) * (cert2.theta * m * mu1**2 + radius**2)
     return _loop_report(
         idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first,
@@ -262,92 +255,3 @@ def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> Verdict:
         )
     margin = linalg.min_eig(eta2 * mp - mb)
     return Verdict(passed=bool(margin > tol), margin=float(margin))
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Class-K monomial ``s -> coeff * s**exponent`` with explicit inverse."""
-
-    coeff: float
-    exponent: float
-
-    def __post_init__(self):
-        if self.coeff <= 0:
-            raise ParameterError(f"monomial coefficient must be positive, got {self.coeff}")
-        if self.exponent <= 0:
-            raise ParameterError(f"monomial exponent must be positive, got {self.exponent}")
-
-    def __call__(self, s):
-        return self.coeff * s**self.exponent
-
-    def inverse(self, t):
-        return (t / self.coeff) ** (1.0 / self.exponent)
-
-
-@dataclass(frozen=True)
-class IspsCertificate:
-    """Comparison functions witnessing input-to-state practical stability."""
-
-    alpha1: Monomial
-    alpha2: Monomial
-    alpha3: Monomial
-    sigma: Monomial
-    d1: float
-    d2: float
-    lam_star: float
-    eta1: float
-    eta2: float
-
-
-def isps_certificate(exponent, a, b, c, d1, nu, rho, delta, theta) -> IspsCertificate:
-    """ISpS-Lyapunov data for a 0-step SD, quasi-passive system.
-
-    Assumes ``p(x) >= c |x|^exponent`` and ``a |x|^exponent <= V(x) <=
-    b |x|^exponent + d1`` (the caller asserts these).  With the split
-    ``lam* = rho/2``::
-
-        alpha1 = a s^q,  alpha2 = b s^q,  alpha3 = eta2 c s^q,
-        sigma = (eta1 + theta*eta2) s^2,  d2 = delta
-    """
-    if theta < 0 or delta < 0 or d1 < 0:
-        raise ParameterError("theta, delta and d1 must be nonnegative")
-    lam_star, eta1, eta2 = _split(nu, rho, None)
-    return IspsCertificate(
-        alpha1=Monomial(a, exponent),
-        alpha2=Monomial(b, exponent),
-        alpha3=Monomial(eta2 * c, exponent),
-        sigma=Monomial(eta1 + theta * eta2, 2.0),
-        d1=d1,
-        d2=delta,
-        lam_star=lam_star,
-        eta1=eta1,
-        eta2=eta2,
-    )
-
-
-def ultimate_bound_class_k(eta1, eta2, theta, delta, u_norm, p_monomial, v_monomial):
-    """Ultimate storage level via class-K comparison functions.
-
-    With ``alpha3 = eta2 * p_monomial`` (the certified decrease) and
-    ``alpha2 = v_monomial`` (the storage upper bound), choose
-    ``alpha4 = min(alpha3 o alpha2^{-1}, id/2)`` and ``alpha5 = id/2``.
-    The ultimate level is::
-
-        xi5 = alpha4^{-1}( alpha5^{-1}( (eta1 + theta*eta2) u_norm^2 + delta ) )
-
-    All comparison functions are monomials, so the inverses are explicit:
-    the inverse of a pointwise min of increasing maps is the max of their
-    inverses.
-    """
-    if u_norm < 0 or delta < 0 or theta < 0:
-        raise ParameterError("u_norm, delta and theta must be nonnegative")
-    energy = (eta1 + theta * eta2) * u_norm**2 + delta
-    if energy == 0.0:
-        return 0.0
-    alpha3 = Monomial(eta2 * p_monomial.coeff, p_monomial.exponent)
-    q = alpha3.exponent / v_monomial.exponent
-    composed = Monomial(
-        alpha3.coeff * (1.0 / v_monomial.coeff) ** q, q
-    )  # alpha3 o alpha2^{-1}
-    t = 2.0 * energy  # alpha5^{-1}
-    return float(max(composed.inverse(t), 2.0 * t))

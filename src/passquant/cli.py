@@ -143,11 +143,13 @@ def _loop_config(cfg: AnalysisConfig):
         raise ToolkitError("quantization section required")
     disturbance_bound = None
     if cfg.mode == "disturbance-injected":
-        # the radius the symbolic replacement could inject: lip*eps + 2 sqrt(m) mu2
+        # the gap the symbolic replacement could inject between quantized outputs
         if cfg.eps is None:
             raise ToolkitError("disturbance mode needs the symbolic section for eps")
         lip = abstraction.lipschitz_output_bound(cfg.controller.model)
-        disturbance_bound = lip * cfg.eps + 2.0 * np.sqrt(cfg.controller.model.m) * cfg.mu2
+        disturbance_bound = passivity._twin_radius(
+            lip, cfg.eps, cfg.controller.model.m, cfg.mu2, 2
+        )
     return sim.LoopConfig(
         plant=cfg.plant.model,
         controller=cfg.controller.model,

@@ -96,10 +96,6 @@ class GainCertificate:
             raise ParameterError("beta matrix must be positive semidefinite")
         object.__setattr__(self, "beta_matrix", mb)
 
-    def beta(self, x):
-        x = np.asarray(x, float)
-        return float(x @ self.beta_matrix @ x)
-
 
 @dataclass(frozen=True)
 class LambdaChoices:
@@ -309,6 +305,21 @@ def degrade_quantization(
     return IndexSet(nu=nu_q, rho=rho_q, delta=delta_q, w=w)
 
 
+def _twin_radius(lip, eps, m, mu2, cells):
+    """2-norm radius of the output error the symbolic twin can add.
+
+    The twin's state stays within ``eps`` of the exact controller's in the
+    inf-norm, which moves the output by at most ``lip*eps``; each output
+    quantizer cell adds at most ``sqrt(m) mu2``.  ``cells = 2`` bounds the
+    gap between the twin's and the exact controller's quantized outputs
+    (one quantizer on each side); ``cells = 3`` adds the twin's own output
+    quantizer on top of that gap.
+    """
+    if lip < 0 or eps < 0:
+        raise ParameterError("lip and eps must be nonnegative")
+    return lip * eps + cells * math.sqrt(m) * mu2
+
+
 def symbolic_quant_bias(
     nu, rho, lip, eps, mu1, mu2, m, lambda2=20.0, lambda3=20.0, lambda4=20.0, lambda5=20.0
 ):
@@ -324,9 +335,7 @@ def symbolic_quant_bias(
     """
     if min(lambda2, lambda3, lambda4, lambda5) <= 0:
         raise ParameterError("lambda parameters must be strictly positive")
-    if lip < 0 or eps < 0:
-        raise ParameterError("lip and eps must be nonnegative")
-    out_radius = lip * eps + 3.0 * math.sqrt(m) * mu2
+    out_radius = _twin_radius(lip, eps, m, mu2, 3)
     return (abs(rho) * (1.0 + lambda2) + lambda4) * out_radius**2 + (
         abs(nu) * (1.0 + lambda3) + lambda5
     ) * m * mu1**2

@@ -104,6 +104,25 @@ class TestSymbolicController:
         expected = bench_model.c @ ctrl.state + bench_model.d @ u
         assert np.allclose(ctrl.output(u), expected)
 
+    def test_output_does_not_check_the_input_grid(self, bench_model):
+        # the mu-grid contract belongs to the transition, checked in step only
+        ctrl = self.make(bench_model, x0=(1.5, -1.6))
+        u = np.array([0.013, -0.2071])
+        assert np.array_equal(ctrl.output(u), ctrl.model.output(ctrl.state, u))
+
+    def test_far_states_do_not_wrap(self):
+        # eta-grid coordinates beyond the int64 range (about 9.2e18 * eta)
+        unstable = LtiModel(0.5 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        sampled = SampledModel(unstable, 1.0)
+        ctrl = SymbolicController(sampled, eta=0.1, mu=0.01, x0=np.array([1e17, 0.0]))
+        for k in range(1, 9):
+            state = ctrl.step(np.zeros(2))
+            assert state[0] == pytest.approx(1e17 * np.exp(0.5 * k), rel=1e-12)
+            assert state[1] == 0.0
+        far = np.array([1e18, -1e18])
+        ctrl = SymbolicController(sampled, eta=0.1, mu=0.01, x0=far)
+        assert np.array_equal(ctrl.state, quantize_nearest(far, 0.1))
+
     def test_grid_closure_bit_exact(self, bench_model):
         rng = np.random.default_rng(31)
         ctrl = self.make(bench_model, x0=rng.uniform(-2, 2, 2))

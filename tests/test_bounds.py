@@ -4,15 +4,12 @@ import pytest
 from passquant import (
     ComposedIndices,
     IndexSet,
-    Monomial,
     ParameterError,
     SdCertificate,
-    isps_certificate,
     loop_bounds,
     margin_check,
     single_system_bounds,
     symbolic_loop_bounds,
-    ultimate_bound_class_k,
 )
 
 
@@ -166,54 +163,3 @@ class TestMarginCheck:
         )
         assert not cert.passed
         assert cert.margin < 0
-
-
-class TestIsps:
-    def test_direct_substitution(self):
-        cert = isps_certificate(2.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        assert cert.lam_star == pytest.approx(0.5)
-        assert cert.alpha3.coeff == pytest.approx(0.5)
-        assert cert.sigma.coeff == pytest.approx(0.5)
-        assert cert.d2 == 0.0
-
-    def test_delta_passthrough(self):
-        cert = isps_certificate(2.0, 1.0, 2.0, 1.0, 0.0, 0.0, 1.0, 0.1, 0.0)
-        assert cert.d2 == pytest.approx(0.1)
-
-    def test_duplicate_evaluation(self):
-        nu, rho, c, theta = -0.2, 0.8, 0.3, 0.4
-        cert = isps_certificate(2.0, 0.5, 1.5, c, 0.2, nu, rho, 0.05, theta)
-        lam = rho / 2.0
-        eta1 = 1.0 / (4.0 * lam) - nu
-        eta2 = rho - lam
-        assert cert.alpha3.coeff == pytest.approx(eta2 * c)
-        assert cert.sigma.coeff == pytest.approx(eta1 + theta * eta2)
-
-    def test_rejects_eta1_nonpositive(self):
-        with pytest.raises(ParameterError):
-            isps_certificate(2.0, 1.0, 1.0, 1.0, 0.0, 10.0, 0.2, 0.0, 0.0)
-
-
-class TestUltimateBoundClassK:
-    def test_zero_energy(self):
-        assert ultimate_bound_class_k(0.5, 0.5, 0.0, 0.0, 0.0, Monomial(1, 2), Monomial(1, 2)) == 0.0
-
-    def test_identity_monomials(self):
-        # eta2 = 1 with identity monomials: two halvings inverted give 4E
-        energy = 0.7  # (eta1 + theta*eta2) u^2 + delta with u = 1
-        got = ultimate_bound_class_k(0.7, 1.0, 0.0, 0.0, 1.0, Monomial(1, 1), Monomial(1, 1))
-        assert got == pytest.approx(4.0 * energy)
-
-    def test_duplicate_evaluation_quadratics(self):
-        eta1, eta2, theta, delta, u = 1.3, 0.4, 0.2, 0.05, 0.7
-        p_mono, v_mono = Monomial(0.3, 2.0), Monomial(1.6, 2.0)
-        got = ultimate_bound_class_k(eta1, eta2, theta, delta, u, p_mono, v_mono)
-        energy = (eta1 + theta * eta2) * u**2 + delta
-        t = 2.0 * energy
-        composed_coeff = eta2 * 0.3 / 1.6
-        expected = max((t / composed_coeff) ** 1.0, 2.0 * t)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(ParameterError):
-            Monomial(1.0, 0.0)
