@@ -46,7 +46,6 @@ from .passivity import (
     GainCertificate,
     IndexSet,
     LambdaChoices,
-    QuadraticStorage,
     Verdict,
     choose_nu_hat,
     compose_feedback,

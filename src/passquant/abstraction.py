@@ -20,13 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, ParameterError
 from .passivity import Verdict
-from .systems import (
-    DiscreteLti,
-    LtiModel,
-    NonlinearModel,
-    SampledModel,
-    quantize_nearest,
-)
+from .systems import LtiModel, NonlinearModel, SampledModel, quantize_nearest
 
 __all__ = [
     "DeltaIssBound",
@@ -147,11 +141,9 @@ def lipschitz_output_bound(model):
     ``sqrt(sum_i (sum_j |C_ij|)^2)``.  Nonlinear models must carry a
     user-supplied ``h1_lipschitz``.
     """
-    if isinstance(model, (LtiModel, DiscreteLti)):
+    if isinstance(model, LtiModel):
         c = model.c
         return float(math.sqrt(float(np.sum(np.abs(c).sum(axis=1) ** 2))))
-    if isinstance(model, SampledModel):
-        return lipschitz_output_bound(model.source)
     if isinstance(model, NonlinearModel):
         if model.h1_lipschitz is None:
             raise ParameterError(

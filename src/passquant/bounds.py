@@ -77,8 +77,9 @@ def single_system_bounds(
         (``w`` must be zero; state-dependent biases are a loop-level notion).
     cert : SdCertificate
         N-step strong-detectability certificate of the same system.
-    storage : array or QuadraticStorage
-        Matrix of the quadratic storage the indices were certified with.
+    storage : array
+        Positive semidefinite matrix of the quadratic storage the indices
+        were certified with.
     u_norm : float
         Sup norm of the input over the horizon of interest.
     lam : float, optional
@@ -237,6 +238,15 @@ def symbolic_loop_bounds(
     )
 
 
+def _bias_matrix(w1, mbeta1, w2, mbeta2):
+    """``blockdiag(w1 Mb1, w2 Mb2)``, the matrix of the loop's state bias
+    ``w1 beta1(x1) + w2 beta2(x2)``."""
+    return scipy.linalg.block_diag(
+        w1 * np.atleast_2d(np.asarray(mbeta1, float)),
+        w2 * np.atleast_2d(np.asarray(mbeta2, float)),
+    )
+
+
 def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> Verdict:
     """Check that the detectability decrease dominates the state bias.
 
@@ -245,10 +255,7 @@ def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> Verdict:
     stronger than needed on any particular invariant set.
     """
     mp = np.atleast_2d(np.asarray(mp, float))
-    mb = scipy.linalg.block_diag(
-        w1 * np.atleast_2d(np.asarray(mbeta1, float)),
-        w2 * np.atleast_2d(np.asarray(mbeta2, float)),
-    )
+    mb = _bias_matrix(w1, mbeta1, w2, mbeta2)
     if mb.shape != mp.shape:
         raise ParameterError(
             f"bias blocks stack to {mb.shape} but Mp is {mp.shape}"

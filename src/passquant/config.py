@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
-from .passivity import GainCertificate, IndexSet, LambdaChoices
+from .errors import ConfigError, DimensionError, ParameterError
+from .passivity import GainCertificate, IndexSet, LambdaChoices, _quadratic_form
 from .sim import MODES
 from .systems import LtiModel, NonlinearModel
 
@@ -170,9 +170,19 @@ def _vector(dim):
     return parse
 
 
-def _square(dim):
-    """Matrix of ``dims[dim]`` rows and columns."""
-    return lambda value, path, dims: _read_matrix(value, path, dims[dim], dims[dim])
+def _quadratic(dim, name, definite=False):
+    """Square matrix of ``dims[dim]`` rows whose symmetric part is positive
+    semidefinite, or positive definite with ``definite``."""
+
+    def parse(value, path, dims):
+        matrix = _read_matrix(value, path, dims[dim], dims[dim])
+        try:
+            _quadratic_form(matrix, name, definite)
+        except (DimensionError, ParameterError) as exc:  # not square, or indefinite
+            raise ConfigError(f"{path}: {exc}") from exc
+        return matrix
+
+    return parse
 
 
 def _zero_or(parse):
@@ -213,10 +223,10 @@ _SYSTEM_SCHEMA = {
     "indices": _INDICES,
     "discrete_indices": _INDICES,
     "gain": (("gamma", "beta"), {
-        "gamma": ("gamma", _positive), "beta": ("beta_matrix", _square("n"))}),
+        "gamma": ("gamma", _positive), "beta": ("beta_matrix", _quadratic("n", "beta matrix"))}),
     "sd": (("window",), {
         "window": ("sd_window", _integer(0)), "theta": ("sd_theta", _nonnegative),
-        "p": ("sd_p", _square("n"))}),
+        "p": ("sd_p", _quadratic("n", "Mp", definite=True))}),
 }
 
 
@@ -255,10 +265,7 @@ def _parse_system(section, path):
     if "discrete_indices" in section:
         spec.discrete_indices = IndexSet(**sub("discrete_indices"))
     if "gain" in section:
-        try:
-            spec.gain = GainCertificate(**sub("gain"))
-        except ParameterError as exc:  # beta is not positive semidefinite
-            raise ConfigError(f"{path}.gain.beta: {exc}") from exc
+        spec.gain = GainCertificate(**sub("gain"))
     if "sd" in section:
         sd = sub("sd")
         if ("sd_theta" in sd) != ("sd_p" in sd):
@@ -320,8 +327,8 @@ _SCHEMA = {
         "seed": ("seed", _integer(0)), "mode": ("mode", _mode),
         "trials": ("trials", _integer(1))}),
     "storage": ((), {
-        "plant": ("storage_plant", _square("n1")),
-        "controller": ("storage_controller", _square("n2")),
+        "plant": ("storage_plant", _quadratic("n1", "storage matrix")),
+        "controller": ("storage_controller", _quadratic("n2", "storage matrix")),
         "tau_scaled": ("storage_tau_scaled", _boolean)}),
 }
 

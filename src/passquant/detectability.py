@@ -18,7 +18,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import CertificateError, DimensionError, NotDetectableError, ParameterError
-from .passivity import Verdict
+from .passivity import Verdict, _quadratic_form
 from .systems import DiscreteLti
 
 __all__ = [
@@ -45,11 +45,7 @@ class SdCertificate:
             raise ParameterError(f"window must be a nonnegative integer, got {self.window}")
         if self.theta < 0:
             raise ParameterError(f"theta must be nonnegative, got {self.theta}")
-        mp = np.atleast_2d(np.asarray(self.mp, dtype=float))
-        mp = 0.5 * (mp + mp.T)
-        if linalg.min_eig(mp) <= 0:
-            raise ParameterError("Mp must be positive definite")
-        object.__setattr__(self, "mp", mp)
+        object.__setattr__(self, "mp", _quadratic_form(self.mp, "Mp", definite=True))
         object.__setattr__(self, "window", int(self.window))
 
     def p(self, x):

@@ -19,7 +19,6 @@ from .systems import DiscreteLti, LtiModel
 
 __all__ = [
     "IndexSet",
-    "QuadraticStorage",
     "GainCertificate",
     "LambdaChoices",
     "ComposedIndices",
@@ -58,22 +57,21 @@ class IndexSet:
             raise ParameterError(f"bias weight must be nonnegative, got {self.w}")
 
 
-@dataclass(frozen=True)
-class QuadraticStorage:
-    """Quadratic storage function ``V(x) = x' P x`` with P symmetric PSD."""
+def _quadratic_form(matrix, name, definite=False):
+    """Symmetric part of ``matrix``, checked positive semidefinite (minimum
+    eigenvalue >= -1e-10) or, with ``definite``, positive definite."""
+    q = linalg._as_square(np.atleast_2d(matrix), name)
+    q = 0.5 * (q + q.T)
+    lam = linalg.min_eig(q)
+    if not ((lam > 0) if definite else (lam >= -1e-10)):  # NaN fails too
+        kind = "definite" if definite else "semidefinite"
+        raise ParameterError(f"{name} must be positive {kind}")
+    return q
 
-    p: np.ndarray
 
-    def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        p = 0.5 * (p + p.T)
-        if linalg.min_eig(p) < -1e-10:
-            raise ParameterError("storage matrix must be positive semidefinite")
-        object.__setattr__(self, "p", p)
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        return float(x @ self.p @ x)
+def _quad_values(q, states):
+    """``x' Q x`` for each state, one float evaluation per state."""
+    return np.array([float(x @ q @ x) for x in states])
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,7 @@ class GainCertificate:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        mb = np.atleast_2d(np.asarray(self.beta_matrix, dtype=float))
-        mb = 0.5 * (mb + mb.T)
-        if linalg.min_eig(mb) < -1e-10:
-            raise ParameterError("beta matrix must be positive semidefinite")
+        mb = _quadratic_form(self.beta_matrix, "beta matrix")
         object.__setattr__(self, "beta_matrix", mb)
 
 
@@ -147,10 +142,7 @@ class Verdict:
 
 
 def _storage_matrix(storage):
-    if isinstance(storage, QuadraticStorage):
-        return storage.p
-    p = np.atleast_2d(np.asarray(storage, dtype=float))
-    return 0.5 * (p + p.T)
+    return _quadratic_form(storage, "storage matrix")
 
 
 def _passivity_lmi(model, p, nu, rho):
@@ -184,8 +176,8 @@ def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> Verdict:
     model : LtiModel or DiscreteLti
         Continuous models are checked against the differential dissipation
         inequality, discrete ones against the one-step difference form.
-    storage : QuadraticStorage or array
-        Candidate storage matrix P (V(x) = x'Px).
+    storage : array
+        Candidate storage matrix P (V(x) = x'Px), positive semidefinite.
     nu, rho : float
         Candidate passivity indices.
     tol : float
@@ -408,13 +400,14 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
     ----------
     states, inputs, outputs : arrays
         Aligned trajectory data of shapes (K+1, n), (K, m), (K, m).
-    storage : callable or QuadraticStorage
-        Storage function evaluated on states.
+    storage : array
+        Positive semidefinite matrix P of the storage ``V(x) = x'Px``.
     indices : IndexSet
         Candidate indices; ``indices.delta`` enters the per-step supply and
         ``indices.w`` weights the start-of-window state bias.
-    bias : callable, optional
-        ``beta(x)`` for the state bias; required when ``indices.w > 0``.
+    bias : array, optional
+        Positive semidefinite matrix Mb of the state bias
+        ``beta(x) = x'Mb x``; required when ``indices.w > 0``.
 
     Returns
     -------
@@ -429,8 +422,7 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
     if states.shape[0] != inputs.shape[0] + 1 or inputs.shape != outputs.shape:
         raise DimensionError("trajectory arrays are misaligned")
 
-    v_fun = storage if callable(storage) else QuadraticStorage(storage)
-    v = np.array([v_fun(x) for x in states])
+    v = _quad_values(_storage_matrix(storage), states)
     supply = (
         np.einsum("ki,ki->k", inputs, outputs)
         - indices.nu * np.einsum("ki,ki->k", inputs, inputs)
@@ -440,8 +432,8 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
     cum = np.concatenate([[0.0], np.cumsum(supply)])
     if indices.w > 0:
         if bias is None:
-            raise ParameterError("a bias callback is required when indices.w > 0")
-        b = indices.w * np.array([bias(x) for x in states])
+            raise ParameterError("a bias matrix is required when indices.w > 0")
+        b = indices.w * _quad_values(_quadratic_form(bias, "bias matrix"), states)
     else:
         b = np.zeros(states.shape[0])
 

@@ -19,7 +19,7 @@ import numpy as np
 from .abstraction import SymbolicController
 from .bounds import BoundReport
 from .errors import DivergenceError, ParameterError, ToolkitError, WellPosednessError
-from .passivity import QuadraticStorage
+from .passivity import _quad_values, _storage_matrix
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
 __all__ = [
@@ -145,8 +145,9 @@ class Trajectory:
         return np.concatenate([self.x1[k], second[k]])
 
     def storage_values(self, storage):
-        v = storage if callable(storage) else QuadraticStorage(storage)
-        return np.array([v(self.loop_state(k)) for k in range(self.x1.shape[0])])
+        """``V = x'Px`` at every step for the storage matrix P."""
+        states = (self.loop_state(k) for k in range(self.x1.shape[0]))
+        return _quad_values(_storage_matrix(storage), states)
 
     def to_csv(self, path, storage=None):
         """Write one row per step with 17 significant digits.

@@ -13,7 +13,6 @@ from passquant import (
     DiscreteLti,
     IndexSet,
     NotDetectableError,
-    QuadraticStorage,
     SampledModel,
     SdCertificate,
     SymbolicController,
@@ -130,7 +129,7 @@ def test_criterion_05_strong_detectability(double_integrator, cubic_plant, bench
 
 def test_criterion_06_dissipation_audits(bench_discrete):
     rng = np.random.default_rng(60)
-    storage = QuadraticStorage(0.7667 * np.eye(2))
+    storage = 0.7667 * np.eye(2)
     certified = IndexSet(0.20, 0.9803)
     worst = -np.inf
     trajs = []

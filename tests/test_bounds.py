@@ -4,12 +4,14 @@ import pytest
 from passquant import (
     ComposedIndices,
     IndexSet,
+    LtiModel,
     ParameterError,
     SdCertificate,
     loop_bounds,
     margin_check,
     single_system_bounds,
     symbolic_loop_bounds,
+    verify_lti_passivity,
 )
 
 
@@ -142,6 +144,26 @@ class TestSymbolicLoopBounds:
         ]
         assert np.all(np.diff(levels) > 0)
         assert np.all(np.isfinite(levels))
+
+
+class TestIndefiniteStorage:
+    """Sublevel sets of an indefinite storage bound nothing."""
+
+    storage = np.diag([1.0, -1.0])
+
+    def test_single_system_bounds(self):
+        with pytest.raises(ParameterError, match="storage matrix"):
+            single_system_bounds(IndexSet(0.0, 1.0), unit_cert(), self.storage, 1.0)
+
+    def test_loop_bounds(self):
+        idx = ComposedIndices(nu=-2.0, rho=0.5, delta=0.013)
+        with pytest.raises(ParameterError, match="storage matrix"):
+            loop_bounds(idx, unit_cert(n=1), unit_cert(n=1), self.storage, 0.0, 0.01, 0.01, 1)
+
+    def test_verify_lti_passivity(self):
+        model = LtiModel(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ParameterError, match="storage matrix"):
+            verify_lti_passivity(model, self.storage, 0.0, 0.0)
 
 
 class TestMarginCheck:

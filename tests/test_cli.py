@@ -94,6 +94,10 @@ def bundled_doc(name, key=None, value=None):
 EYE3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
 
 
+def square2(data):
+    return {"rows": 2, "cols": 2, "data": data}
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize(
         "name, key, value",
@@ -108,11 +112,33 @@ class TestConfigSchema:
             ("example5", "plant.gain.gamma", -1),
             ("example5", "symbolic.eta_sweep", 0.1),
             ("example5", "plant.sd.theta", -1),
+            ("example2", "storage.controller", square2([0.23, 0, 0, -0.23])),
+            ("loop_a", "storage.plant", square2([1, 0, 0, -1])),
+            ("example5", "plant.sd.p", square2([0.16, 0, 0, -0.25])),
+            ("loop_a", "storage.controller", square2([float("nan"), 0, 0, 1])),
         ],
     )
     def test_rejection_names_path(self, name, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(bundled_doc(name, key, value))
+
+    @pytest.mark.parametrize(
+        "name, key, data",
+        [
+            ("example2", "storage.controller", [0.23, 0, 0, -0.23]),
+            ("loop_a", "storage.plant", [1, 0, 0, -1]),
+        ],
+    )
+    def test_bound_rejects_indefinite_storage(self, capsys, tmp_path, name, key, data):
+        # sublevel sets of an indefinite storage bound nothing; without a
+        # simulation prefix to evaluate it on, no other check would notice
+        doc = bundled_doc(name, key, square2(data))
+        doc.pop("simulation", None)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "bound", str(path))
+        assert code == 1
+        assert rep["error"].startswith(f"{key}: ")
 
     def test_constructor_defaults_match_parse(self):
         doc = {"controller": bundled_doc("loop_a")["controller"], "sampling": {"tau": 0.3}}

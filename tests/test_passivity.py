@@ -8,7 +8,6 @@ from passquant import (
     IndexSet,
     LtiModel,
     ParameterError,
-    QuadraticStorage,
     choose_nu_hat,
     compose_feedback,
     degrade_quantization,
@@ -41,7 +40,7 @@ def pairwise_violation(xs, us, ys, storage, idx, bias=None):
     ]
     worst = -np.inf
     for k0 in range(len(us)):
-        start_bias = idx.w * bias(xs[k0]) if idx.w > 0 else 0.0
+        start_bias = idx.w * float(xs[k0] @ bias @ xs[k0]) if idx.w > 0 else 0.0
         for k1 in range(k0 + 1, len(us) + 1):
             worst = max(worst, v[k1] - v[k0] - start_bias - sum(supply[k0:k1]))
     return worst
@@ -270,7 +269,7 @@ class TestDissipationAudit:
     def test_certified_indices_hold_on_random_runs(self, bench_discrete):
         rng = np.random.default_rng(5)
         idx = IndexSet(0.20, 0.98)
-        storage = QuadraticStorage(P_BENCH)
+        storage = P_BENCH
         worst = -np.inf
         for _ in range(20):
             xs, us, ys = rollout(
@@ -283,7 +282,7 @@ class TestDissipationAudit:
         rng = np.random.default_rng(6)
         idx = IndexSet(0.20, 2.0)
         xs, us, ys = rollout(bench_discrete, np.zeros(2), rng.uniform(-1, 1, (100, 2)))
-        assert dissipation_audit(xs, us, ys, QuadraticStorage(P_BENCH), idx) > 0.0
+        assert dissipation_audit(xs, us, ys, P_BENCH, idx) > 0.0
 
     def test_state_bias_needs_callback(self):
         idx = IndexSet(0.0, 0.1, w=1.0)
@@ -304,7 +303,7 @@ class TestDissipationAudit:
         us = np.vstack([np.zeros((520, 2)), rng.uniform(-1, 1, (200, 2))])
         xs, us, ys = rollout(bench_discrete, np.zeros(2), us)
         idx = IndexSet(0.20, 2.0)
-        storage = QuadraticStorage(P_BENCH)
+        storage = P_BENCH
         assert dissipation_audit(xs[:501], us[:500], ys[:500], storage, idx) <= 0.0
         assert dissipation_audit(xs, us, ys, storage, idx) > 0.0
 
@@ -322,7 +321,7 @@ class TestDissipationAudit:
                 rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                 delta=rng.uniform(0, 0.1), w=1.5 if weighted else 0.0,
             )
-            bias = (lambda x: float(x @ x)) if weighted else None
+            bias = np.eye(n) if weighted else None
             got = dissipation_audit(xs, us, ys, storage, idx, bias=bias)
             want = pairwise_violation(xs, us, ys, storage, idx, bias)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -330,7 +329,7 @@ class TestDissipationAudit:
     def test_lmi_pass_implies_clean_audit(self, bench_discrete):
         # any candidate the feasibility check accepts must audit clean
         rng = np.random.default_rng(7)
-        storage = QuadraticStorage(P_BENCH)
+        storage = P_BENCH
         accepted = 0
         for _ in range(40):
             nu = rng.uniform(-0.5, 0.4)
