@@ -66,7 +66,6 @@ def single_system_bounds(
     lam=None,
     c5=None,
     p_x0=0.0,
-    v_first=None,
 ) -> BoundReport:
     """Global and ultimate storage levels for one quasi-passive SD system.
 
@@ -89,9 +88,6 @@ def single_system_bounds(
         level; defaults to ``1e-3 * (c2 + 1)``.
     p_x0 : float
         Value of the certificate quadratic at the initial state.
-    v_first : sequence of float, optional
-        Observed storage values on a simulation prefix; when given, the
-        global level is enlarged to cover them.
     """
     if indices.w != 0.0:
         raise ParameterError("single-system bounds require a constant bias (w = 0)")
@@ -112,11 +108,10 @@ def single_system_bounds(
     xi4 = (c2 + c5) / eta2
     c4 = linalg.quad_sublevel_max(v, cert.mp, xi4)
     xi3 = c2 + c4
-    level_d1 = xi1 if v_first is None else max(xi1, max(v_first))
     return BoundReport(
         eta1=eta1,
         eta2=eta2,
-        level_d1=float(level_d1),
+        level_d1=float(xi1),
         level_d2=float(xi3),
         constants={
             "lam": lam,
@@ -247,11 +242,11 @@ def _bias_matrix(w1, mbeta1, w2, mbeta2):
     )
 
 
-def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> Verdict:
+def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2) -> Verdict:
     """Check that the detectability decrease dominates the state bias.
 
     Forms ``eta2 * Mp - blockdiag(w1 Mb1, w2 Mb2)`` and passes iff its
-    minimum eigenvalue (the margin) exceeds ``tol``.  This is a global check,
+    minimum eigenvalue (the margin) exceeds 1e-9.  This is a global check,
     stronger than needed on any particular invariant set.
     """
     mp = np.atleast_2d(np.asarray(mp, float))
@@ -261,4 +256,4 @@ def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2, tol=1e-9) -> Verdict:
             f"bias blocks stack to {mb.shape} but Mp is {mp.shape}"
         )
     margin = linalg.min_eig(eta2 * mp - mb)
-    return Verdict(passed=bool(margin > tol), margin=float(margin))
+    return Verdict(passed=bool(margin > 1e-9), margin=float(margin))

@@ -46,28 +46,39 @@ def _sampled_stage_indices(spec: SystemSpec, tau, lambdas):
     )
 
 
-def _controller_quantized_indices(cfg: AnalysisConfig, symbolic: bool):
+def _twin(cfg: AnalysisConfig):
+    """``(lip, eps)`` of the symbolic twin, or None when the loop runs the
+    plain quantized controller (``MODES[0]``).
+
+    Disturbance-injected runs use the twin's constants too: the injected
+    radius is exactly what a symbolic replacement would produce.
+    """
+    if cfg.mode == sim.MODES[0]:
+        return None
+    if cfg.eps is None:
+        raise ToolkitError(f"mode {cfg.mode!r} needs the symbolic section for eps")
+    return abstraction.lipschitz_output_bound(cfg.controller.model), cfg.eps
+
+
+def _controller_quantized_indices(cfg: AnalysisConfig, twin):
     """Controller indices after input/output quantization.
 
-    The symbolic twin keeps the quantized indices but carries the larger
-    bias of its state-quantization mismatch.
+    The symbolic ``twin`` (see :func:`_twin`) keeps the quantized indices
+    but carries the larger bias of its state-quantization mismatch.
     """
     stage = _sampled_stage_indices(cfg.controller, cfg.tau, cfg.lambdas)
     if cfg.mu1 is None:
         raise ToolkitError("quantization section required")
-    if symbolic and cfg.eps is None:
-        raise ToolkitError("symbolic analysis requires the symbolic section")
     lam = cfg.lambdas
     lambdas = (lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5)
     m = cfg.controller.model.m
     base = passivity.degrade_quantization(
         stage.nu, stage.rho, cfg.mu1, cfg.mu2, m, *lambdas, w=stage.w
     )
-    if not symbolic:
+    if twin is None:
         return base
-    lip = abstraction.lipschitz_output_bound(cfg.controller.model)
     delta = passivity.symbolic_quant_bias(
-        stage.nu, stage.rho, lip, cfg.eps, cfg.mu1, cfg.mu2, m, *lambdas
+        stage.nu, stage.rho, *twin, cfg.mu1, cfg.mu2, m, *lambdas
     )
     return replace(base, delta=delta)
 
@@ -95,20 +106,11 @@ def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig, seed):
     }
 
 
-def _symbolic_bias(cfg: AnalysisConfig):
-    """True unless the loop runs the plain quantized controller (``MODES[0]``).
-
-    Disturbance-injected runs use the symbolic-style constants: the injected
-    radius is exactly what a symbolic replacement would produce.
-    """
-    return cfg.mode != sim.MODES[0]
-
-
 def _compose(cfg: AnalysisConfig):
     if cfg.plant is None:
         raise ToolkitError("composition requires a plant section")
     plant_idx = _sampled_stage_indices(cfg.plant, cfg.tau, cfg.lambdas)
-    ctrl_idx = _controller_quantized_indices(cfg, _symbolic_bias(cfg))
+    ctrl_idx = _controller_quantized_indices(cfg, _twin(cfg))
     nu_hat = cfg.nu_hat
     if nu_hat is None:
         nu_hat = passivity.choose_nu_hat(plant_idx, ctrl_idx)
@@ -144,12 +146,7 @@ def _loop_config(cfg: AnalysisConfig):
     disturbance_bound = None
     if cfg.mode == "disturbance-injected":
         # the gap the symbolic replacement could inject between quantized outputs
-        if cfg.eps is None:
-            raise ToolkitError("disturbance mode needs the symbolic section for eps")
-        lip = abstraction.lipschitz_output_bound(cfg.controller.model)
-        disturbance_bound = passivity._twin_radius(
-            lip, cfg.eps, cfg.controller.model.m, cfg.mu2, 2
-        )
+        disturbance_bound = passivity._twin_radius(*_twin(cfg), cfg.controller.model.m, cfg.mu2, 2)
     return sim.LoopConfig(
         plant=cfg.plant.model,
         controller=cfg.controller.model,
@@ -198,10 +195,10 @@ def _compute_bounds(cfg: AnalysisConfig):
     v_first = _v_first(cfg, storage, n_window)
     r_norm = _reference_norm(cfg)
     m = cfg.controller.model.m
-    if _symbolic_bias(cfg):
-        lip = abstraction.lipschitz_output_bound(cfg.controller.model)
+    twin = _twin(cfg)
+    if twin is not None:
         report = bounds.symbolic_loop_bounds(
-            composed, cert1, cert2, storage, r_norm, lip, cfg.eps,
+            composed, cert1, cert2, storage, r_norm, *twin,
             cfg.mu1, cfg.mu2, m, lam=cfg.lam, d3=cfg.d3, v_first=v_first,
         )
     else:
@@ -232,7 +229,7 @@ def cmd_degrade(cfg: AnalysisConfig):
         )
         report["sampling"] = {"nu": idx.nu, "rho": idx.rho, "w": idx.w}
     if cfg.mu1 is not None:
-        idx = _controller_quantized_indices(cfg, symbolic=False)
+        idx = _controller_quantized_indices(cfg, None)
         report["quantization"] = {"nu": idx.nu, "rho": idx.rho, "delta": idx.delta}
     if not report:
         failures.append("nothing to degrade: need indices+gain and/or quantization")
@@ -301,7 +298,7 @@ def cmd_bound(cfg: AnalysisConfig):
     failures = []
     if cfg.plant is None:
         # standalone system: global/ultimate levels for the controller alone
-        idx = _controller_quantized_indices(cfg, symbolic=False)
+        idx = _controller_quantized_indices(cfg, None)
         if idx.w != 0:
             failures.append("standalone bounds need constant-bias indices (w = 0)")
             return {}, failures
@@ -474,7 +471,7 @@ def _render_text(report, failures):
             if isinstance(value, float):
                 out.write(f"{key} = {value:.6g}\n")
             elif isinstance(value, list):
-                out.write(f"{key} = {json.dumps(value, default=_jsonable)}\n")
+                out.write(f"{key} = {json.dumps(value)}\n")
             else:
                 out.write(f"{key} = {value}\n")
 
@@ -512,21 +509,13 @@ def main(argv=None):
 
     report = {"command": args.command, **report, "failures": failures}
     if args.format == "json":
-        json.dump(report, sys.stdout, indent=2, sort_keys=False, default=_jsonable)
+        json.dump(report, sys.stdout, indent=2, sort_keys=False)
         sys.stdout.write("\n")
     else:
         _render_text(
             {k: v for k, v in report.items() if k != "failures"}, failures
         )
     return 1 if failures else 0
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
 if __name__ == "__main__":

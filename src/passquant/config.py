@@ -13,13 +13,14 @@ library API instead.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from importlib.resources import files
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, ParameterError
 from .passivity import GainCertificate, IndexSet, LambdaChoices, _quadratic_form
 from .sim import MODES
 from .systems import LtiModel, NonlinearModel
@@ -84,9 +85,8 @@ def _require_keys(section, allowed, required, path):
 
 def _read_matrix(value, path, rows=None, cols=None):
     _require_keys(value, {"rows", "cols", "data"}, ("rows", "cols", "data"), path)
-    r, c = value["rows"], value["cols"]
-    if not isinstance(r, int) or not isinstance(c, int) or r < 1 or c < 1:
-        raise ConfigError(f"{path}: rows and cols must be positive integers")
+    r = _integer(1)(value["rows"], f"{path}.rows")
+    c = _integer(1)(value["cols"], f"{path}.cols")
     data = value["data"]
     if not isinstance(data, list) or len(data) != r * c:
         raise ConfigError(f"{path}.data: expected {r * c} entries")
@@ -94,10 +94,7 @@ def _read_matrix(value, path, rows=None, cols=None):
         raise ConfigError(f"{path}: expected {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise ConfigError(f"{path}: expected {cols} cols, got {c}")
-    try:
-        return np.array(data, dtype=float).reshape(r, c)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.data: entries must be numbers") from exc
+    return _numbers(data, f"{path}.data").reshape(r, c)
 
 
 # Schema parsers take (value, path, dims); ``dims`` maps a dimension name to
@@ -105,9 +102,26 @@ def _read_matrix(value, path, rows=None, cols=None):
 
 
 def _number(value, path, dims=None):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number")
+    """The one rule for every scalar and every array entry: a finite int or
+    float that is not a bool, returned as a float.  The bound compares ints
+    exactly and fails for NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{path}: expected a finite number")
     return float(value)
+
+
+def _numbers(values, path):
+    """Float vector of a JSON array, each entry checked as ``path[i]``."""
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(values)])
+
+
+def _size(dims, dim, path):
+    """``dims[dim]``, which is None only when the config has no plant."""
+    if dims[dim] is None:
+        raise ConfigError(f"{path}: sized by the plant, but the config has no plant section")
+    return dims[dim]
 
 
 def _positive(value, path, dims=None):
@@ -157,15 +171,10 @@ def _vector(dim):
     def parse(value, path, dims):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected an array of numbers")
-        try:
-            vec = np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: entries must be numbers") from exc
-        if vec.ndim != 1:
-            raise ConfigError(f"{path}: expected a flat array")
-        if dims[dim] is not None and vec.shape[0] != dims[dim]:
-            raise ConfigError(f"{path}: expected {dims[dim]} entries")
-        return vec
+        size = _size(dims, dim, path)
+        if len(value) != size:
+            raise ConfigError(f"{path}: expected {size} entries")
+        return _numbers(value, path)
 
     return parse
 
@@ -175,10 +184,11 @@ def _quadratic(dim, name, definite=False):
     semidefinite, or positive definite with ``definite``."""
 
     def parse(value, path, dims):
-        matrix = _read_matrix(value, path, dims[dim], dims[dim])
+        size = _size(dims, dim, path)
+        matrix = _read_matrix(value, path, size, size)
         try:
             _quadratic_form(matrix, name, definite)
-        except (DimensionError, ParameterError) as exc:  # not square, or indefinite
+        except ParameterError as exc:  # indefinite
             raise ConfigError(f"{path}: {exc}") from exc
         return matrix
 
@@ -239,6 +249,8 @@ def _parse_system(section, path):
                 raise ConfigError(f"{path}.{key}: missing required key for an lti system")
         a = _read_matrix(section["A"], f"{path}.A")
         n = a.shape[0]
+        if a.shape[1] != n:
+            raise ConfigError(f"{path}.A: expected a square matrix, got {n}x{a.shape[1]}")
         b = _read_matrix(section["B"], f"{path}.B", rows=n)
         m = b.shape[1]
         c = _read_matrix(section["C"], f"{path}.C", rows=m, cols=n)

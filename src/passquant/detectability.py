@@ -91,7 +91,7 @@ def _schur_complement(o, h, theta):
     return 0.5 * (s + s.T)
 
 
-def lti_sd_certificate(system: DiscreteLti, window: int, floor=1e-8) -> SdCertificate:
+def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
     """Construct an SD certificate for a discrete LTI system.
 
     Requires the stacked observability matrix over the window to have full
@@ -100,7 +100,7 @@ def lti_sd_certificate(system: DiscreteLti, window: int, floor=1e-8) -> SdCertif
 
         S(theta) = O'O - O'H (theta I + H'H)^{-1} H'O
 
-    positive definite (min eigenvalue >= ``floor``) is found by bisection
+    positive definite (min eigenvalue >= 1e-8) is found by bisection
     and the certificate is returned with ``Mp = S(theta)/2``; the halving
     makes the certificate inequality strict and robust to round-off.
     """
@@ -115,7 +115,7 @@ def lti_sd_certificate(system: DiscreteLti, window: int, floor=1e-8) -> SdCertif
         )
 
     def feasible(theta):
-        return linalg.min_eig(_schur_complement(o, h, theta)) >= floor
+        return linalg.min_eig(_schur_complement(o, h, theta)) >= 1e-8
 
     lo, hi = 1e-9, 1e3
     if not feasible(hi):
@@ -137,11 +137,12 @@ def lti_sd_certificate(system: DiscreteLti, window: int, floor=1e-8) -> SdCertif
     return SdCertificate(window=window, theta=theta, mp=0.5 * _schur_complement(o, h, theta))
 
 
-def check_sd_certificate(system: DiscreteLti, cert: SdCertificate, tol=1e-9) -> Verdict:
+def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:
     """Exact verification of an SD certificate for a discrete LTI system.
 
     The certificate inequality holds for all (x, U) iff the block form
-    ``[[O'O - Mp, O'H], [H'O, theta I + H'H]]`` is positive semidefinite.
+    ``[[O'O - Mp, O'H], [H'O, theta I + H'H]]`` is positive semidefinite;
+    it passes when the minimum eigenvalue (the margin) is at least -1e-9.
     """
     o, h = observability_stack(system, cert.window)
     if cert.mp.shape[0] != system.n:
@@ -153,7 +154,7 @@ def check_sd_certificate(system: DiscreteLti, cert: SdCertificate, tol=1e-9) -> 
         ]
     )
     margin = linalg.min_eig(0.5 * (blk + blk.T))
-    return Verdict(passed=bool(margin >= -tol), margin=float(margin))
+    return Verdict(passed=bool(margin >= -1e-9), margin=float(margin))
 
 
 def _loop_theta(cert1: SdCertificate, cert2: SdCertificate):
@@ -175,11 +176,11 @@ def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
     return SdCertificate(window=max(cert1.window, cert2.window), theta=theta, mp=mp)
 
 
-def sd_falsify(system, cert: SdCertificate, trials=10000, box=3.0, seed=0, rtol=1e-9):
+def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
     """Sampling-based falsifier for an SD certificate.
 
     Draws ``trials`` pairs of an initial state and an input sequence
-    uniformly from ``[-box, box]`` and evaluates the certificate ratio
+    uniformly from ``[-3, 3]`` and evaluates the certificate ratio
     ``p(x0) / sum(theta |u|^2 + |y|^2)``.  Intended for systems where the
     exact block-form check is unavailable (nonlinear dynamics); ``system``
     only needs ``step``/``output`` methods and ``n``/``m`` attributes.
@@ -187,7 +188,7 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, box=3.0, seed=0, rtol=
     Returns
     -------
     FalsifyResult
-        Worst observed ratio and, if some draw exceeded ``1 + rtol``, the
+        Worst observed ratio and, if some draw exceeded ``1 + 1e-9``, the
         offending ``(x0, U)`` pair.
     """
     if trials < 1:
@@ -197,8 +198,8 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, box=3.0, seed=0, rtol=
     worst = 0.0
     witness = None
     for _ in range(trials):
-        x0 = rng.uniform(-box, box, system.n)
-        useq = rng.uniform(-box, box, (steps, system.m))
+        x0 = rng.uniform(-3.0, 3.0, system.n)
+        useq = rng.uniform(-3.0, 3.0, (steps, system.m))
         energy = 0.0
         x = x0
         for k in range(steps):
@@ -212,6 +213,6 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, box=3.0, seed=0, rtol=
         ratio = np.inf if energy == 0.0 else p0 / energy
         if ratio > worst:
             worst = ratio
-            if ratio > 1.0 + rtol:
+            if ratio > 1.0 + 1e-9:
                 witness = (x0, useq)
     return FalsifyResult(worst_ratio=float(worst), counterexample=witness)

@@ -57,6 +57,10 @@ class IndexSet:
             raise ParameterError(f"bias weight must be nonnegative, got {self.w}")
 
 
+# feasibility tolerance on the largest eigenvalue of every index LMI
+_LMI_TOL = 1e-8
+
+
 def _quadratic_form(matrix, name, definite=False):
     """Symmetric part of ``matrix``, checked positive semidefinite (minimum
     eigenvalue >= -1e-10) or, with ``definite``, positive definite."""
@@ -168,7 +172,7 @@ def _passivity_lmi(model, p, nu, rho):
     return 0.5 * (blk + blk.T)
 
 
-def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> Verdict:
+def verify_lti_passivity(model, storage, nu, rho) -> Verdict:
     """Check whether an LTI system is IF-OFP(nu, rho) for a given storage.
 
     Parameters
@@ -180,23 +184,21 @@ def verify_lti_passivity(model, storage, nu, rho, tol=1e-8) -> Verdict:
         Candidate storage matrix P (V(x) = x'Px), positive semidefinite.
     nu, rho : float
         Candidate passivity indices.
-    tol : float
-        Feasibility tolerance on the max eigenvalue of the assembled form.
 
     Returns
     -------
     Verdict
         ``passed`` is True iff the form is negative semidefinite within
-        ``tol``; ``margin`` is its max eigenvalue.
+        1e-8; ``margin`` is its max eigenvalue.
     """
     if not isinstance(model, (LtiModel, DiscreteLti)):
         raise DimensionError("model must be an LtiModel or DiscreteLti")
     p = _storage_matrix(storage)
     margin = linalg.max_eig(_passivity_lmi(model, p, nu, rho))
-    return Verdict(passed=bool(margin <= tol), margin=float(margin))
+    return Verdict(passed=bool(margin <= _LMI_TOL), margin=float(margin))
 
 
-def max_index_bisection(model, storage, fixed, fixed_value, tol=1e-8):
+def max_index_bisection(model, storage, fixed, fixed_value):
     """Largest value of the free index passing :func:`verify_lti_passivity`.
 
     ``fixed`` names which index ("nu" or "rho") is held at ``fixed_value``;
@@ -209,7 +211,7 @@ def max_index_bisection(model, storage, fixed, fixed_value, tol=1e-8):
 
     def feasible(free):
         nu, rho = (fixed_value, free) if fixed == "nu" else (free, fixed_value)
-        return linalg.max_eig(_passivity_lmi(model, p, nu, rho)) <= tol
+        return linalg.max_eig(_passivity_lmi(model, p, nu, rho)) <= _LMI_TOL
 
     lo, hi = -10.0, 10.0
     if not feasible(lo):
@@ -227,7 +229,7 @@ def max_index_bisection(model, storage, fixed, fixed_value, tol=1e-8):
     return lo
 
 
-def verify_gain_assumption(model: LtiModel, cert: GainCertificate, tol=1e-8):
+def verify_gain_assumption(model: LtiModel, cert: GainCertificate):
     """Check the derivative-gain bound for the state output ``h1(x) = Cx``.
 
     Assembles the 2x2-block form whose negative semidefiniteness certifies
@@ -243,7 +245,7 @@ def verify_gain_assumption(model: LtiModel, cert: GainCertificate, tol=1e-8):
     m22 = -g * g * np.eye(model.m) + b.T @ c.T @ c @ b
     blk = np.block([[m11, m12], [m12.T, m22]])
     margin = linalg.max_eig(0.5 * (blk + blk.T))
-    return Verdict(passed=bool(margin <= tol), margin=float(margin))
+    return Verdict(passed=bool(margin <= _LMI_TOL), margin=float(margin))
 
 
 def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
@@ -365,13 +367,13 @@ def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:
     )
 
 
-def choose_nu_hat(idx1: IndexSet, idx2: IndexSet, span=10.0, tol=1e-6):
+def choose_nu_hat(idx1: IndexSet, idx2: IndexSet):
     """Golden-section search for the ``nu_hat`` maximizing the loop ``rho``.
 
-    Searches ``(min(nu1, nu2) - span, min(nu1, nu2))``.  The objective is
-    monotone in ``nu_hat`` for fixed subsystem indices, so the maximizer
-    typically sits at the far end of the window; the search still confirms
-    local optimality at the returned point.
+    Searches ``(min(nu1, nu2) - 10, min(nu1, nu2))`` to a width of 1e-6.
+    The objective is monotone in ``nu_hat`` for fixed subsystem indices, so
+    the maximizer typically sits at the far end of the window; the search
+    still confirms local optimality at the returned point.
     """
     bound = min(idx1.nu, idx2.nu)
     if not np.isfinite(bound):
@@ -380,10 +382,9 @@ def choose_nu_hat(idx1: IndexSet, idx2: IndexSet, span=10.0, tol=1e-6):
     def objective(nh):
         return compose_feedback(idx1, idx2, nh).rho
 
-    lo, hi = bound - span, bound - 1e-9
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    while b - a > tol:
+    a, b = bound - 10.0, bound - 1e-9
+    while b - a > 1e-6:
         c = b - gr * (b - a)
         d = a + gr * (b - a)
         if objective(c) > objective(d):

@@ -78,8 +78,8 @@ def test_criterion_03_lmi_verification(bench_model, bench_discrete):
     t0 = time.perf_counter()
     # published indices are rounded to 4 decimals, ~1e-5 outside the exact
     # feasibility boundary, hence the 1e-5 check tolerance
-    assert verify_lti_passivity(bench_model, P_BENCH, 0.3, 0.5628, tol=1e-5).passed
-    assert verify_lti_passivity(bench_discrete, P_BENCH, 0.20, 0.9803, tol=1e-5).passed
+    assert verify_lti_passivity(bench_model, P_BENCH, 0.3, 0.5628).margin <= 1e-5
+    assert verify_lti_passivity(bench_discrete, P_BENCH, 0.20, 0.9803).margin <= 1e-5
     rho_ct = max_index_bisection(bench_model, P_BENCH, "nu", 0.3)
     rho_dt = max_index_bisection(bench_discrete, P_BENCH, "nu", 0.20)
     runtime = time.perf_counter() - t0
@@ -106,7 +106,7 @@ def test_criterion_05_strong_detectability(double_integrator, cubic_plant, bench
 
     plant_cert = SdCertificate(window=0, theta=0.0, mp=np.diag([0.16, 0.25]))
     plant = SampledModel(cubic_plant, 0.3)
-    res1 = sd_falsify(plant, plant_cert, trials=10000, box=3.0, seed=11)
+    res1 = sd_falsify(plant, plant_cert, trials=10000, seed=11)
     assert not res1.falsified
 
     # the controller certificate concerns the state part of the output;
@@ -119,7 +119,7 @@ def test_criterion_05_strong_detectability(double_integrator, cubic_plant, bench
         bench_discrete.ad, bench_discrete.bd, bench_discrete.c,
         np.zeros_like(bench_discrete.d),
     )
-    res2 = sd_falsify(state_channel, ctrl_cert, trials=10000, box=3.0, seed=12)
+    res2 = sd_falsify(state_channel, ctrl_cert, trials=10000, seed=12)
     assert not res2.falsified
     print(
         "CRITERION 5: PASS (detectability; worst ratios "

@@ -46,13 +46,6 @@ class TestSingleSystemBounds:
         assert r2.constants["c2"] == pytest.approx(4.0 * r1.constants["c2"])
         assert r2.constants["c3"] == pytest.approx(4.0 * r1.constants["c3"])
 
-    def test_v_first_enlarges_global_level(self):
-        idx = IndexSet(0.0, 1.0)
-        rep = single_system_bounds(
-            idx, unit_cert(), np.eye(2), 0.0, lam=0.5, c5=1.0, p_x0=0.0, v_first=[7.0]
-        )
-        assert rep.level_d1 == pytest.approx(7.0)
-
     def test_rejects_negative_rho(self):
         with pytest.raises(ParameterError):
             single_system_bounds(IndexSet(0.0, -0.1), unit_cert(), np.eye(2), 0.0)

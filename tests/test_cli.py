@@ -79,14 +79,15 @@ class TestConfigValidation:
 
 
 def bundled_doc(name, key=None, value=None):
-    """A bundled config as a dict, with the dotted ``key`` set to ``value``."""
+    """A bundled config as a dict, with the dotted ``key`` set to ``value``
+    (missing sections are created)."""
     with open(bundled_config_path(name)) as fh:
         doc = json.load(fh)
     if key is not None:
         *parents, last = key.split(".")
         section = doc
         for part in parents:
-            section = section[part]
+            section = section.setdefault(part, {})
         section[last] = value
     return doc
 
@@ -116,6 +117,20 @@ class TestConfigSchema:
             ("loop_a", "storage.plant", square2([1, 0, 0, -1])),
             ("example5", "plant.sd.p", square2([0.16, 0, 0, -0.25])),
             ("loop_a", "storage.controller", square2([float("nan"), 0, 0, 1])),
+            # one entry rule: a finite int or float that is not a bool
+            ("loop_a", "quantization.mu1", float("inf")),
+            ("loop_a", "plant.discrete_indices.rho", float("nan")),
+            ("loop_a", "sampling.tau", float("nan")),
+            ("loop_a", "controller.A", square2([float("nan"), 0, 0, -1])),
+            ("loop_a", "references.r1", [float("nan"), 0.0]),
+            ("loop_a", "simulation.x1_0", [True, False]),
+            ("loop_a", "simulation.x1_0", ["1.0", "-1.5"]),
+            pytest.param("loop_a", "sampling.tau", 10**400, id="loop_a-sampling.tau-401-digits"),
+            ("loop_a", "controller.A.rows", True),
+            # keys sized by a plant the config does not have
+            ("example2", "storage.plant", EYE3),
+            ("example2", "simulation.x1_0", [1.0, 2.0, 3.0]),
+            ("loop_a", "controller.A", {"rows": 2, "cols": 3, "data": [-1, 0, 0, 0, -1, 0]}),
         ],
     )
     def test_rejection_names_path(self, name, key, value):
@@ -189,6 +204,14 @@ class TestComposeCommand:
             rep["controller_stage"]["delta"]
         )
 
+    @pytest.mark.parametrize("mode", ["symbolic", "disturbance-injected"])
+    def test_twin_modes_need_the_symbolic_section(self, capsys, tmp_path, mode):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bundled_doc("loop_a", "simulation.mode", mode)))
+        code, rep = run_json(capsys, "compose", str(path))
+        assert code == 1
+        assert rep["error"] == f"mode {mode!r} needs the symbolic section for eps"
+
 
 class TestSdCommand:
     def test_example5_certificates(self, capsys):
@@ -206,6 +229,23 @@ class TestSdCommand:
         assert code == 0
         assert rep["controller"]["source"] == "supplied"
         assert rep["controller"]["passed"]
+
+    def test_seed_flag_overrides_configured_seed(self, capsys, tmp_path):
+        # the bundled plant certificate is |h1(x)|^2, whose ratio is one on
+        # every draw; this one's worst ratio depends on the draws
+        doc = bundled_doc("example5", "plant.sd.p", square2([0.16, 0, 0, 0.1]))
+        doc["simulation"]["trials"] = 50
+
+        def worst_ratio(*extra):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            code, rep = run_json(capsys, "sd", str(path), *extra)
+            assert code == 0
+            return rep["plant"]["worst_ratio"]
+
+        flag5, flag6 = worst_ratio("--seed", "5"), worst_ratio("--seed", "6")
+        doc["simulation"]["seed"] = 5
+        assert worst_ratio() == flag5 != flag6
 
 
 class TestBoundCommand:
@@ -243,6 +283,18 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert rep["audit"]["global_ok"] and rep["audit"]["post_entry_ok"]
+        assert (tmp_path / "trajectory.csv").exists()
+
+    def test_without_storage_the_audit_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        doc = bundled_doc("loop_a")
+        del doc["storage"]
+        path.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "simulate", str(path), "--out", str(tmp_path))
+        assert code == 0
+        assert rep["audit"] == {
+            "skipped": "storage section with plant and controller matrices required"
+        }
         assert (tmp_path / "trajectory.csv").exists()
 
     def test_bound_pipeline_failure_is_reported(self, capsys, tmp_path):

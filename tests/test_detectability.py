@@ -66,6 +66,7 @@ class TestConstruction:
                 continue
             built += 1
             assert check_sd_certificate(system, cert).passed
+            assert not sd_falsify(system, cert, trials=200, seed=built).falsified
         assert built >= 10
 
 
@@ -136,7 +137,7 @@ class TestFalsify:
         # p equals |h1(x)|^2 exactly, so the ratio never exceeds one
         cert = SdCertificate(0, 0.0, np.diag([0.16, 0.25]))
         system = SampledModel(cubic_plant, 0.3)
-        result = sd_falsify(system, cert, trials=10000, box=3.0, seed=2)
+        result = sd_falsify(system, cert, trials=10000, seed=2)
         assert not result.falsified
         assert result.worst_ratio == pytest.approx(1.0, abs=1e-9)
 

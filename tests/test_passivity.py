@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from passquant import (
     CertificateError,
     DimensionError,
+    DiscreteLti,
     GainCertificate,
     IndexSet,
     LtiModel,
@@ -50,16 +52,15 @@ class TestVerifyLmi:
     def test_continuous_published_indices(self, bench_model):
         # published 4-decimal indices sit ~2e-6 outside the exact boundary,
         # so the check runs at 1e-5
-        verdict = verify_lti_passivity(bench_model, P_BENCH, 0.3, 0.5628, tol=1e-5)
-        assert verdict.passed
+        verdict = verify_lti_passivity(bench_model, P_BENCH, 0.3, 0.5628)
+        assert verdict.margin <= 1e-5
 
     def test_discrete_published_indices(self, bench_discrete):
-        verdict = verify_lti_passivity(bench_discrete, P_BENCH, 0.20, 0.9803, tol=1e-5)
-        assert verdict.passed
+        verdict = verify_lti_passivity(bench_discrete, P_BENCH, 0.20, 0.9803)
+        assert verdict.margin <= 1e-5
 
     def test_inflated_rho_fails(self, bench_model):
-        verdict = verify_lti_passivity(bench_model, P_BENCH, 0.3, 0.60, tol=1e-5)
-        assert not verdict.passed
+        verdict = verify_lti_passivity(bench_model, P_BENCH, 0.3, 0.60)
         assert verdict.margin > 1e-3
 
     def test_storage_dimension_mismatch(self, bench_model):
@@ -82,6 +83,29 @@ class TestMaxIndexBisection:
         model = LtiModel([[0.0]], [[1.0]], [[1.0]], [[0.0]])
         nu = max_index_bisection(model, 0.5 * np.eye(1), "rho", 0.0)
         assert nu == pytest.approx(0.0, abs=1e-4)
+
+    def test_whole_window_feasible_returns_its_edge(self):
+        # every nu <= 100 is feasible, yet the search stops at its window
+        # edge 10; a closed form replacing the bisection changes this
+        model = LtiModel([[-1.0]], [[1.0]], [[1.0]], [[100.0]])
+        assert max_index_bisection(model, [[0.5]], "rho", 0.0) == 10.0
+
+    def test_index_is_the_verified_boundary_on_random_systems(self):
+        # the bisection and the check decide at the same LMI tolerance, and
+        # the bisection resolves the index to 1e-5
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n, m = rng.integers(1, 4), rng.integers(1, 3)
+            ad = rng.uniform(-1, 1, (n, n))
+            ad *= rng.uniform(0.1, 0.9) / max(np.abs(np.linalg.eigvals(ad)).max(), 1e-3)
+            system = DiscreteLti(
+                ad, rng.uniform(-0.5, 0.5, (n, m)), rng.uniform(-1, 1, (m, n)),
+                rng.uniform(-1, 1, (m, m)),
+            )
+            p = scipy.linalg.solve_discrete_lyapunov(ad.T, np.eye(n))  # A'PA - P = -I
+            nu = max_index_bisection(system, p, "rho", 0.0)
+            assert verify_lti_passivity(system, p, nu, 0.0).passed
+            assert not verify_lti_passivity(system, p, nu + 1e-5, 0.0).passed
 
     def test_infeasible_raises(self, bench_discrete):
         # a strictly proper discrete system cannot pass with nu fixed at 10

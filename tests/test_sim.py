@@ -6,6 +6,7 @@ from passquant import (
     DivergenceError,
     LoopConfig,
     LtiModel,
+    NonlinearModel,
     ParameterError,
     ToolkitError,
     WellPosednessError,
@@ -121,6 +122,14 @@ class TestSimulate:
     def test_plant_feedthrough_rejected(self, bench_model):
         with pytest.raises(WellPosednessError):
             simulate(base_config(bench_model, plant=bench_model))
+
+    def test_nonlinear_plant_feedthrough_rejected(self, bench_model):
+        # h2 feeds the input straight through to the output
+        plant = NonlinearModel(2, 2, rhs=lambda x, u: -x, h1=lambda x: x, h2=lambda u: 0.5 * u)
+        assert np.array_equal(plant.output([1.0, 2.0], [2.0, -4.0]), [2.0, 0.0])
+        assert not plant.strictly_proper
+        with pytest.raises(WellPosednessError):
+            simulate(base_config(bench_model, plant=plant))
 
     def test_divergence_reported(self, bench_model):
         unstable = LtiModel(30.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
