@@ -57,7 +57,7 @@ from .passivity import (
     verify_gain_assumption,
     verify_lti_passivity,
 )
-from .sim import LoopConfig, Trajectory, eta_sweep, simulate, ultimate_bound_audit
+from .sim import LoopConfig, Trajectory, simulate, ultimate_bound_audit
 from .systems import (
     DiscreteLti,
     LtiModel,

@@ -55,8 +55,6 @@ def _twin(cfg: AnalysisConfig):
     """
     if cfg.mode == sim.MODES[0]:
         return None
-    if cfg.eps is None:
-        raise ToolkitError(f"mode {cfg.mode!r} needs the symbolic section for eps")
     return abstraction.lipschitz_output_bound(cfg.controller.model), cfg.eps
 
 
@@ -186,7 +184,8 @@ def _v_first(cfg: AnalysisConfig, storage, n_window):
 
 
 def _compute_bounds(cfg: AnalysisConfig):
-    """Full bound pipeline; returns (report, margin, composed, details)."""
+    """Full bound pipeline; returns (report, margin, composed, infos), where
+    ``infos`` maps "plant" and "controller" to their certificate reports."""
     _, _, composed = _compose(cfg)
     cert1, info1 = _sd_certificate(cfg.plant, cfg, cfg.seed)
     cert2, info2 = _sd_certificate(cfg.controller, cfg, cfg.seed + 1)
@@ -211,8 +210,12 @@ def _compute_bounds(cfg: AnalysisConfig):
         report.eta2, mp_loop,
         composed.w1, _beta_matrix(cfg.plant), composed.w2, _beta_matrix(cfg.controller),
     )
-    details = {"cert_plant": (cert1, info1), "cert_controller": (cert2, info2)}
-    return report, margin, composed, details
+    return report, margin, composed, {"plant": info1, "controller": info2}
+
+
+def _certificate_failures(infos):
+    """One failure per subsystem certificate report that did not pass."""
+    return [f"{name} sd certificate failed" for name, info in infos.items() if not info["passed"]]
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +271,15 @@ def _cert_report(cert: SdCertificate, info):
 
 def cmd_sd(cfg: AnalysisConfig):
     report = {}
-    failures = []
     cert2, info2 = _sd_certificate(cfg.controller, cfg, cfg.seed + 1)
     report["controller"] = _cert_report(cert2, info2)
-    if not info2["passed"]:
-        failures.append("controller sd certificate failed")
+    infos = {"controller": info2}
     if cfg.plant is not None:
-        cert1, info1 = _sd_certificate(cfg.plant, cfg, cfg.seed)
-        report["plant"] = _cert_report(cert1, info1)
-        if not info1["passed"]:
-            failures.append("plant sd certificate failed")
+        cert1, infos["plant"] = _sd_certificate(cfg.plant, cfg, cfg.seed)
+        report["plant"] = _cert_report(cert1, infos["plant"])
         composed = detectability.compose_sd(cert1, cert2)
         report["loop"] = _cert_report(composed, {"source": "composed"})
-    return report, failures
+    return report, _certificate_failures(infos)
 
 
 def _levels(rep: bounds.BoundReport):
@@ -295,13 +294,11 @@ def _levels(rep: bounds.BoundReport):
 
 
 def cmd_bound(cfg: AnalysisConfig):
-    failures = []
     if cfg.plant is None:
         # standalone system: global/ultimate levels for the controller alone
         idx = _controller_quantized_indices(cfg, None)
         if idx.w != 0:
-            failures.append("standalone bounds need constant-bias indices (w = 0)")
-            return {}, failures
+            return {}, ["standalone bounds need constant-bias indices (w = 0)"]
         cert, info = _sd_certificate(cfg.controller, cfg, cfg.seed)
         if cfg.storage_controller is None:
             raise ToolkitError("storage.controller required")
@@ -312,11 +309,9 @@ def cmd_bound(cfg: AnalysisConfig):
             idx, cert, storage, u_norm, lam=cfg.lam, c5=cfg.c5, p_x0=p_x0
         )
         report = {"mode": "single-system", **_levels(rep), "certificate": info}
-        if not info["passed"]:
-            failures.append("sd certificate failed")
-        return report, failures
+        return report, [] if info["passed"] else ["sd certificate failed"]
 
-    rep, margin, composed, details = _compute_bounds(cfg)
+    rep, margin, composed, infos = _compute_bounds(cfg)
     report = {
         "mode": cfg.mode,
         "nu_hat": composed.nu,
@@ -324,14 +319,9 @@ def cmd_bound(cfg: AnalysisConfig):
         "delta_hat": composed.delta,
         **_levels(rep),
         "margin": {"value": margin.margin, "passed": margin.passed},
-        "certificates": {
-            "plant": details["cert_plant"][1],
-            "controller": details["cert_controller"][1],
-        },
+        "certificates": infos,
     }
-    for name in ("plant", "controller"):
-        if not details[f"cert_{name}"][1]["passed"]:
-            failures.append(f"{name} sd certificate failed")
+    failures = _certificate_failures(infos)
     if not margin.passed:
         failures.append(f"bias margin check failed (min eigenvalue {margin.margin:.3e})")
     return report, failures
@@ -380,7 +370,8 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
     if storage is None:
         report["audit"] = {"skipped": skipped}
     else:
-        bound_report, margin, _, _ = _compute_bounds(cfg)
+        bound_report, margin, _, infos = _compute_bounds(cfg)
+        failures += _certificate_failures(infos)
         audit = sim.ultimate_bound_audit(traj, bound_report, storage)
         report["audit"] = {
             "level_d1": bound_report.level_d1,
@@ -395,10 +386,10 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
         if not audit.post_entry_ok:
             failures.append("trajectory did not settle below the ultimate level")
 
-    if cfg.eta_sweep and loop.mode == "symbolic":
+    if cfg.eta_sweep:
         sweep = []
         for eta in cfg.eta_sweep:
-            traj_eta = sim.simulate(replace(loop, eta=float(eta)))
+            traj_eta = traj if eta == loop.eta else sim.simulate(replace(loop, eta=eta))
             traj_eta.to_csv(out_dir / f"trajectory_eta_{eta:g}.csv", storage=storage)
             sweep.append(asdict(sim.SweepPoint.from_trajectory(eta, traj_eta)))
         report["eta_sweep"] = sweep

@@ -350,6 +350,9 @@ def parse_config(doc) -> AnalysisConfig:
 
     The systems are parsed first; every other section then goes through
     ``_SCHEMA``, which checks each array against the parsed dimensions.
+    Last, a mode that runs the symbolic twin's constants needs the
+    ``symbolic`` section, and the keys only the symbolic loop reads are
+    rejected in the other modes.
     """
     _require_keys(doc, {"plant", "controller", *_SCHEMA}, ("controller", "sampling"), "config")
     plant = _parse_system(doc["plant"], "plant") if "plant" in doc else None
@@ -363,6 +366,14 @@ def parse_config(doc) -> AnalysisConfig:
     for section, schema in _SCHEMA.items():
         if section in doc:
             fields.update(_parse_section(doc[section], section, schema, dims))
+    mode = fields.get("mode", MODES[0])
+    if mode != MODES[0] and "eps" not in fields:
+        raise ConfigError(f"simulation.mode: {mode!r} needs the symbolic section")
+    if mode != "symbolic":
+        for path, name in (("symbolic.eta_sweep", "eta_sweep"), ("simulation.x2s_0", "x2s_0")):
+            if name in fields:
+                raise ConfigError(
+                    f"{path}: read only when simulation.mode is 'symbolic', not {mode!r}")
     lambdas = LambdaChoices(**{key: fields.pop(key) for key in _LAMBDAS if key in fields})
     return AnalysisConfig(plant=plant, controller=controller, lambdas=lambdas, **fields)
 

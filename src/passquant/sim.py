@@ -11,8 +11,8 @@ where both sides have feedthrough are rejected rather than iterated.
 """
 
 import csv
-from dataclasses import dataclass, replace
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "SweepPoint",
     "simulate",
     "ultimate_bound_audit",
-    "eta_sweep",
     "read_csv",
 ]
 
@@ -274,11 +273,7 @@ def simulate(config: LoopConfig) -> Trajectory:
             step["y2_tilde_shadow"] = quantize(ctrl_exact.output(x2, u2), config.mu2)
         if disturbed:
             direction = rng.normal(size=m)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                direction = np.zeros(m)
-            else:
-                direction = direction / norm
+            direction = direction / np.linalg.norm(direction)
             step["w"] = rng.uniform(0.0, config.disturbance_bound) * direction
             applied = y2_tilde + step["w"]
         step["u1"] = r1 - applied
@@ -303,7 +298,6 @@ class AuditResult:
     global_ok: bool
     entry_index: Optional[int]
     post_entry_ok: bool
-    max_v_after_entry: Optional[float]
 
 
 def ultimate_bound_audit(traj: Trajectory, report: BoundReport, storage) -> AuditResult:
@@ -322,18 +316,17 @@ def ultimate_bound_audit(traj: Trajectory, report: BoundReport, storage) -> Audi
         entry = int(above[-1] + 1)
     else:
         entry = None
-    post_ok = entry is not None
-    max_after = float(v[entry:].max()) if post_ok else None
-    return AuditResult(
-        global_ok=global_ok,
-        entry_index=entry,
-        post_entry_ok=post_ok,
-        max_v_after_entry=max_after,
-    )
+    return AuditResult(global_ok=global_ok, entry_index=entry, post_entry_ok=entry is not None)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """Ultimate sup norms of one symbolic run at grid pitch ``eta``.
+
+    A sweep runs the loop once per pitch:
+    ``SweepPoint.from_trajectory(eta, simulate(replace(config, eta=eta)))``.
+    """
+
     eta: float
     sup_x1: float
     sup_x2s: float
@@ -350,16 +343,3 @@ class SweepPoint:
         sup1 = float(np.max(np.abs(traj.x1[cut:])))
         sup2 = float(np.max(np.abs(traj.x2s[cut:])))
         return cls(eta=float(eta), sup_x1=sup1, sup_x2s=sup2, sup_combined=max(sup1, sup2))
-
-
-def eta_sweep(config: LoopConfig, etas) -> List[SweepPoint]:
-    """Ultimate sup norms of the loop states for each grid pitch.
-
-    Runs the symbolic loop per ``eta``; see :meth:`SweepPoint.from_trajectory`.
-    """
-    if config.mode != "symbolic":
-        raise ParameterError("eta sweeps require symbolic mode")
-    return [
-        SweepPoint.from_trajectory(eta, simulate(replace(config, eta=float(eta))))
-        for eta in etas
-    ]

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import passquant
 from passquant import (
     AnalysisConfig,
     ConfigError,
@@ -99,6 +100,13 @@ def square2(data):
     return {"rows": 2, "cols": 2, "data": data}
 
 
+def run_doc(capsys, tmp_path, command, doc, *extra):
+    """``run_json`` on a config document written to ``tmp_path``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return run_json(capsys, command, str(path), *extra)
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize(
         "name, key, value",
@@ -131,6 +139,12 @@ class TestConfigSchema:
             ("example2", "storage.plant", EYE3),
             ("example2", "simulation.x1_0", [1.0, 2.0, 3.0]),
             ("loop_a", "controller.A", {"rows": 2, "cols": 3, "data": [-1, 0, 0, 0, -1, 0]}),
+            # the twin-mode rules: a sweep or a twin start outside symbolic
+            # mode, and a twin mode without the symbolic section
+            ("example5", "simulation.mode", "disturbance-injected"),
+            ("example5", "simulation.mode", "sampled-quantized"),
+            ("loop_a", "simulation.x2s_0", [5, 5]),
+            ("loop_a", "simulation.mode", "symbolic"),
         ],
     )
     def test_rejection_names_path(self, name, key, value):
@@ -194,6 +208,14 @@ class TestDegradeCommand:
         _, second = run_cli(capsys, "degrade", "--config", bundled_config_path("example1"))
         assert first == second
 
+    def test_nothing_to_degrade_is_reported(self, capsys, tmp_path):
+        # loop_c's controller carries discrete indices only
+        doc = bundled_doc("loop_c")
+        del doc["quantization"]
+        code, rep = run_doc(capsys, tmp_path, "degrade", doc)
+        assert code == 1
+        assert rep["failures"] == ["nothing to degrade: need indices+gain and/or quantization"]
+
 
 class TestComposeCommand:
     def test_loop_a_composes_positive_rho(self, capsys):
@@ -210,7 +232,7 @@ class TestComposeCommand:
         path.write_text(json.dumps(bundled_doc("loop_a", "simulation.mode", mode)))
         code, rep = run_json(capsys, "compose", str(path))
         assert code == 1
-        assert rep["error"] == f"mode {mode!r} needs the symbolic section for eps"
+        assert rep["error"] == f"simulation.mode: {mode!r} needs the symbolic section"
 
 
 class TestSdCommand:
@@ -247,6 +269,19 @@ class TestSdCommand:
         doc["simulation"]["seed"] = 5
         assert worst_ratio() == flag5 != flag6
 
+    @pytest.mark.parametrize(
+        "name, system, scale", [("loop_a", "controller", 10.0), ("example5", "plant", 0.3)]
+    )
+    def test_failing_certificate_is_reported(self, capsys, tmp_path, name, system, scale):
+        # loop_a's supplied controller certificate is checked exactly,
+        # example5's nonlinear plant certificate by the falsifier
+        doc = bundled_doc(name, f"{system}.sd.p", square2([scale, 0, 0, scale]))
+        doc["simulation"]["trials"] = 200
+        code, rep = run_doc(capsys, tmp_path, "sd", doc)
+        assert code == 1
+        assert not rep[system]["passed"]
+        assert rep["failures"] == [f"{system} sd certificate failed"]
+
 
 class TestBoundCommand:
     def test_loop_a_bound_report(self, capsys):
@@ -267,6 +302,21 @@ class TestBoundCommand:
         assert any("margin" in f for f in rep["failures"])
         assert np.isfinite(rep["level_d2"])
 
+    def test_standalone_failing_certificate_is_reported(self, capsys, tmp_path):
+        sd = {"window": 0, "theta": 0, "p": square2([10, 0, 0, 10])}
+        code, rep = run_doc(capsys, tmp_path, "bound", bundled_doc("example2", "controller.sd", sd))
+        assert code == 1
+        assert not rep["certificate"]["passed"]
+        assert rep["failures"] == ["sd certificate failed"]
+
+    def test_standalone_bounds_need_constant_bias(self, capsys, tmp_path):
+        # without discrete indices the sampling stage carries a state bias
+        doc = bundled_doc("example2")
+        del doc["controller"]["discrete_indices"]
+        code, rep = run_doc(capsys, tmp_path, "bound", doc)
+        assert code == 1
+        assert rep["failures"] == ["standalone bounds need constant-bias indices (w = 0)"]
+
 
 class TestAbstractCheckCommand:
     def test_example5_parameters_feasible(self, capsys):
@@ -274,6 +324,13 @@ class TestAbstractCheckCommand:
         assert code == 0
         assert rep["passed"]
         assert rep["slack"] == pytest.approx(0.0322, abs=1e-3)
+
+    def test_small_eps_fails_the_inequality(self, capsys, tmp_path):
+        doc = bundled_doc("example5", "symbolic.epsilon", 0.06)
+        code, rep = run_doc(capsys, tmp_path, "abstract-check", doc)
+        assert code == 1
+        assert not rep["passed"]
+        assert rep["failures"] == ["bisimulation parameter inequality fails (slack -3.169e-02)"]
 
 
 class TestSimulateCommand:
@@ -320,6 +377,41 @@ class TestSimulateCommand:
         for eta in ("0.1", "0.05", "0.01"):
             assert (tmp_path / f"trajectory_eta_{eta}.csv").exists()
 
+    def test_sweep_reuses_the_configured_eta_run(self, capsys, tmp_path, monkeypatch):
+        # one prefix for the bound pipeline, the configured run (eta = 0.1),
+        # then one run per other sweep pitch
+        calls = []
+        simulate = passquant.sim.simulate
+
+        def counted(loop):
+            calls.append(loop.eta)
+            return simulate(loop)
+
+        monkeypatch.setattr(passquant.sim, "simulate", counted)
+        doc = bundled_doc("example5", "simulation.horizon", 60)
+        doc["simulation"]["trials"] = 200
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [0.1, 0.1, 0.05, 0.01]
+        configured = (tmp_path / "trajectory_eta_0.1.csv").read_bytes()
+        assert configured == (tmp_path / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["disturbance-injected", "sampled-quantized"])
+    def test_sweep_outside_symbolic_mode_is_rejected(self, capsys, tmp_path, mode):
+        doc = bundled_doc("example5", "simulation.mode", mode)
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
+        assert code == 1
+        assert set(rep) == {"command", "error", "failures"}
+        assert rep["error"].startswith("symbolic.eta_sweep: ")
+
+    def test_failing_certificate_fails_the_run(self, capsys, tmp_path):
+        # the audited levels rest on both certificates, as in `bound`
+        doc = bundled_doc("loop_a", "controller.sd.p", square2([1e4, 0, 0, 1e4]))
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
+        assert code == 1
+        assert rep["audit"]["global_ok"] and rep["audit"]["post_entry_ok"]
+        assert rep["failures"] == ["controller sd certificate failed"]
+
 
 class TestAuditCommand:
     def test_loop_a_recorded_trajectory_passes(self, capsys, tmp_path):
@@ -337,6 +429,20 @@ class TestAuditCommand:
         assert code == 0
         assert rep["passed"]
         assert rep["max_violation"] <= 1e-8
+
+    def test_inflated_indices_violate_the_inequality(self, capsys, tmp_path):
+        code, _ = run_json(
+            capsys, "simulate", bundled_config_path("loop_a"), "--out", str(tmp_path)
+        )
+        assert code == 0
+        doc = bundled_doc("loop_a", "plant.discrete_indices.rho", 5.0)
+        doc["controller"]["discrete_indices"]["rho"] = 5.0
+        code, rep = run_doc(
+            capsys, tmp_path, "audit", doc, "--trajectory", str(tmp_path / "trajectory.csv")
+        )
+        assert code == 1
+        assert not rep["passed"]
+        assert rep["failures"] == ["dissipation inequality violated by 2.188e+01"]
 
     def test_trajectory_of_another_loop_is_reported(self, capsys, tmp_path):
         # loop_c is single-input: its CSV lacks the second loop_a state column

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,11 @@ from passquant import (
     ParameterError,
     ToolkitError,
     WellPosednessError,
-    eta_sweep,
     lipschitz_output_bound,
     simulate,
     ultimate_bound_audit,
 )
-from passquant.sim import AuditResult, read_csv
+from passquant.sim import AuditResult, SweepPoint, read_csv
 
 
 def lti_plant():
@@ -225,22 +226,15 @@ class TestUltimateBoundAudit:
         assert bad.entry_index is None
 
     def test_result_type(self):
-        assert AuditResult(True, 0, True, 0.0).global_ok
+        assert AuditResult(True, 0, True).global_ok
 
 
 class TestEtaSweep:
     def test_single_eta_matches_direct_run(self, cubic_plant, bench_model):
         cfg = symbolic_config(cubic_plant, bench_model, horizon=120)
-        (point,) = eta_sweep(cfg, [0.1])
+        point = SweepPoint.from_trajectory(0.1, simulate(replace(cfg, eta=0.1)))
         traj = simulate(cfg)
         cut = (traj.x1.shape[0] * 2) // 3
         assert point.sup_x1 == pytest.approx(np.max(np.abs(traj.x1[cut:])))
         assert point.sup_x2s == pytest.approx(np.max(np.abs(traj.x2s[cut:])))
         assert point.sup_combined == max(point.sup_x1, point.sup_x2s)
-
-    def test_requires_symbolic_mode(self, bench_model):
-        from passquant import ParameterError
-
-        cfg = base_config(bench_model)
-        with pytest.raises(ParameterError):
-            eta_sweep(cfg, [0.1])
