@@ -8,6 +8,7 @@ Failures are collected in a machine-readable list.
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -389,8 +390,14 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
     if cfg.eta_sweep:
         sweep = []
         for eta in cfg.eta_sweep:
-            traj_eta = traj if eta == loop.eta else sim.simulate(replace(loop, eta=eta))
-            traj_eta.to_csv(out_dir / f"trajectory_eta_{eta:g}.csv", storage=storage)
+            eta_path = out_dir / f"trajectory_eta_{eta:g}.csv"
+            if eta == loop.eta:
+                # the configured run is already on disk
+                traj_eta = traj
+                shutil.copyfile(csv_path, eta_path)
+            else:
+                traj_eta = sim.simulate(replace(loop, eta=eta))
+                traj_eta.to_csv(eta_path, storage=storage)
             sweep.append(asdict(sim.SweepPoint.from_trajectory(eta, traj_eta)))
         report["eta_sweep"] = sweep
     return report, failures

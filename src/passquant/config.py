@@ -316,6 +316,18 @@ class AnalysisConfig:
     storage_controller: Optional[np.ndarray] = None
     storage_tau_scaled: bool = False
 
+    def __post_init__(self):
+        # a mode that runs the symbolic twin's constants needs the symbolic
+        # section, and the keys only the symbolic loop reads are rejected in
+        # the other modes; this holds for configs built in code as well
+        if self.mode != MODES[0] and self.eps is None:
+            raise ConfigError(f"simulation.mode: {self.mode!r} needs the symbolic section")
+        if self.mode != "symbolic":
+            for path, name in (("symbolic.eta_sweep", "eta_sweep"), ("simulation.x2s_0", "x2s_0")):
+                if getattr(self, name) is not None:
+                    raise ConfigError(
+                        f"{path}: read only when simulation.mode is 'symbolic', not {self.mode!r}")
+
 
 _LAMBDAS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5")
 
@@ -349,10 +361,8 @@ def parse_config(doc) -> AnalysisConfig:
     """Validate a decoded JSON document and build the analysis objects.
 
     The systems are parsed first; every other section then goes through
-    ``_SCHEMA``, which checks each array against the parsed dimensions.
-    Last, a mode that runs the symbolic twin's constants needs the
-    ``symbolic`` section, and the keys only the symbolic loop reads are
-    rejected in the other modes.
+    ``_SCHEMA``, which checks each array against the parsed dimensions;
+    ``AnalysisConfig`` then checks the simulation mode against the sections.
     """
     _require_keys(doc, {"plant", "controller", *_SCHEMA}, ("controller", "sampling"), "config")
     plant = _parse_system(doc["plant"], "plant") if "plant" in doc else None
@@ -366,14 +376,6 @@ def parse_config(doc) -> AnalysisConfig:
     for section, schema in _SCHEMA.items():
         if section in doc:
             fields.update(_parse_section(doc[section], section, schema, dims))
-    mode = fields.get("mode", MODES[0])
-    if mode != MODES[0] and "eps" not in fields:
-        raise ConfigError(f"simulation.mode: {mode!r} needs the symbolic section")
-    if mode != "symbolic":
-        for path, name in (("symbolic.eta_sweep", "eta_sweep"), ("simulation.x2s_0", "x2s_0")):
-            if name in fields:
-                raise ConfigError(
-                    f"{path}: read only when simulation.mode is 'symbolic', not {mode!r}")
     lambdas = LambdaChoices(**{key: fields.pop(key) for key in _LAMBDAS if key in fields})
     return AnalysisConfig(plant=plant, controller=controller, lambdas=lambdas, **fields)
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,15 @@ class TestComposeCommand:
         code, rep = run_json(capsys, "compose", str(path))
         assert code == 1
         assert rep["error"] == f"simulation.mode: {mode!r} needs the symbolic section"
+
+    def test_twin_mode_rules_hold_for_configs_built_in_code(self):
+        # replace() on a parsed config used to reach the twin with eps = None
+        # and fail with a TypeError
+        cfg = load_config(bundled_config_path("loop_a"))
+        with pytest.raises(ConfigError, match="'symbolic' needs the symbolic section"):
+            passquant.cli.cmd_compose(replace(cfg, mode="symbolic"))
+        with pytest.raises(ConfigError, match="^symbolic.eta_sweep: read only when"):
+            replace(cfg, eta_sweep=[0.1])
 
 
 class TestSdCommand:

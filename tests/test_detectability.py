@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import passquant
 from passquant import (
+    CertificateError,
     DimensionError,
     DiscreteLti,
+    LtiModel,
     NotDetectableError,
     ParameterError,
     SampledModel,
@@ -15,6 +18,7 @@ from passquant import (
     sd_falsify,
 )
 from passquant.detectability import observability_stack
+from passquant.linalg import min_eig
 
 
 class TestCertificateType:
@@ -68,6 +72,128 @@ class TestConstruction:
             assert check_sd_certificate(system, cert).passed
             assert not sd_falsify(system, cert, trials=200, seed=built).falsified
         assert built >= 10
+
+
+def oracle_stack(system, window):
+    """The per-block construction of (O, H): ``C Ad^k Bd`` once per block."""
+    ad, bd, c, d = system.ad, system.bd, system.c, system.d
+    mo, mi = c.shape[0], bd.shape[1]
+    powers = [np.eye(system.n)]
+    for _ in range(window):
+        powers.append(powers[-1] @ ad)
+    o = np.vstack([c @ pw for pw in powers])
+    h = np.zeros(((window + 1) * mo, (window + 1) * mi))
+    for i in range(window + 1):
+        for j in range(i + 1):
+            blk = d if j == i else c @ powers[i - 1 - j] @ bd
+            h[i * mo : (i + 1) * mo, j * mi : (j + 1) * mi] = blk
+    return o, h
+
+
+def oracle_schur(o, h, theta):
+    """S(theta), with every product recomputed on each call."""
+    g = theta * np.eye(h.shape[1]) + h.T @ h
+    s = o.T @ o - o.T @ h @ np.linalg.solve(g, h.T @ o)
+    return 0.5 * (s + s.T)
+
+
+def oracle_certificate(system, window):
+    """The certificate from all 80 geometric halvings, each forming S(theta)
+    from O and H afresh."""
+    o, h = oracle_stack(system, window)
+    rank = int(np.linalg.matrix_rank(o))
+    if rank < system.n:
+        raise NotDetectableError("not detectable", rank=rank, window=window)
+
+    def feasible(theta):
+        return min_eig(oracle_schur(o, h, theta)) >= 1e-8
+
+    lo, hi = 1e-9, 1e3
+    if not feasible(hi):
+        raise CertificateError("no theta", window=window)
+    if feasible(lo):
+        return SdCertificate(window=window, theta=lo, mp=0.5 * oracle_schur(o, h, lo))
+    for _ in range(80):
+        mid = (lo * hi) ** 0.5
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return SdCertificate(window=window, theta=hi, mp=0.5 * oracle_schur(o, h, hi))
+
+
+def random_stable(seed, n, m, tau):
+    """Seeded stable system sampled at ``tau``: ``A = -Q diag(l) Q' + S``
+    with ``l`` in [0.5, 2] and ``S`` skew."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    s = rng.normal(size=(n, n))
+    a = -(q * rng.uniform(0.5, 2.0, n)) @ q.T + 0.5 * (s - s.T)
+    b = rng.normal(size=(n, m)) / np.sqrt(n)
+    c = rng.normal(size=(m, n)) / np.sqrt(n)
+    return discretize_exact(LtiModel(a, b, c, 0.5 * np.eye(m)), tau)
+
+
+SEEDED = [
+    pytest.param(seed, n, m, window, tau, id=f"n{n}-m{m}-w{window}-tau{tau}")
+    for seed, (n, m, window) in enumerate([(2, 1, 1), (8, 2, 7), (32, 8, 25)])
+    for tau in (0.05, 0.3, 1.0)
+]
+
+
+class TestAgainstOracle:
+    """The construction is bit-identical to the per-block stack, the Schur
+    complement recomputed on every check and the full 80-step bisection."""
+
+    @pytest.mark.parametrize("seed, n, m, window, tau", SEEDED)
+    def test_bit_identical_on_seeded_systems(self, seed, n, m, window, tau):
+        system = random_stable(seed, n, m, tau)
+        o, h = observability_stack(system, window)
+        o_ref, h_ref = oracle_stack(system, window)
+        assert np.array_equal(o, o_ref) and np.array_equal(h, h_ref)
+        cert = lti_sd_certificate(system, window)
+        ref = oracle_certificate(system, window)
+        assert cert.theta == ref.theta
+        assert np.array_equal(cert.mp, ref.mp)
+
+    def test_same_errors(self, double_integrator):
+        # rank 1 < 2 at window 0; at window 1 the stack is full rank, but
+        # scaled down so far that S(1e3) misses the 1e-8 eigenvalue floor
+        d = double_integrator
+        faint = DiscreteLti(d.ad, d.bd, 1e-6 * d.c, d.d)
+        wide = random_stable(3, 8, 2, 0.3)
+        for system, window, error in [
+            (double_integrator, 0, NotDetectableError),
+            (wide, 0, NotDetectableError),
+            (faint, 1, CertificateError),
+        ]:
+            with pytest.raises(error):
+                oracle_certificate(system, window)
+            with pytest.raises(error) as err:
+                lti_sd_certificate(system, window)
+            assert err.value.info["window"] == window
+
+    def test_lower_end_feasible(self):
+        system = DiscreteLti(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2), np.zeros((2, 1)))
+        cert = lti_sd_certificate(system, 0)
+        ref = oracle_certificate(system, 0)
+        assert cert.theta == ref.theta == 1e-9
+        assert np.array_equal(cert.mp, ref.mp)
+
+    @pytest.mark.parametrize("seed, n, m, window, tau", SEEDED)
+    def test_bisection_stops_at_a_fixed_bracket(self, monkeypatch, seed, n, m, window, tau):
+        # two end checks, 59 halvings and the check that Mp is definite;
+        # all 80 halvings would make 83
+        system = random_stable(seed, n, m, tau)
+        calls = []
+
+        def counted(matrix):
+            calls.append(1)
+            return min_eig(matrix)
+
+        monkeypatch.setattr(passquant.linalg, "min_eig", counted)
+        lti_sd_certificate(system, window)
+        assert 2 < len(calls) <= 62
 
 
 class TestCheck:
