@@ -45,16 +45,14 @@ def bundled_config_path(name):
 
 def _example5_plant() -> NonlinearModel:
     def rhs(x, u):
-        # Python floats give the numpy-scalar results bit for bit at a
-        # fraction of the call cost; their ``**`` raises OverflowError where
-        # numpy returns inf, and flow reports that as divergence
-        x0, x1 = x.tolist()
-        u0, u1 = u.tolist()
-        return np.array(
-            [
-                -0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0,
-                0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1,
-            ]
+        # flow passes tuples of Python floats, which give the numpy-scalar
+        # results bit for bit; their ``**`` raises OverflowError where numpy
+        # returns inf, and flow reports that as divergence
+        x0, x1 = x
+        u0, u1 = u
+        return (
+            -0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0,
+            0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1,
         )
 
     def h1(x):

@@ -101,7 +101,7 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
 
     Requires the stacked observability matrix over the window to have full
     rank (otherwise :class:`NotDetectableError` carries the rank).  The
-    smallest ``theta`` in (0, 1e3] making the Schur complement
+    smallest ``theta`` in [1e-9, 1e3] making the Schur complement
 
         S(theta) = O'O - O'H (theta I + H'H)^{-1} H'O
 
@@ -110,7 +110,9 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
     halving makes the certificate inequality strict and robust to round-off.
     After 59 halvings the bisection stops once its geometric midpoint equals
     an end of the bracket: the bracket can no longer change, so this gives
-    the same theta as running all 80 halvings.
+    the same theta as running all 80 halvings.  If even ``theta = 1e3``
+    fails, :class:`CertificateError` names the searched range and carries
+    its ends as ``theta_lo`` and ``theta_hi`` in ``info``.
     """
     o, h = observability_stack(system, window)
     rank = int(np.linalg.matrix_rank(o))
@@ -130,8 +132,11 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
     lo, hi = 1e-9, 1e3
     if not feasible(hi):
         raise CertificateError(
-            f"no theta <= {hi} certifies detectability at window {window}",
+            f"no theta in the searched range [{lo:g}, {hi:g}] certifies "
+            f"detectability at window {window}",
             window=window,
+            theta_lo=lo,
+            theta_hi=hi,
         )
     if feasible(lo):
         theta = lo

@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,26 +71,28 @@ class LtiModel:
 class NonlinearModel:
     """Nonlinear system ``dx = f(x, u)`` with additive output ``h1(x) + h2(u)``.
 
-    ``rhs(0, 0) = 0`` and ``h1(0) + h2(0) = 0`` are checked at construction.
+    ``rhs(x, u)`` receives the state and the input as tuples of Python
+    floats and returns ``n`` numbers (a tuple, a list or a 1-D array);
+    ``h1`` and ``h2`` receive float arrays.  ``rhs(0, 0) = 0`` and
+    ``h1(0) + h2(0) = 0`` are checked at construction.
     ``h1_lipschitz`` is an optional user-supplied bound ``|h1(z1) - h1(z2)| <=
     L |z1 - z2|_inf`` needed by the symbolic-loop analysis.
     """
 
     n: int
     m: int
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rhs: Callable[[Tuple[float, ...], Tuple[float, ...]], Sequence[float]]
     h1: Callable[[np.ndarray], np.ndarray]
     h2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h1_lipschitz: Optional[float] = None
 
     def __post_init__(self):
-        zx = np.zeros(self.n)
-        zu = np.zeros(self.m)
-        if np.max(np.abs(np.asarray(self.rhs(zx, zu), float))) > 1e-9:
+        f0 = self.rhs((0.0,) * self.n, (0.0,) * self.m)
+        if np.max(np.abs(np.asarray(f0, float))) > 1e-9:
             raise ParameterError("rhs(0, 0) must vanish")
-        y0 = np.asarray(self.h1(zx), float)
+        y0 = np.asarray(self.h1(np.zeros(self.n)), float)
         if self.h2 is not None:
-            y0 = y0 + np.asarray(self.h2(zu), float)
+            y0 = y0 + np.asarray(self.h2(np.zeros(self.m)), float)
         if np.max(np.abs(y0)) > 1e-9:
             raise ParameterError("output at (0, 0) must vanish")
 
@@ -176,45 +178,51 @@ def flow(model: NonlinearModel, x0, u, tau: float, substeps: int = 64):
     """State reached at time ``tau`` under the constant input ``u``.
 
     Classical fourth-order Runge-Kutta with a fixed substep ``tau/substeps``
-    for determinism.  The state and the stages are Python floats, combined
-    entrywise in the order of the array form
-    ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit-identical
-    to it.  ``model.rhs`` receives a fresh 1-D float array and the input
-    array on every call, and must return ``n`` values.  Raises
-    :class:`DivergenceError` (with the substep index) if the state becomes
-    non-finite or the rhs overflows.
+    for determinism.  ``x0`` must have shape ``(n,)`` and ``u`` shape
+    ``(m,)`` (else :class:`DimensionError`).  The state and the stages are
+    tuples of Python floats, combined entrywise in the order of the array
+    form ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is
+    bit-identical to it.  ``model.rhs`` receives the stage and the input as
+    float tuples and must return ``n`` numbers (a tuple, a list or a 1-D
+    array).  Raises :class:`DivergenceError` (with the substep index) if the
+    state becomes non-finite or the rhs overflows.
     """
     if tau <= 0:
         raise ParameterError(f"flow horizon must be positive, got {tau}")
+    n = model.n
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (n,):
+        raise DimensionError(f"initial state must have shape ({n},), got {x.shape}")
+    v = np.asarray(u, dtype=float)
+    if v.shape != (model.m,):
+        raise DimensionError(f"input must have shape ({model.m},), got {v.shape}")
     h = tau / substeps
     half, sixth = 0.5 * h, h / 6.0
-    x = np.asarray(x0, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"initial state must be 1-D, got shape {x.shape}")
-    n = x.shape[0]
-    x = x.tolist()
-    u = np.asarray(u, dtype=float)
+    x, u = tuple(x.tolist()), tuple(v.tolist())
     f = model.rhs
 
     def rates(stage):
-        k = np.asarray(f(np.array(stage), u), float)
+        k = f(stage, u)
+        if type(k) is tuple and len(k) == n:
+            return k
+        k = np.asarray(k, float)
         if k.shape != (n,):
             raise DimensionError(f"rhs must return {n} values, got shape {k.shape}")
-        return k.tolist()
+        return tuple(k.tolist())
 
     for i in range(substeps):
         try:
             k1 = rates(x)
-            k2 = rates([a + half * b for a, b in zip(x, k1)])
-            k3 = rates([a + half * b for a, b in zip(x, k2)])
-            k4 = rates([a + h * b for a, b in zip(x, k3)])
+            k2 = rates(tuple([a + half * b for a, b in zip(x, k1)]))
+            k3 = rates(tuple([a + half * b for a, b in zip(x, k2)]))
+            k4 = rates(tuple([a + h * b for a, b in zip(x, k3)]))
         except OverflowError as exc:
             # float arithmetic raises where the array form yields inf
             raise DivergenceError(f"state diverged at substep {i}", step=i) from exc
-        x = [
+        x = tuple([
             a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
+        ])
         if not all(map(math.isfinite, x)):
             raise DivergenceError(f"state diverged at substep {i}", step=i)
     return np.array(x)

@@ -173,6 +173,13 @@ class TestAgainstOracle:
                 lti_sd_certificate(system, window)
             assert err.value.info["window"] == window
 
+    def test_no_theta_names_the_searched_range(self, double_integrator):
+        d = double_integrator
+        faint = DiscreteLti(d.ad, d.bd, 1e-6 * d.c, d.d)
+        with pytest.raises(CertificateError, match=r"\[1e-09, 1000\]") as err:
+            lti_sd_certificate(faint, 1)
+        assert err.value.info == {"window": 1, "theta_lo": 1e-9, "theta_hi": 1e3}
+
     def test_lower_end_feasible(self):
         system = DiscreteLti(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2), np.zeros((2, 1)))
         cert = lti_sd_certificate(system, 0)

@@ -126,7 +126,9 @@ class TestSimulate:
 
     def test_nonlinear_plant_feedthrough_rejected(self, bench_model):
         # h2 feeds the input straight through to the output
-        plant = NonlinearModel(2, 2, rhs=lambda x, u: -x, h1=lambda x: x, h2=lambda u: 0.5 * u)
+        plant = NonlinearModel(
+            2, 2, rhs=lambda x, u: tuple(-a for a in x), h1=lambda x: x, h2=lambda u: 0.5 * u
+        )
         assert np.array_equal(plant.output([1.0, 2.0], [2.0, -4.0]), [2.0, 0.0])
         assert not plant.strictly_proper
         with pytest.raises(WellPosednessError):

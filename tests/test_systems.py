@@ -152,9 +152,7 @@ class TestNonlinearModel:
 
     def test_rejects_nonvanishing_output(self):
         with pytest.raises(ParameterError):
-            NonlinearModel(
-                1, 1, rhs=lambda x, u: -x, h1=lambda x: x + 1.0
-            )
+            NonlinearModel(1, 1, rhs=lambda x, u: (-x[0],), h1=lambda x: x + 1.0)
 
 
 class TestSampledModel:
@@ -181,7 +179,7 @@ class TestFlow:
         assert np.array_equal(flow(model, x0, np.zeros(1), 0.5), x0)
 
     def test_scalar_exponential(self):
-        model = NonlinearModel(1, 1, rhs=lambda x, u: -x, h1=lambda x: x)
+        model = NonlinearModel(1, 1, rhs=lambda x, u: (-x[0],), h1=lambda x: x)
         got = flow(model, np.array([1.0]), np.zeros(1), 1.0)
         assert got[0] == pytest.approx(np.exp(-1.0), abs=1e-8)
 
@@ -213,24 +211,57 @@ class TestFlow:
             assert same_bits(flow(example5_plant, x, u, 0.3), want)
             assert same_bits(flow(cubic_plant, x, u, 0.3), want)
 
-    def test_rhs_receives_fresh_arrays(self):
+    def test_rhs_receives_float_tuples(self):
         seen = []
 
         def rhs(x, u):
-            seen.append(x)
-            x[:] = 0.0  # a fresh array per call: writing it changes nothing
-            return np.zeros(2)
+            seen.append((x, u))
+            return (0.0, 0.0)
 
         model = NonlinearModel(2, 1, rhs=rhs, h1=lambda x: x[:1])
         seen.clear()
         x0 = np.array([1.0, -2.0])
         assert np.array_equal(flow(model, x0, np.zeros(1), 0.5, substeps=2), [1.0, -2.0])
-        assert len(seen) == 8 and len({id(x) for x in seen}) == 8
-        assert all(x.dtype == float and x.shape == (2,) for x in seen)
+        assert len(seen) == 8
+        for x, u in seen:
+            assert type(x) is tuple and len(x) == 2
+            assert all(type(a) is float for a in x)
+            assert type(u) is tuple and u == (0.0,) and type(u[0]) is float
+        # tuples cannot be written, so the rhs cannot change the state
+        assert np.array_equal(x0, [1.0, -2.0])
+
+    @pytest.mark.parametrize("wrap", [tuple, list, np.array])
+    def test_rhs_return_types_bit_identical(self, example5_plant, wrap):
+        model = NonlinearModel(
+            2, 2, rhs=lambda x, u: wrap(example5_plant.rhs(x, u)), h1=example5_plant.h1
+        )
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            x = rng.uniform(-3.0, 3.0, 2)
+            u = quantize(rng.uniform(-2.0, 2.0, 2), 0.01)
+            assert same_bits(flow(model, x, u, 0.3), flow(example5_plant, x, u, 0.3))
+
+    @pytest.mark.parametrize(
+        "x0, u, bad",
+        [
+            (np.zeros(3), np.zeros(2), r"initial state must have shape \(2,\), got \(3,\)"),
+            (np.zeros((2, 1)), np.zeros(2), r"initial state must have shape \(2,\), got \(2, 1\)"),
+            (np.zeros(2), np.zeros(3), r"input must have shape \(2,\), got \(3,\)"),
+            (np.zeros(2), np.zeros((2, 1)), r"input must have shape \(2,\), got \(2, 1\)"),
+        ],
+    )
+    def test_rejects_wrongly_shaped_state_or_input(self, example5_plant, x0, u, bad):
+        with pytest.raises(DimensionError, match=bad):
+            flow(example5_plant, x0, u, 0.3)
 
     def test_rejects_wrongly_sized_rhs(self):
         model = NonlinearModel(2, 1, rhs=lambda x, u: np.zeros(1), h1=lambda x: x[:1])
         with pytest.raises(DimensionError):
+            flow(model, np.array([1.0, -2.0]), np.zeros(1), 0.5)
+
+    def test_rejects_wrongly_sized_tuple(self):
+        model = NonlinearModel(2, 1, rhs=lambda x, u: (0.0,), h1=lambda x: x[:1])
+        with pytest.raises(DimensionError, match=r"got shape \(1,\)"):
             flow(model, np.array([1.0, -2.0]), np.zeros(1), 0.5)
 
     def test_overflow_in_rhs_is_divergence(self, example5_plant):
@@ -241,7 +272,7 @@ class TestFlow:
         assert err.value.step == 0
 
     def test_divergence_reports_step(self):
-        model = NonlinearModel(1, 1, rhs=lambda x, u: x**3, h1=lambda x: x)
+        model = NonlinearModel(1, 1, rhs=lambda x, u: (x[0] ** 3,), h1=lambda x: x)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             flow(model, np.array([5.0]), np.zeros(1), 10.0, substeps=64)
         assert err.value.step is not None
