@@ -12,7 +12,6 @@ implement the bias-margin condition.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .detectability import SdCertificate, _loop_theta
@@ -136,7 +135,7 @@ def loop_detectability_matrix(cert1: SdCertificate, cert2: SdCertificate):
     ``p(x) = (1 - theta)(p1(x1) + p2(x2)/2)``.
     """
     theta = _loop_theta(cert1, cert2)
-    mp = (1.0 - theta) * scipy.linalg.block_diag(cert1.mp, 0.5 * cert2.mp)
+    mp = (1.0 - theta) * linalg.block_diag(cert1.mp, 0.5 * cert2.mp)
     return max(cert1.window, cert2.window), theta, mp
 
 
@@ -236,7 +235,7 @@ def symbolic_loop_bounds(
 def _bias_matrix(w1, mbeta1, w2, mbeta2):
     """``blockdiag(w1 Mb1, w2 Mb2)``, the matrix of the loop's state bias
     ``w1 beta1(x1) + w2 beta2(x2)``."""
-    return scipy.linalg.block_diag(
+    return linalg.block_diag(
         w1 * np.atleast_2d(np.asarray(mbeta1, float)),
         w2 * np.atleast_2d(np.asarray(mbeta2, float)),
     )

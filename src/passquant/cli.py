@@ -14,9 +14,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
-from . import abstraction, bounds, detectability, passivity, sim
+from . import abstraction, bounds, detectability, linalg, passivity, sim
 from .config import AnalysisConfig, SystemSpec, load_config
 from .detectability import SdCertificate
 from .errors import ToolkitError
@@ -82,8 +81,10 @@ def _controller_quantized_indices(cfg: AnalysisConfig, twin):
     return replace(base, delta=delta)
 
 
-def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig, seed):
-    """Certificate for one subsystem: explicit (verified) or constructed."""
+def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig):
+    """Certificate for one subsystem: explicit (verified) or constructed.
+    Every command falsifies a nonlinear plant's certificate with seed
+    ``cfg.seed`` and a nonlinear controller's with ``cfg.seed + 1``."""
     explicit = None
     if spec.sd_theta is not None:
         explicit = SdCertificate(window=spec.sd_window, theta=spec.sd_theta, mp=spec.sd_p)
@@ -97,6 +98,7 @@ def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig, seed):
     if explicit is None:
         raise ToolkitError("nonlinear systems need an explicit sd certificate")
     system = SampledModel(spec.model, cfg.tau)
+    seed = cfg.seed if spec is cfg.plant else cfg.seed + 1
     result = detectability.sd_falsify(system, explicit, trials=cfg.trials, seed=seed)
     return explicit, {
         "source": "supplied",
@@ -119,7 +121,7 @@ def _compose(cfg: AnalysisConfig):
 
 def _storage(cfg: AnalysisConfig, *blocks):
     """Block-diagonal storage matrix, divided by tau when the config says so."""
-    v = scipy.linalg.block_diag(*blocks)
+    v = linalg.block_diag(*blocks)
     return v / cfg.tau if cfg.storage_tau_scaled else v
 
 
@@ -173,26 +175,26 @@ def _reference_norm(cfg: AnalysisConfig):
     return float(np.linalg.norm(np.concatenate([r1, r2])))
 
 
-def _v_first(cfg: AnalysisConfig, storage, n_window):
-    """Storage values on a simulated prefix of the first N+1 steps."""
-    if cfg.horizon is None or cfg.x1_0 is None or cfg.x2_0 is None:
-        return None
-    prefix = _loop_config(cfg)
-    prefix.horizon = max(n_window, 1)
-    traj = sim.simulate(prefix)
-    v = traj.storage_values(storage)
-    return [float(x) for x in v[: n_window + 1]]
+def _v_first(cfg: AnalysisConfig, storage, n_window, traj):
+    """Storage values on the first N+1 steps of the configured loop, read
+    off its run ``traj`` when that has N steps, else off a simulated prefix."""
+    if traj is None or traj.horizon < n_window:
+        if cfg.horizon is None or cfg.x1_0 is None or cfg.x2_0 is None:
+            return None
+        traj = sim.simulate(replace(_loop_config(cfg), horizon=max(n_window, 1)))
+    return [float(x) for x in traj.storage_values(storage)[: n_window + 1]]
 
 
-def _compute_bounds(cfg: AnalysisConfig):
+def _compute_bounds(cfg: AnalysisConfig, traj=None):
     """Full bound pipeline; returns (report, margin, composed, infos), where
-    ``infos`` maps "plant" and "controller" to their certificate reports."""
+    ``infos`` maps "plant" and "controller" to their certificate reports.
+    ``traj`` is the configured run when the caller has already made it."""
     _, _, composed = _compose(cfg)
-    cert1, info1 = _sd_certificate(cfg.plant, cfg, cfg.seed)
-    cert2, info2 = _sd_certificate(cfg.controller, cfg, cfg.seed + 1)
+    cert1, info1 = _sd_certificate(cfg.plant, cfg)
+    cert2, info2 = _sd_certificate(cfg.controller, cfg)
     storage = _loop_storage(cfg)
     n_window = max(cert1.window, cert2.window)
-    v_first = _v_first(cfg, storage, n_window)
+    v_first = _v_first(cfg, storage, n_window, traj)
     r_norm = _reference_norm(cfg)
     m = cfg.controller.model.m
     twin = _twin(cfg)
@@ -272,11 +274,11 @@ def _cert_report(cert: SdCertificate, info):
 
 def cmd_sd(cfg: AnalysisConfig):
     report = {}
-    cert2, info2 = _sd_certificate(cfg.controller, cfg, cfg.seed + 1)
+    cert2, info2 = _sd_certificate(cfg.controller, cfg)
     report["controller"] = _cert_report(cert2, info2)
     infos = {"controller": info2}
     if cfg.plant is not None:
-        cert1, infos["plant"] = _sd_certificate(cfg.plant, cfg, cfg.seed)
+        cert1, infos["plant"] = _sd_certificate(cfg.plant, cfg)
         report["plant"] = _cert_report(cert1, infos["plant"])
         composed = detectability.compose_sd(cert1, cert2)
         report["loop"] = _cert_report(composed, {"source": "composed"})
@@ -300,7 +302,7 @@ def cmd_bound(cfg: AnalysisConfig):
         idx = _controller_quantized_indices(cfg, None)
         if idx.w != 0:
             return {}, ["standalone bounds need constant-bias indices (w = 0)"]
-        cert, info = _sd_certificate(cfg.controller, cfg, cfg.seed)
+        cert, info = _sd_certificate(cfg.controller, cfg)
         if cfg.storage_controller is None:
             raise ToolkitError("storage.controller required")
         storage = _storage(cfg, cfg.storage_controller)
@@ -371,7 +373,7 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
     if storage is None:
         report["audit"] = {"skipped": skipped}
     else:
-        bound_report, margin, _, infos = _compute_bounds(cfg)
+        bound_report, margin, _, infos = _compute_bounds(cfg, traj)
         failures += _certificate_failures(infos)
         audit = sim.ultimate_bound_audit(traj, bound_report, storage)
         report["audit"] = {
@@ -390,7 +392,8 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
     if cfg.eta_sweep:
         sweep = []
         for eta in cfg.eta_sweep:
-            eta_path = out_dir / f"trajectory_eta_{eta:g}.csv"
+            # repr reads back as the same float: no two pitches share a file
+            eta_path = out_dir / f"trajectory_eta_{eta!r}.csv"
             if eta == loop.eta:
                 # the configured run is already on disk
                 traj_eta = traj

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import CertificateError, DimensionError, NotDetectableError, ParameterError
@@ -92,8 +91,7 @@ def observability_stack(system: DiscreteLti, window: int):
 def _schur_complement(gram, theta):
     oo, oh, ho, hh = gram
     g = theta * np.eye(hh.shape[0]) + hh
-    s = oo - oh @ np.linalg.solve(g, ho)
-    return 0.5 * (s + s.T)
+    return oo - oh @ np.linalg.solve(g, ho)
 
 
 def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
@@ -173,7 +171,7 @@ def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:
             [h.T @ o, cert.theta * np.eye(h.shape[1]) + h.T @ h],
         ]
     )
-    margin = linalg.min_eig(0.5 * (blk + blk.T))
+    margin = linalg.min_eig(blk)
     return Verdict(passed=bool(margin >= -1e-9), margin=float(margin))
 
 
@@ -192,7 +190,7 @@ def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
         p(x) = (1 - theta) (p1(x1) + p2(x2))
     """
     theta = _loop_theta(cert1, cert2)
-    mp = (1.0 - theta) * scipy.linalg.block_diag(cert1.mp, cert2.mp)
+    mp = (1.0 - theta) * linalg.block_diag(cert1.mp, cert2.mp)
     return SdCertificate(window=max(cert1.window, cert2.window), theta=theta, mp=mp)
 
 

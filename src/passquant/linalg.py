@@ -1,13 +1,16 @@
 """Dense real linear-algebra kernels used by every other module.
 
 All routines take array-likes, work on float64 copies, and are pure.
-Matrices passed to symmetric-only operations are checked for symmetry to an
-absolute tolerance of 1e-10 on the max entry and then symmetrized to absorb
-round-off before decomposition.
+A quadratic form ``x' A x`` depends only on the symmetric part
+``(A + A')/2``: the eigenvalue routines, ``quad_sublevel_max`` and ``lyap``
+take any square matrix and use its symmetric part, which only
+:func:`_as_symmetric` forms (an exactly symmetric matrix is its own
+symmetric part, bit for bit).  This is the only module that imports scipy.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import block_diag
 
 from .errors import CertificateError, DimensionError
 
@@ -20,8 +23,6 @@ __all__ = [
     "lyap",
 ]
 
-SYM_TOL = 1e-10
-
 
 def _as_square(a, name="matrix"):
     a = np.asarray(a, dtype=float)
@@ -31,29 +32,28 @@ def _as_square(a, name="matrix"):
 
 
 def _as_symmetric(a, name="matrix"):
+    """Symmetric part ``(A + A')/2`` of a square matrix."""
     a = _as_square(a, name)
-    if a.size and np.max(np.abs(a - a.T)) > SYM_TOL:
-        raise DimensionError(f"{name} is not symmetric within {SYM_TOL:g}")
     return 0.5 * (a + a.T)
 
 
 def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of the symmetric part ``s`` of a square matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` in ascending order and
-    orthogonal eigenvectors as columns of ``v``, so ``a = v @ diag(w) @ v.T``.
+    orthogonal eigenvectors as columns of ``v``, so ``s = v @ diag(w) @ v.T``.
     """
     a = _as_symmetric(a)
     return np.linalg.eigh(a)
 
 
 def max_eig(a):
-    """Largest eigenvalue of a symmetric matrix."""
+    """Largest eigenvalue of the symmetric part of a square matrix."""
     return sym_eig(a)[0][-1]
 
 
 def min_eig(a):
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of the symmetric part of a square matrix."""
     return sym_eig(a)[0][0]
 
 
@@ -88,7 +88,7 @@ def quad_sublevel_max(m_form, p_form, xi):
 def lyap(a, q):
     """Solve the continuous Lyapunov equation ``A' P + P A = -Q``.
 
-    ``A`` must be Hurwitz; the solution is symmetrized before returning.
+    ``A`` must be Hurwitz; the symmetric part of the solution is returned.
     """
     a = _as_square(a, "A")
     q = _as_symmetric(q, "Q")
@@ -100,5 +100,4 @@ def lyap(a, q):
         raise CertificateError(
             f"A is not Hurwitz (eigenvalue {worst:.6g})", eigenvalue=worst
         )
-    p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
-    return 0.5 * (p + p.T)
+    return _as_symmetric(scipy.linalg.solve_continuous_lyapunov(a.T, -q))

@@ -64,8 +64,7 @@ _LMI_TOL = 1e-8
 def _quadratic_form(matrix, name, definite=False):
     """Symmetric part of ``matrix``, checked positive semidefinite (minimum
     eigenvalue >= -1e-10) or, with ``definite``, positive definite."""
-    q = linalg._as_square(np.atleast_2d(matrix), name)
-    q = 0.5 * (q + q.T)
+    q = linalg._as_symmetric(np.atleast_2d(matrix), name)
     lam = linalg.min_eig(q)
     if not ((lam > 0) if definite else (lam >= -1e-10)):  # NaN fails too
         kind = "definite" if definite else "semidefinite"
@@ -168,8 +167,7 @@ def _passivity_lmi(model, p, nu, rho):
         m11 = a.T @ p + p @ a + rho * c.T @ c
         m12 = p @ b - 0.5 * c.T + rho * c.T @ d
         m22 = nu * np.eye(m) - 0.5 * (d + d.T) + rho * d.T @ d
-    blk = np.block([[m11, m12], [m12.T, m22]])
-    return 0.5 * (blk + blk.T)
+    return np.block([[m11, m12], [m12.T, m22]])
 
 
 def verify_lti_passivity(model, storage, nu, rho) -> Verdict:
@@ -243,8 +241,7 @@ def verify_gain_assumption(model: LtiModel, cert: GainCertificate):
     m11 = a.T @ pb + pb @ a + a.T @ c.T @ c @ a
     m12 = pb @ b + a.T @ c.T @ c @ b
     m22 = -g * g * np.eye(model.m) + b.T @ c.T @ c @ b
-    blk = np.block([[m11, m12], [m12.T, m22]])
-    margin = linalg.max_eig(0.5 * (blk + blk.T))
+    margin = linalg.max_eig(np.block([[m11, m12], [m12.T, m22]]))
     return Verdict(passed=bool(margin <= _LMI_TOL), margin=float(margin))
 
 

@@ -174,10 +174,10 @@ def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
     return DiscreteLti(e[:n, :n], e[:n, n:], model.c.copy(), model.d.copy())
 
 
-def flow(model: NonlinearModel, x0, u, tau: float, substeps: int = 64):
+def flow(model: NonlinearModel, x0, u, tau: float):
     """State reached at time ``tau`` under the constant input ``u``.
 
-    Classical fourth-order Runge-Kutta with a fixed substep ``tau/substeps``
+    Classical fourth-order Runge-Kutta with 64 fixed substeps of ``tau/64``
     for determinism.  ``x0`` must have shape ``(n,)`` and ``u`` shape
     ``(m,)`` (else :class:`DimensionError`).  The state and the stages are
     tuples of Python floats, combined entrywise in the order of the array
@@ -196,7 +196,7 @@ def flow(model: NonlinearModel, x0, u, tau: float, substeps: int = 64):
     v = np.asarray(u, dtype=float)
     if v.shape != (model.m,):
         raise DimensionError(f"input must have shape ({model.m},), got {v.shape}")
-    h = tau / substeps
+    h = tau / 64
     half, sixth = 0.5 * h, h / 6.0
     x, u = tuple(x.tolist()), tuple(v.tolist())
     f = model.rhs
@@ -210,7 +210,7 @@ def flow(model: NonlinearModel, x0, u, tau: float, substeps: int = 64):
             raise DimensionError(f"rhs must return {n} values, got shape {k.shape}")
         return tuple(k.tolist())
 
-    for i in range(substeps):
+    for i in range(64):
         try:
             k1 = rates(x)
             k2 = rates(tuple([a + half * b for a, b in zip(x, k1)]))
@@ -234,7 +234,7 @@ class SampledModel:
 
     Provides a uniform discrete ``step``/``output`` interface for LTI and
     nonlinear sources; the LTI case caches its exact discretization, the
-    nonlinear case steps by :func:`flow` with its default substeps.
+    nonlinear case steps by :func:`flow`.
     """
 
     source: Union[LtiModel, NonlinearModel]

@@ -294,6 +294,24 @@ class TestSdCommand:
 
 
 class TestBoundCommand:
+    def test_standalone_bound_falsifies_like_sd(self, capsys, tmp_path):
+        # a nonlinear controller's certificate is falsified with the same
+        # draws whichever command checks it
+        doc = bundled_doc("example5")
+        controller = doc.pop("plant")
+        del controller["indices"], controller["gain"]
+        controller["discrete_indices"] = {"nu": 0.2, "rho": 0.98}
+        controller["sd"]["p"] = square2([0.16, 0, 0, 0.1])
+        doc["controller"] = controller
+        del doc["symbolic"], doc["references"]
+        doc["storage"] = {"controller": square2([0.23, 0, 0, 0.23])}
+        doc["simulation"] = {"trials": 300, "seed": 3}
+        code, sd = run_doc(capsys, tmp_path, "sd", doc)
+        assert code == 0
+        code, bound = run_doc(capsys, tmp_path, "bound", doc)
+        assert code == 0
+        assert bound["certificate"]["worst_ratio"] == sd["controller"]["worst_ratio"]
+
     def test_loop_a_bound_report(self, capsys):
         code, rep = run_json(capsys, "bound", bundled_config_path("loop_a"))
         assert code == 0
@@ -388,8 +406,8 @@ class TestSimulateCommand:
             assert (tmp_path / f"trajectory_eta_{eta}.csv").exists()
 
     def test_sweep_reuses_the_configured_eta_run(self, capsys, tmp_path, monkeypatch):
-        # one prefix for the bound pipeline, the configured run (eta = 0.1),
-        # then one run per other sweep pitch
+        # the configured run (eta = 0.1), which the bound pipeline and the
+        # sweep both reuse, then one run per other sweep pitch
         calls = []
         simulate = passquant.sim.simulate
 
@@ -402,9 +420,63 @@ class TestSimulateCommand:
         doc["simulation"]["trials"] = 200
         code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
         assert code == 0
-        assert calls == [0.1, 0.1, 0.05, 0.01]
+        assert calls == [0.1, 0.05, 0.01]
         configured = (tmp_path / "trajectory_eta_0.1.csv").read_bytes()
         assert configured == (tmp_path / "trajectory.csv").read_bytes()
+
+    def test_close_sweep_pitches_get_their_own_csvs(self, capsys, tmp_path, monkeypatch):
+        # 0.05 and 0.05000001 print alike with six significant digits
+        runs = {}
+        simulate = passquant.sim.simulate
+
+        def recorded(loop):
+            runs[loop.eta] = simulate(loop)
+            return runs[loop.eta]
+
+        monkeypatch.setattr(passquant.sim, "simulate", recorded)
+        doc = bundled_doc("example5", "symbolic.eta_sweep", [0.1, 0.05, 0.05000001])
+        doc["simulation"]["horizon"] = 60
+        doc["simulation"]["trials"] = 200
+        out = tmp_path / "out"
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(out))
+        assert code == 0
+        assert [p["eta"] for p in rep["eta_sweep"]] == [0.1, 0.05, 0.05000001]
+        names = ["trajectory_eta_0.1.csv", "trajectory_eta_0.05.csv", "trajectory_eta_0.05000001.csv"]
+        assert sorted(f.name for f in out.glob("trajectory_eta_*.csv")) == sorted(names)
+        storage = passquant.cli._loop_storage(load_config(tmp_path / "cfg.json"))
+        for eta, name in zip((0.1, 0.05, 0.05000001), names):
+            runs[eta].to_csv(tmp_path / "want.csv", storage=storage)
+            assert (out / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("horizon, runs", [(5, [5]), (2, [2, 3])])
+    def test_bounds_read_the_prefix_off_the_run(
+        self, capsys, tmp_path, monkeypatch, horizon, runs
+    ):
+        # with a plant window N = 3 the bound pipeline needs V on the first
+        # N+1 steps: simulate reads them off its own run when that is at
+        # least N steps long and simulates an N-step prefix otherwise
+        calls, prefixes = [], []
+        simulate, loop_bounds = passquant.sim.simulate, passquant.bounds.loop_bounds
+
+        def counted(loop):
+            calls.append(loop.horizon)
+            return simulate(loop)
+
+        def recorded(*args, v_first, **kwargs):
+            prefixes.append(v_first)
+            return loop_bounds(*args, v_first=v_first, **kwargs)
+
+        monkeypatch.setattr(passquant.sim, "simulate", counted)
+        monkeypatch.setattr(passquant.bounds, "loop_bounds", recorded)
+        doc = bundled_doc("loop_a", "plant.sd.window", 3)
+        doc["simulation"]["horizon"] = horizon
+        code, bound = run_doc(capsys, tmp_path, "bound", doc)
+        assert code == 0 and calls == [3]
+        calls.clear()
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
+        assert code == 0 and calls == runs
+        assert rep["audit"]["level_d1"] == bound["level_d1"]
+        assert len(prefixes[0]) == 4 and prefixes[1] == prefixes[0]
 
     @pytest.mark.parametrize("mode", ["disturbance-injected", "sampled-quantized"])
     def test_sweep_outside_symbolic_mode_is_rejected(self, capsys, tmp_path, mode):

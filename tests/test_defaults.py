@@ -19,7 +19,6 @@ SETTABLE = {
     },
     ("degrade_quantization", "w"): (0.0, "cli, the sampling stage's bias weight"),
     ("dissipation_audit", "bias"): (None, "cli audit, the loop's stacked bias matrix"),
-    ("flow", "substeps"): (64, "tests, finer substeps as the accuracy reference"),
     **{
         (function, "lam"): (None, "cli, from config lambdas.lam")
         for function in ("single_system_bounds", "loop_bounds", "symbolic_loop_bounds")
