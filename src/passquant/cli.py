@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import abstraction, bounds, detectability, linalg, passivity, sim
-from .config import AnalysisConfig, SystemSpec, load_config
+from .config import AnalysisConfig, SystemSpec, _integer, load_config
 from .detectability import SdCertificate
 from .errors import ToolkitError
 from .systems import SampledModel, discretize_exact
@@ -353,7 +353,10 @@ def cmd_abstract_check(cfg: AnalysisConfig):
 def cmd_simulate(cfg: AnalysisConfig, out_dir):
     failures = []
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ToolkitError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     loop = _loop_config(cfg)
     try:
         storage = _loop_storage(cfg)
@@ -367,7 +370,7 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
         "mode": loop.mode,
         "horizon": loop.horizon,
         "csv": str(csv_path),
-        "final_state_sup": float(np.max(np.abs(traj.loop_state(traj.horizon)))),
+        "final_state_sup": float(np.max(np.abs(traj.loop_states[-1]))),
     }
 
     if storage is None:
@@ -397,7 +400,11 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
             if eta == loop.eta:
                 # the configured run is already on disk
                 traj_eta = traj
-                shutil.copyfile(csv_path, eta_path)
+                try:
+                    shutil.copyfile(csv_path, eta_path)
+                except OSError as exc:
+                    msg = f"cannot write trajectory {eta_path}: {exc.strerror}"
+                    raise ToolkitError(msg) from exc
             else:
                 traj_eta = sim.simulate(replace(loop, eta=eta))
                 traj_eta.to_csv(eta_path, storage=storage)
@@ -499,7 +506,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=_integer(0)(args.seed, "--seed"))
         if args.command == "audit" and args.trajectory is None:
             parser.error("audit requires --trajectory")
         command, *extra = _COMMANDS[args.command]

@@ -211,6 +211,8 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     steps = cert.window + 1
     worst = 0.0

@@ -419,6 +419,8 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
     outputs = np.asarray(outputs, float)
     if states.shape[0] != inputs.shape[0] + 1 or inputs.shape != outputs.shape:
         raise DimensionError("trajectory arrays are misaligned")
+    if inputs.shape[0] == 0:
+        raise DimensionError("trajectory has no steps to audit")
 
     v = _quad_values(_storage_matrix(storage), states)
     supply = (

@@ -18,7 +18,8 @@ import numpy as np
 
 from .abstraction import SymbolicController
 from .bounds import BoundReport
-from .errors import DivergenceError, ParameterError, ToolkitError, WellPosednessError
+from .errors import (
+    DimensionError, DivergenceError, ParameterError, ToolkitError, WellPosednessError)
 from .passivity import _quad_values, _storage_matrix
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
@@ -47,14 +48,16 @@ def _columns(stem, width):
 
 @dataclass
 class LoopConfig:
-    """Full description of one closed-loop run.
+    """Full description of one closed-loop run, checked once when built.
 
-    ``r1``/``r2`` may be None (zero) or a constant vector.  Symbolic mode
-    needs ``eta`` and ``eps``; :func:`abstraction.check_bisim_params`, not
-    the run, certifies them.  The twin starts from ``x2s_0`` (``x2_0`` when
-    None) rounded to the ``eta`` grid, which must lie within ``eps`` of
-    ``x2_0`` in the inf-norm.  Disturbance mode draws ``w[k]`` uniformly from
-    the ball of radius ``disturbance_bound`` using ``seed``.
+    The plant must be a strictly proper :class:`LtiModel` or
+    :class:`NonlinearModel`; ``x1_0`` must have ``n1`` entries, ``x2_0`` and
+    ``x2s_0`` ``n2``, ``r1`` and ``r2`` ``m`` (absent references are stored
+    as zeros).  Symbolic mode needs ``eta`` and ``eps``, which
+    :func:`abstraction.check_bisim_params`, not the run, certifies; the twin
+    starts from ``x2s_0`` (``x2_0`` when None) rounded to the ``eta`` grid,
+    which must lie within ``eps`` of ``x2_0`` in the inf-norm.  Disturbance
+    mode draws from the ball of radius ``disturbance_bound`` with ``seed``.
     """
 
     plant: Union[LtiModel, NonlinearModel]
@@ -77,11 +80,21 @@ class LoopConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.plant, (LtiModel, NonlinearModel)):
+            raise ParameterError(f"unsupported plant type {type(self.plant).__name__}")
+        if not self.plant.strictly_proper:
+            raise WellPosednessError(
+                "the plant must be strictly proper (no feedthrough); "
+                "otherwise the loop contains an algebraic cycle"
+            )
         if self.tau <= 0 or self.mu1 <= 0 or self.mu2 <= 0:
             raise ParameterError("tau, mu1 and mu2 must be positive")
         if self.horizon < 1:
             raise ParameterError("horizon must be >= 1")
-        if self.plant.m != self.controller.m:
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        m = self.plant.m
+        if self.controller.m != m:
             raise ParameterError("plant and controller must share the signal dimension")
         if self.mode == "symbolic":
             if self.eta is None or self.eps is None:
@@ -90,10 +103,17 @@ class LoopConfig:
                 raise ParameterError("eta and eps must be positive")
         if self.mode == "disturbance-injected" and self.disturbance_bound is None:
             raise ParameterError("disturbance mode requires disturbance_bound")
-        self.x1_0 = np.asarray(self.x1_0, float)
-        self.x2_0 = np.asarray(self.x2_0, float)
-        if self.x2s_0 is not None:
-            self.x2s_0 = np.asarray(self.x2s_0, float)
+        n1, n2 = self.plant.n, self.controller.n
+        for name, size in {"x1_0": n1, "x2_0": n2, "x2s_0": n2, "r1": m, "r2": m}.items():
+            value = getattr(self, name)
+            if value is None and name in ("r1", "r2"):
+                value = np.zeros(size)
+            elif value is None:
+                continue
+            value = np.asarray(value, float)
+            if value.shape != (size,):
+                raise DimensionError(f"{name} must have shape ({size},), got {value.shape}")
+            setattr(self, name, value)
         if self.mode == "symbolic":
             # the twin starts from x2s_0 (or x2_0) rounded to the eta grid
             start = quantize_nearest(self.x2_0 if self.x2s_0 is None else self.x2s_0, self.eta)
@@ -101,15 +121,6 @@ class LoopConfig:
                 raise ParameterError(
                     "|x2_0 - x2s_0|_inf must not exceed eps once x2s_0 is rounded to the eta grid"
                 )
-
-
-def _reference(r, m, name):
-    if r is None:
-        return np.zeros(m)
-    r = np.asarray(r, float)
-    if r.shape != (m,):
-        raise ParameterError(f"{name} must have {m} entries")
-    return r
 
 
 @dataclass
@@ -131,58 +142,48 @@ class Trajectory:
     y2: np.ndarray
     y2_tilde: np.ndarray
     x2s: Optional[np.ndarray] = None
-    y2_tilde_shadow: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
 
     @property
     def horizon(self) -> int:
         return self.u1.shape[0]
 
-    def loop_state(self, k):
-        """Stacked certified state at step k: (x1, x2s) in symbolic mode."""
-        second = self.x2s if self.x2s is not None else self.x2
-        return np.concatenate([self.x1[k], second[k]])
+    @property
+    def loop_states(self):
+        """``(horizon + 1, n1 + n2)`` certified loop states: ``(x1, x2s)``
+        in symbolic mode, otherwise ``(x1, x2)``."""
+        return np.hstack([self.x1, self.x2 if self.x2s is None else self.x2s])
 
     def storage_values(self, storage):
         """``V = x'Px`` at every step for the storage matrix P."""
-        states = (self.loop_state(k) for k in range(self.x1.shape[0]))
-        return _quad_values(_storage_matrix(storage), states)
+        return _quad_values(_storage_matrix(storage), self.loop_states)
 
     def to_csv(self, path, storage=None):
         """Write one row per step with 17 significant digits.
 
         Columns: ``k``, plant state, controller (grid) state, then
         ``u1, u2tilde, u2, y1, y2, y2tilde`` and ``V`` when a storage is
-        attached.  A final row carries the terminal states.
+        attached.  A final row carries the terminal states.  Raises
+        :class:`ToolkitError` naming the file if it cannot be written.
         """
-        m = self.u1.shape[1]
-        second = self.x2s if self.x2s is not None else self.x2
-        signals = [getattr(self, name) for name in _SIGNALS.values()]
-        header = (
-            ["k"]
-            + _columns("x1", self.x1.shape[1])
-            + _columns("x2", second.shape[1])
-            + [name for stem in _SIGNALS for name in _columns(stem, m)]
-            + ["V"]
-        )
-        vvals = self.storage_values(storage) if storage is not None else None
+        m, n1 = self.u1.shape[1], self.x1.shape[1]
+        states = self.loop_states
+        signals = np.hstack([getattr(self, name) for name in _SIGNALS.values()])
+        header = [
+            "k", *_columns("x1", n1), *_columns("x2", states.shape[1] - n1),
+            *(name for stem in _SIGNALS for name in _columns(stem, m)), "V",
+        ]
         fmt = lambda x: format(float(x), ".17g")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.horizon + 1):
-                if k < self.horizon:
-                    values = [fmt(v) for sig in signals for v in sig[k]]
-                else:
-                    values = [""] * (len(_SIGNALS) * m)
-                row = (
-                    [k]
-                    + [fmt(v) for v in self.x1[k]]
-                    + [fmt(v) for v in second[k]]
-                    + values
-                    + ([fmt(vvals[k])] if vvals is not None else [""])
-                )
-                writer.writerow(row)
+        vvals = [""] * len(states) if storage is None else map(fmt, self.storage_values(storage))
+        blank = [""] * signals.shape[1]
+        try:
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for k, (state, v) in enumerate(zip(states, vvals)):
+                    values = map(fmt, signals[k]) if k < self.horizon else blank
+                    writer.writerow([k, *map(fmt, state), *values, v])
+        except OSError as exc:
+            raise ToolkitError(f"cannot write trajectory {path}: {exc.strerror}") from exc
 
 
 def read_csv(path, n1, n2, m):
@@ -219,33 +220,25 @@ def read_csv(path, n1, n2, m):
     return states, signals
 
 
-def _check_well_posed(plant):
-    if not isinstance(plant, (LtiModel, NonlinearModel)):
-        raise ParameterError(f"unsupported plant type {type(plant).__name__}")
-    if not plant.strictly_proper:
-        raise WellPosednessError(
-            "the plant must be strictly proper (no feedthrough); "
-            "otherwise the loop contains an algebraic cycle"
-        )
-
-
 def simulate(config: LoopConfig) -> Trajectory:
-    """Run the closed loop and record every signal.
+    """Run the closed loop and record the signals it runs on.
 
     Per step k: plant output ``y1`` (state only), ``u2~ = r2 + y1``, input
     quantization ``u2 = Q1(u2~)``, controller output ``y2`` and its
-    quantization ``y2~ = Q2(y2)`` (plus ``w[k]`` in disturbance mode),
-    plant input ``u1 = r1 - y2~``, then the plant advances by its flow over
-    ``tau`` and the controller by its exact discrete step (or the symbolic
-    grid step).  Raises :class:`DivergenceError` if a state leaves the
-    finite range.
+    quantization ``y2~ = Q2(y2)``, plant input ``u1 = r1 - y2~`` (minus a
+    drawn disturbance in disturbance mode), then the plant advances by its
+    flow over ``tau`` and the controller by its exact discrete step (and
+    the symbolic twin by its grid step).  Raises :class:`DivergenceError`
+    if a state leaves the finite range.
     """
-    _check_well_posed(config.plant)
     plant = SampledModel(config.plant, config.tau)
     ctrl_exact = SampledModel(config.controller, config.tau)
-    m = config.plant.m
-    r1 = _reference(config.r1, m, "r1")
-    r2 = _reference(config.r2, m, "r2")
+    if isinstance(config.plant, NonlinearModel):
+        h1 = config.plant.h1
+        plant_output = lambda x: np.asarray(h1(x), float)
+    else:
+        plant_output = config.plant.c.__matmul__
+    r1, r2, m = config.r1, config.r2, config.plant.m
     ctrl_sym = None
     if config.mode == "symbolic":
         x2s0 = config.x2s_0 if config.x2s_0 is not None else config.x2_0
@@ -253,43 +246,32 @@ def simulate(config: LoopConfig) -> Trajectory:
     disturbed = config.mode == "disturbance-injected"
     rng = np.random.default_rng(config.seed)
 
-    # one record per state and one per step; a key absent from the first
-    # record leaves its Trajectory field None
+    # per state (x1, x2[, x2s]) and per step the signals in _SIGNALS order
     x1, x2 = config.x1_0, config.x2_0
-    states = [dict(x1=x1, x2=x2)]
-    if ctrl_sym is not None:
-        states[0]["x2s"] = ctrl_sym.state
+    states = [(x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.state)]
     steps = []
     for k in range(config.horizon):
-        y1 = np.asarray(config.plant.h1(x1), float) if isinstance(
-            config.plant, NonlinearModel
-        ) else config.plant.c @ x1
+        y1 = plant_output(x1)
         u2_tilde = r2 + y1
         u2 = quantize(u2_tilde, config.mu1)
         y2 = ctrl_exact.output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
         y2_tilde = applied = quantize(y2, config.mu2)
-        step = dict(u2_tilde=u2_tilde, u2=u2, y1=y1, y2=y2, y2_tilde=y2_tilde)
-        if ctrl_sym is not None:
-            step["y2_tilde_shadow"] = quantize(ctrl_exact.output(x2, u2), config.mu2)
         if disturbed:
             direction = rng.normal(size=m)
             direction = direction / np.linalg.norm(direction)
-            step["w"] = rng.uniform(0.0, config.disturbance_bound) * direction
-            applied = y2_tilde + step["w"]
-        step["u1"] = r1 - applied
-        x1 = plant.step(x1, step["u1"])
+            applied = y2_tilde + rng.uniform(0.0, config.disturbance_bound) * direction
+        u1 = r1 - applied
+        x1 = plant.step(x1, u1)
         x2 = ctrl_exact.step(x2, u2)
-        state = dict(x1=x1, x2=x2)
-        if ctrl_sym is not None:
-            state["x2s"] = ctrl_sym.step(u2)
         if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
             raise DivergenceError(f"loop state diverged at step {k}", step=k)
-        states.append(state)
-        steps.append(step)
+        states.append((x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.step(u2)))
+        steps.append((u1, u2_tilde, u2, y1, y2, y2_tilde))
 
     return Trajectory(**{
-        name: np.array([record[name] for record in records])
-        for records in (states, steps) for name in records[0]
+        name: np.array(column)
+        for names, records in ((("x1", "x2", "x2s"), states), (_SIGNALS.values(), steps))
+        for name, column in zip(names, zip(*records))  # no x2s outside symbolic mode
     })
 
 

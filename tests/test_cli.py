@@ -280,6 +280,21 @@ class TestSdCommand:
         assert worst_ratio() == flag5 != flag6
 
     @pytest.mark.parametrize(
+        "name, command",
+        [("example5", "sd"), ("example5", "bound"), ("example5", "simulate"),
+         ("loop_a", "sd"), ("loop_a", "bound"), ("loop_a", "simulate")],
+    )
+    def test_negative_seed_flag_is_reported(self, capsys, tmp_path, name, command):
+        # the flag follows the rule of the configured simulation.seed, also
+        # where no command would draw with it
+        code, rep = run_json(
+            capsys, command, bundled_config_path(name), "--seed", "-1", "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert rep == {"command": command, "error": "--seed: must be a nonnegative integer",
+                       "failures": ["--seed: must be a nonnegative integer"]}
+
+    @pytest.mark.parametrize(
         "name, system, scale", [("loop_a", "controller", 10.0), ("example5", "plant", 0.3)]
     )
     def test_failing_certificate_is_reported(self, capsys, tmp_path, name, system, scale):
@@ -369,6 +384,28 @@ class TestSimulateCommand:
         assert code == 0
         assert rep["audit"]["global_ok"] and rep["audit"]["post_entry_ok"]
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_output_path_that_is_a_file_is_reported(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, rep = run_json(
+            capsys, "simulate", bundled_config_path("loop_a"), "--out", str(taken)
+        )
+        assert code == 1
+        assert rep["error"] == f"cannot create output directory {taken}: File exists"
+        assert rep["failures"] == [rep["error"]]
+
+    @pytest.mark.parametrize(
+        "name, csv", [("loop_a", "trajectory.csv"), ("example5", "trajectory_eta_0.1.csv")]
+    )
+    def test_unwritable_trajectory_is_reported(self, capsys, tmp_path, name, csv):
+        # a directory in the CSV's place makes the write, or the copy of the
+        # configured sweep pitch's run, fail
+        (tmp_path / csv).mkdir()
+        code, rep = run_json(capsys, "simulate", bundled_config_path(name), "--out", str(tmp_path))
+        assert code == 1
+        assert rep["error"].startswith(f"cannot write trajectory {tmp_path / csv}: ")
+        assert rep["failures"] == [rep["error"]]
 
     def test_without_storage_the_audit_is_skipped(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -301,3 +301,8 @@ class TestFalsify:
         cert = SdCertificate(0, 0.0, bench_discrete.c.T @ bench_discrete.c)
         result = sd_falsify(state_channel, cert, trials=10000, seed=5)
         assert not result.falsified
+
+    def test_negative_seed_rejected(self, double_integrator):
+        cert = lti_sd_certificate(double_integrator, 1)
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            sd_falsify(double_integrator, cert, trials=10, seed=-1)

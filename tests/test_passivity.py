@@ -320,6 +320,12 @@ class TestDissipationAudit:
         with pytest.raises(DimensionError):
             dissipation_audit(np.zeros((5, 1)), np.zeros((3, 1)), np.zeros((3, 1)), np.eye(1), idx)
 
+    def test_zero_steps_rejected(self):
+        # one state and no inputs leave no window to audit
+        idx = IndexSet(0.0, 0.1)
+        with pytest.raises(DimensionError, match="no steps"):
+            dissipation_audit(np.zeros((1, 2)), np.zeros((0, 2)), np.zeros((0, 2)), np.eye(2), idx)
+
     def test_violation_after_step_500_is_flagged(self, bench_discrete):
         # at rest for 520 steps, then driven: the inflated rho only fails
         # once the outputs are nonzero, after the first 500 steps

@@ -5,6 +5,7 @@ import pytest
 
 from passquant import (
     BoundReport,
+    DimensionError,
     DivergenceError,
     LoopConfig,
     LtiModel,
@@ -13,9 +14,11 @@ from passquant import (
     ToolkitError,
     WellPosednessError,
     lipschitz_output_bound,
+    quantize,
     simulate,
     ultimate_bound_audit,
 )
+from passquant.passivity import _quad_values, _storage_matrix
 from passquant.sim import AuditResult, SweepPoint, read_csv
 
 
@@ -97,7 +100,11 @@ class TestSimulate:
         cfg = symbolic_config(cubic_plant, bench_model, horizon=200)
         traj = simulate(cfg)
         lip = lipschitz_output_bound(bench_model)
-        w = traj.y2_tilde - traj.y2_tilde_shadow
+        # the shadow output is the exact controller's at the recorded state
+        shadow = np.array([
+            quantize(bench_model.output(x2, u2), cfg.mu2) for x2, u2 in zip(traj.x2, traj.u2)
+        ])
+        w = traj.y2_tilde - shadow
         bound = lip * cfg.eps + 2.0 * np.sqrt(2.0) * cfg.mu2
         assert np.max(np.linalg.norm(w, axis=1)) <= bound + 1e-12
         assert np.max(np.abs(traj.x2 - traj.x2s)) <= cfg.eps + 1e-12
@@ -107,22 +114,21 @@ class TestSimulate:
             bench_model, mode="disturbance-injected", disturbance_bound=0.05, seed=9
         )
         traj = simulate(cfg)
-        assert traj.w is not None
-        assert np.max(np.linalg.norm(traj.w, axis=1)) <= 0.05 + 1e-12
-        # the applied output includes the disturbance
-        applied = traj.y2_tilde + traj.w
-        assert np.array_equal(applied + traj.u1, np.zeros_like(applied))
+        # u1 = r1 - (y2~ + w) with r1 = 0 recovers the injected disturbance
+        w = (cfg.r1 - traj.u1) - traj.y2_tilde
+        assert np.max(np.linalg.norm(w, axis=1)) <= 0.05 + 1e-12
+        assert np.any(w)
 
     def test_disturbance_reproducible(self, bench_model):
         cfg = base_config(bench_model, mode="disturbance-injected", disturbance_bound=0.05, seed=4)
         a = simulate(cfg)
         b = simulate(cfg)
-        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.u1, b.u1)
         assert np.array_equal(a.x1, b.x1)
 
     def test_plant_feedthrough_rejected(self, bench_model):
         with pytest.raises(WellPosednessError):
-            simulate(base_config(bench_model, plant=bench_model))
+            base_config(bench_model, plant=bench_model)
 
     def test_nonlinear_plant_feedthrough_rejected(self, bench_model):
         # h2 feeds the input straight through to the output
@@ -132,7 +138,7 @@ class TestSimulate:
         assert np.array_equal(plant.output([1.0, 2.0], [2.0, -4.0]), [2.0, 0.0])
         assert not plant.strictly_proper
         with pytest.raises(WellPosednessError):
-            simulate(base_config(bench_model, plant=plant))
+            base_config(bench_model, plant=plant)
 
     def test_divergence_reported(self, bench_model):
         unstable = LtiModel(30.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
@@ -147,6 +153,42 @@ class TestSimulate:
 
 
 class TestLoopConfig:
+    @staticmethod
+    def sized_config(**overrides):
+        """A symbolic loop with n1 = 3, n2 = 2 and m = 1: each array has its own size."""
+        kwargs = dict(
+            plant=LtiModel(-np.eye(3), np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1))),
+            controller=LtiModel(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))),
+            mode="symbolic", tau=0.3, mu1=0.01, mu2=0.01, eta=0.1, eps=0.25, horizon=5,
+            x1_0=np.ones(3), x2_0=np.zeros(2), x2s_0=np.zeros(2), r1=np.ones(1), r2=np.ones(1),
+        )
+        kwargs.update(overrides)
+        return LoopConfig(**kwargs)
+
+    def test_rightly_sized_arrays_run(self):
+        traj = simulate(self.sized_config())
+        assert traj.loop_states.shape == (6, 5) and traj.u1.shape == (5, 1)
+
+    @pytest.mark.parametrize(
+        "name, size", [("x1_0", 3), ("x2_0", 2), ("x2s_0", 2), ("r1", 1), ("r2", 1)]
+    )
+    def test_wrongly_sized_array_rejected(self, name, size):
+        message = rf"^{name} must have shape \({size},\), got \({size + 1},\)$"
+        with pytest.raises(DimensionError, match=message):
+            self.sized_config(**{name: np.zeros(size + 1)})
+
+    def test_negative_seed_rejected(self, bench_model):
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            base_config(bench_model, mode="disturbance-injected", disturbance_bound=0.05, seed=-1)
+
+    def test_unsupported_plant_rejected(self, bench_model):
+        with pytest.raises(ParameterError, match="unsupported plant type"):
+            base_config(bench_model, plant=object())
+
+    def test_absent_references_are_zero_vectors(self, bench_model):
+        cfg = base_config(bench_model)
+        assert np.array_equal(cfg.r1, np.zeros(2)) and np.array_equal(cfg.r2, np.zeros(2))
+
     def test_twin_start_checked_after_rounding(self, cubic_plant, bench_model):
         # 0.21 is within eps of x2_0, but the twin starts from 0.4 on the
         # eta grid, 0.4 away
@@ -163,6 +205,23 @@ class TestLoopConfig:
         # without x2s_0 the twin starts from x2_0 on a grid coarser than 2 eps
         with pytest.raises(ParameterError, match="rounded"):
             symbolic_config(cubic_plant, bench_model, eta=0.6, x2_0=np.array([0.3, 0.0]))
+
+
+class TestLoopStates:
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_storage_values_match_per_step_stacking(self, cubic_plant, bench_model, symbolic):
+        cfg = symbolic_config(cubic_plant, bench_model, horizon=40)
+        if not symbolic:
+            cfg = replace(cfg, mode="sampled-quantized", eta=None, eps=None)
+        traj = simulate(cfg)
+        second = traj.x2s if symbolic else traj.x2
+        storage = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.0, 0.2],
+                            [0.1, 0.0, 1.2, 0.4], [0.0, 0.2, 0.4, 0.9]])
+        per_step = (np.concatenate([traj.x1[k], second[k]]) for k in range(traj.horizon + 1))
+        assert np.array_equal(
+            traj.storage_values(storage), _quad_values(_storage_matrix(storage), per_step)
+        )
+        assert np.array_equal(traj.loop_states, np.hstack([traj.x1, second]))
 
 
 class TestCsv:
