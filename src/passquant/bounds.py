@@ -9,12 +9,12 @@ for the loop closed around a state-quantized symbolic controller; they also
 implement the bias-margin condition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
-from .detectability import SdCertificate, _loop_theta
+from .detectability import SdCertificate, compose_sd
 from .errors import ParameterError
 from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
 
@@ -130,18 +130,19 @@ def single_system_bounds(
 def loop_detectability_matrix(cert1: SdCertificate, cert2: SdCertificate):
     """Composed detectability data used by the loop bounds.
 
-    Returns ``(n_window, theta, mp)`` where the quadratic weights the
-    quantized subsystem's certificate by one half:
+    Returns ``(n_window, theta, mp)`` of :func:`detectability.compose_sd`
+    with the quantized subsystem's certificate weighted by one half:
     ``p(x) = (1 - theta)(p1(x1) + p2(x2)/2)``.
     """
-    theta = _loop_theta(cert1, cert2)
-    mp = (1.0 - theta) * linalg.block_diag(cert1.mp, 0.5 * cert2.mp)
-    return max(cert1.window, cert2.window), theta, mp
+    loop = compose_sd(cert1, replace(cert2, mp=0.5 * cert2.mp))
+    return loop.window, loop.theta, loop.mp
 
 
-def _loop_report(idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first, extra):
+def _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, **extra):
+    if r_norm < 0 or mu1 < 0 or mu2 < 0:
+        raise ParameterError("r_norm, mu1 and mu2 must be nonnegative")
     lam, eta1, eta2 = _split(idx.nu, idx.rho, lam)
-    n_win, theta, mp = loop_detectability_matrix(cert1, cert2)
+    n_win, theta, mp = loop
     d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
     if d3 is None:
         d3 = 1e-3 * (d1 + d2 + 1.0)
@@ -151,8 +152,8 @@ def _loop_report(idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first, extra
     d4 = linalg.quad_sublevel_max(v, mp, d1 + d2 + d3)
     level_d2 = d1 + d2 + d4
     level_d1 = level_d2 if v_first is None else max(level_d2, max(v_first))
-    constants = {"lam": lam, "theta": theta, "d1": d1, "d2": d2, "d3": d3, "d4": d4}
-    constants.update(extra)
+    constants = {"lam": lam, "theta": theta, "d1": d1, "d2": d2, "d3": d3, "d4": d4,
+                 "mu1": mu1, "mu2": mu2, "m": m, **extra}
     return BoundReport(
         eta1=eta1,
         eta2=eta2,
@@ -189,14 +190,10 @@ def loop_bounds(
 
     with the global level covering the observed prefix values ``v_first``.
     """
-    if r_norm < 0 or mu1 < 0 or mu2 < 0:
-        raise ParameterError("r_norm, mu1 and mu2 must be nonnegative")
-    theta = _loop_theta(cert1, cert2)
+    loop = loop_detectability_matrix(cert1, cert2)
+    theta = loop[1]
     d2 = m * (1.0 - theta) * (cert2.window + 1) * (cert2.theta * mu1**2 + mu2**2)
-    return _loop_report(
-        idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first,
-        {"mu1": mu1, "mu2": mu2, "m": m},
-    )
+    return _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first)
 
 
 def symbolic_loop_bounds(
@@ -222,14 +219,11 @@ def symbolic_loop_bounds(
     adjustment becomes ``d2 = (N2+1) [theta2 m mu1^2 +
     (lip*eps + 3 sqrt(m) mu2)^2]``.
     """
-    if r_norm < 0 or mu1 < 0 or mu2 < 0:
-        raise ParameterError("r_norm, mu1 and mu2 must be nonnegative")
     radius = _twin_radius(lip, eps, m, mu2, 3)
     d2 = (cert2.window + 1) * (cert2.theta * m * mu1**2 + radius**2)
+    loop = loop_detectability_matrix(cert1, cert2)
     return _loop_report(
-        idx, cert1, cert2, storage, r_norm, d2, lam, d3, v_first,
-        {"mu1": mu1, "mu2": mu2, "m": m, "lip": lip, "eps": eps},
-    )
+        idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, lip=lip, eps=eps)
 
 
 def _bias_matrix(w1, mbeta1, w2, mbeta2):

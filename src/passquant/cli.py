@@ -50,8 +50,8 @@ def _twin(cfg: AnalysisConfig):
     """``(lip, eps)`` of the symbolic twin, or None when the loop runs the
     plain quantized controller (``MODES[0]``).
 
-    Disturbance-injected runs use the twin's constants too: the injected
-    radius is exactly what a symbolic replacement would produce.
+    Disturbance-injected runs use the twin's constants too: the radius
+    :func:`sim.simulate` injects is what a symbolic replacement produces.
     """
     if cfg.mode == sim.MODES[0]:
         return None
@@ -144,10 +144,6 @@ def _loop_config(cfg: AnalysisConfig):
         raise ToolkitError("simulation section needs horizon, x1_0 and x2_0")
     if cfg.mu1 is None:
         raise ToolkitError("quantization section required")
-    disturbance_bound = None
-    if cfg.mode == "disturbance-injected":
-        # the gap the symbolic replacement could inject between quantized outputs
-        disturbance_bound = passivity._twin_radius(*_twin(cfg), cfg.controller.model.m, cfg.mu2, 2)
     return sim.LoopConfig(
         plant=cfg.plant.model,
         controller=cfg.controller.model,
@@ -163,7 +159,6 @@ def _loop_config(cfg: AnalysisConfig):
         eps=cfg.eps,
         r1=cfg.r1,
         r2=cfg.r2,
-        disturbance_bound=disturbance_bound,
         seed=cfg.seed,
     )
 
@@ -307,7 +302,7 @@ def cmd_bound(cfg: AnalysisConfig):
             raise ToolkitError("storage.controller required")
         storage = _storage(cfg, cfg.storage_controller)
         u_norm = float(np.linalg.norm(cfg.r2)) if cfg.r2 is not None else 0.0
-        p_x0 = float(cfg.x2_0 @ cert.mp @ cfg.x2_0) if cfg.x2_0 is not None else 0.0
+        p_x0 = cert.p(cfg.x2_0) if cfg.x2_0 is not None else 0.0
         rep = bounds.single_system_bounds(
             idx, cert, storage, u_norm, lam=cfg.lam, c5=cfg.c5, p_x0=p_x0
         )

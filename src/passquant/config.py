@@ -315,9 +315,11 @@ class AnalysisConfig:
     storage_tau_scaled: bool = False
 
     def __post_init__(self):
-        # a mode that runs the symbolic twin's constants needs the symbolic
-        # section, and the keys only the symbolic loop reads are rejected in
-        # the other modes; this holds for configs built in code as well
+        # the seed is nonnegative, a mode that runs the symbolic twin's
+        # constants needs the symbolic section, and the keys only the
+        # symbolic loop reads are rejected in the other modes; this holds
+        # for configs built or replaced in code as well
+        _integer(0)(self.seed, "simulation.seed")
         if self.mode != MODES[0] and self.eps is None:
             raise ConfigError(f"simulation.mode: {self.mode!r} needs the symbolic section")
         if self.mode != "symbolic":

@@ -88,6 +88,11 @@ def observability_stack(system: DiscreteLti, window: int):
     return o, h
 
 
+def _gram(o, h):
+    """The products ``(O'O, O'H, H'O, H'H)`` of the stacked maps."""
+    return o.T @ o, o.T @ h, h.T @ o, h.T @ h
+
+
 def _schur_complement(gram, theta):
     oo, oh, ho, hh = gram
     g = theta * np.eye(hh.shape[0]) + hh
@@ -122,7 +127,7 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
             window=window,
         )
     # the theta-free products, formed once for the whole bisection
-    gram = (o.T @ o, o.T @ h, h.T @ o, h.T @ h)
+    gram = _gram(o, h)
 
     def feasible(theta):
         return linalg.min_eig(_schur_complement(gram, theta)) >= 1e-8
@@ -165,19 +170,14 @@ def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:
     o, h = observability_stack(system, cert.window)
     if cert.mp.shape[0] != system.n:
         raise DimensionError("certificate Mp size must match the state dimension")
-    blk = np.block(
-        [
-            [o.T @ o - cert.mp, o.T @ h],
-            [h.T @ o, cert.theta * np.eye(h.shape[1]) + h.T @ h],
-        ]
-    )
+    # update in place and free the blocks before min_eig copies blk: none is held twice
+    oo, oh, ho, hh = _gram(o, h)
+    oo -= cert.mp
+    hh += cert.theta * np.eye(hh.shape[0])
+    blk = np.block([[oo, oh], [ho, hh]])
+    del oo, oh, ho, hh
     margin = linalg.min_eig(blk)
     return Verdict(passed=bool(margin >= -1e-9), margin=float(margin))
-
-
-def _loop_theta(cert1: SdCertificate, cert2: SdCertificate):
-    """Input weight ``max(2 theta_i / (2 theta_i + 1))`` of the loop certificate."""
-    return max(2.0 * c.theta / (2.0 * c.theta + 1.0) for c in (cert1, cert2))
 
 
 def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
@@ -189,7 +189,7 @@ def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
         theta = max(2 theta1 / (2 theta1 + 1), 2 theta2 / (2 theta2 + 1))
         p(x) = (1 - theta) (p1(x1) + p2(x2))
     """
-    theta = _loop_theta(cert1, cert2)
+    theta = max(2.0 * c.theta / (2.0 * c.theta + 1.0) for c in (cert1, cert2))
     mp = (1.0 - theta) * linalg.block_diag(cert1.mp, cert2.mp)
     return SdCertificate(window=max(cert1.window, cert2.window), theta=theta, mp=mp)
 

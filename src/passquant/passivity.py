@@ -267,6 +267,18 @@ def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
     return IndexSet(nu=nu_s, rho=rho_s, delta=0.0, w=w)
 
 
+def _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5):
+    """Bias weights ``(|rho|(1+lambda2) + lambda4, |nu|(1+lambda3) + lambda5)``
+    of the squared output and input errors, once the inputs are checked."""
+    if min(lambda2, lambda3, lambda4, lambda5) <= 0:
+        raise ParameterError("lambda2..lambda5 must be strictly positive")
+    if mu1 < 0 or mu2 < 0:
+        raise ParameterError("quantizer precisions must be nonnegative")
+    if m < 1:
+        raise ParameterError("signal dimension must be >= 1")
+    return abs(rho) * (1.0 + lambda2) + lambda4, abs(nu) * (1.0 + lambda3) + lambda5
+
+
 def degrade_quantization(
     nu, rho, mu1, mu2, m, lambda2=20.0, lambda3=20.0, lambda4=20.0, lambda5=20.0, w=0.0
 ) -> IndexSet:
@@ -282,29 +294,23 @@ def degrade_quantization(
 
     A state-bias weight ``w`` from a previous sampling stage passes through.
     """
-    if min(lambda2, lambda3, lambda4, lambda5) <= 0:
-        raise ParameterError("lambda2..lambda5 must be strictly positive")
-    if mu1 < 0 or mu2 < 0:
-        raise ParameterError("quantizer precisions must be nonnegative")
-    if m < 1:
-        raise ParameterError("signal dimension must be >= 1")
+    out_w, in_w = _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5)
     nu_q = nu - abs(nu) / lambda3 - 1.0 / (4.0 * lambda4)
     rho_q = rho - abs(rho) / lambda2 - 1.0 / (4.0 * lambda5)
-    delta_q = (abs(rho) * (1.0 + lambda2) + lambda4) * m * mu2**2 + (
-        abs(nu) * (1.0 + lambda3) + lambda5
-    ) * m * mu1**2
+    delta_q = out_w * m * mu2**2 + in_w * m * mu1**2
     return IndexSet(nu=nu_q, rho=rho_q, delta=delta_q, w=w)
 
 
 def _twin_radius(lip, eps, m, mu2, cells):
     """2-norm radius of the output error the symbolic twin can add.
 
-    The twin's state stays within ``eps`` of the exact controller's in the
-    inf-norm, which moves the output by at most ``lip*eps``; each output
-    quantizer cell adds at most ``sqrt(m) mu2``.  ``cells = 2`` bounds the
-    gap between the twin's and the exact controller's quantized outputs
-    (one quantizer on each side); ``cells = 3`` adds the twin's own output
-    quantizer on top of that gap.
+    By the triangle inequality: the twin's state lies within ``eps`` of the
+    exact controller's in the inf-norm, which moves the output by at most
+    ``lip*eps``, and a quantizer of pitch ``mu2`` moves it by at most
+    ``sqrt(m) mu2``.  The gap between the twin's and the exact controller's
+    quantized outputs is thus at most ``lip*eps + 2 sqrt(m) mu2`` (``cells
+    = 2``, the disturbance-injected radius); the twin's own output quantizer
+    raises it to ``lip*eps + 3 sqrt(m) mu2`` (``cells = 3``).
     """
     if lip < 0 or eps < 0:
         raise ParameterError("lip and eps must be nonnegative")
@@ -324,12 +330,8 @@ def symbolic_quant_bias(
         delta~ = [|rho|(1+lambda2) + lambda4] (lip*eps + 3 sqrt(m) mu2)^2
                + [|nu|(1+lambda3) + lambda5] m mu1^2
     """
-    if min(lambda2, lambda3, lambda4, lambda5) <= 0:
-        raise ParameterError("lambda parameters must be strictly positive")
-    out_radius = _twin_radius(lip, eps, m, mu2, 3)
-    return (abs(rho) * (1.0 + lambda2) + lambda4) * out_radius**2 + (
-        abs(nu) * (1.0 + lambda3) + lambda5
-    ) * m * mu1**2
+    out_w, in_w = _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5)
+    return out_w * _twin_radius(lip, eps, m, mu2, 3) ** 2 + in_w * m * mu1**2
 
 
 def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:

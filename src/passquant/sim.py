@@ -16,11 +16,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .abstraction import SymbolicController
+from .abstraction import SymbolicController, lipschitz_output_bound
 from .bounds import BoundReport
 from .errors import (
     DimensionError, DivergenceError, ParameterError, ToolkitError, WellPosednessError)
-from .passivity import _quad_values, _storage_matrix
+from .passivity import _quad_values, _storage_matrix, _twin_radius
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
 __all__ = [
@@ -57,7 +57,8 @@ class LoopConfig:
     :func:`abstraction.check_bisim_params`, not the run, certifies; the twin
     starts from ``x2s_0`` (``x2_0`` when None) rounded to the ``eta`` grid,
     which must lie within ``eps`` of ``x2_0`` in the inf-norm.  Disturbance
-    mode draws from the ball of radius ``disturbance_bound`` with ``seed``.
+    mode needs ``eps`` and a controller Lipschitz bound ``lip``: it draws,
+    with ``seed``, within the twin's output gap ``lip*eps + 2 sqrt(m) mu2``.
     """
 
     plant: Union[LtiModel, NonlinearModel]
@@ -74,7 +75,6 @@ class LoopConfig:
     x2s_0: Optional[np.ndarray] = None
     r1: Optional[np.ndarray] = None
     r2: Optional[np.ndarray] = None
-    disturbance_bound: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -96,13 +96,13 @@ class LoopConfig:
         m = self.plant.m
         if self.controller.m != m:
             raise ParameterError("plant and controller must share the signal dimension")
-        if self.mode == "symbolic":
-            if self.eta is None or self.eps is None:
-                raise ParameterError("symbolic mode requires eta and eps")
-            if self.eta <= 0 or self.eps <= 0:
-                raise ParameterError("eta and eps must be positive")
-        if self.mode == "disturbance-injected" and self.disturbance_bound is None:
-            raise ParameterError("disturbance mode requires disturbance_bound")
+        # the twin's constants each twin mode reads
+        twin = {"symbolic": ("eta", "eps"), "disturbance-injected": ("eps",)}.get(self.mode, ())
+        for name in twin:
+            if getattr(self, name) is None or getattr(self, name) <= 0:
+                raise ParameterError(f"{self.mode} mode requires a positive {name}")
+        if self.mode == "disturbance-injected":
+            lipschitz_output_bound(self.controller)  # raises without a bound
         n1, n2 = self.plant.n, self.controller.n
         for name, size in {"x1_0": n1, "x2_0": n2, "x2s_0": n2, "r1": m, "r2": m}.items():
             value = getattr(self, name)
@@ -243,7 +243,10 @@ def simulate(config: LoopConfig) -> Trajectory:
     if config.mode == "symbolic":
         x2s0 = config.x2s_0 if config.x2s_0 is not None else config.x2_0
         ctrl_sym = SymbolicController(ctrl_exact, config.eta, config.mu1, x2s0)
-    disturbed = config.mode == "disturbance-injected"
+    radius = None
+    if config.mode == "disturbance-injected":
+        lip = lipschitz_output_bound(config.controller)
+        radius = _twin_radius(lip, config.eps, m, config.mu2, 2)
     rng = np.random.default_rng(config.seed)
 
     # per state (x1, x2[, x2s]) and per step the signals in _SIGNALS order
@@ -256,10 +259,10 @@ def simulate(config: LoopConfig) -> Trajectory:
         u2 = quantize(u2_tilde, config.mu1)
         y2 = ctrl_exact.output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
         y2_tilde = applied = quantize(y2, config.mu2)
-        if disturbed:
+        if radius is not None:
             direction = rng.normal(size=m)
             direction = direction / np.linalg.norm(direction)
-            applied = y2_tilde + rng.uniform(0.0, config.disturbance_bound) * direction
+            applied = y2_tilde + rng.uniform(0.0, radius) * direction
         u1 = r1 - applied
         x1 = plant.step(x1, u1)
         x2 = ctrl_exact.step(x2, u2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from passquant import (
     ComposedIndices,
@@ -13,6 +14,7 @@ from passquant import (
     symbolic_loop_bounds,
     verify_lti_passivity,
 )
+from passquant.bounds import loop_detectability_matrix
 
 
 def unit_cert(theta=0.0, n=2, window=0):
@@ -108,6 +110,28 @@ class TestLoopBounds:
         bad = ComposedIndices(nu=-2.0, rho=0.0, delta=0.0, w1=0.0, w2=0.0)
         with pytest.raises(ParameterError):
             loop_bounds(bad, self.c1, self.c2, self.storage, 0.0, 0.01, 0.01, 2)
+
+
+class TestLoopDetectabilityMatrix:
+    def test_halved_controller_quadratic_on_random_certificates(self):
+        # bit-identical to the formula the loop levels are stated in:
+        # p = (1 - theta) blockdiag(p1, p2/2), theta = max 2 theta_i/(2 theta_i + 1)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            certs = []
+            for _ in range(2):
+                n = int(rng.integers(1, 5))
+                g = rng.uniform(-1, 1, (n, n))
+                theta = float(rng.choice([0.0, rng.uniform(0, 5), 10.0 ** rng.uniform(-9, 3)]))
+                p = g @ g.T + 0.1 * np.eye(n)
+                certs.append(SdCertificate(int(rng.integers(0, 6)), theta, p))
+            c1, c2 = certs
+            window, theta, mp = loop_detectability_matrix(c1, c2)
+            expected = max(2.0 * c.theta / (2.0 * c.theta + 1.0) for c in certs)
+            assert window == max(c1.window, c2.window)
+            assert theta == expected
+            halved = scipy.linalg.block_diag(c1.mp, 0.5 * c2.mp)
+            assert np.array_equal(mp, (1.0 - expected) * halved)
 
 
 class TestSymbolicLoopBounds:

@@ -294,6 +294,13 @@ class TestSdCommand:
         assert rep == {"command": command, "error": "--seed: must be a nonnegative integer",
                        "failures": ["--seed: must be a nonnegative integer"]}
 
+    def test_negative_seed_rejected_in_code(self):
+        # a config replaced in code follows the parser's rule and names its
+        # path; the --seed flag is checked before its replace (test above)
+        cfg = load_config(bundled_config_path("loop_a"))
+        with pytest.raises(ConfigError, match="^simulation.seed: must be a nonnegative integer$"):
+            replace(cfg, seed=-1)
+
     @pytest.mark.parametrize(
         "name, system, scale", [("loop_a", "controller", 10.0), ("example5", "plant", 0.3)]
     )

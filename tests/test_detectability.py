@@ -226,6 +226,22 @@ class TestCheck:
             energy = cert.theta * useq @ useq + y @ y
             assert energy + 1e-9 >= cert.p(x0)
 
+    def test_margin_is_the_explicit_block_form_on_random_certificates(self):
+        rng = np.random.default_rng(23)
+        for seed in range(30):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            system = random_stable(seed, n, m, float(rng.uniform(0.05, 1.0)))
+            g = rng.uniform(-1, 1, (n, n))
+            cert = SdCertificate(
+                int(rng.integers(0, 4)), float(rng.uniform(0, 5)), g @ g.T + 0.1 * np.eye(n)
+            )
+            o, h = observability_stack(system, cert.window)
+            blk = np.block([
+                [o.T @ o - cert.mp, o.T @ h],
+                [h.T @ o, cert.theta * np.eye(h.shape[1]) + h.T @ h],
+            ])
+            assert check_sd_certificate(system, cert).margin == min_eig(blk)
+
 
 class TestCompose:
     def test_zero_thetas(self):

@@ -12,7 +12,7 @@ from passquant import AnalysisConfig, LoopConfig, Trajectory
 
 LOOP_CONFIG = (
     "plant", "controller", "mode", "tau", "mu1", "mu2", "horizon", "x1_0", "x2_0",
-    "eta", "eps", "x2s_0", "r1", "r2", "disturbance_bound", "seed",
+    "eta", "eps", "x2s_0", "r1", "r2", "seed",
 )
 
 # recorded signal -> what reads it

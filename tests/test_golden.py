@@ -73,7 +73,7 @@ def test_cli_output_matches_golden(config, fmt, tmp_path):
 
 
 def test_disturbance_injected_run_matches_golden(tmp_path):
-    # the radius lip*eps + 2 sqrt(m) mu2 comes from cli._loop_config
+    # sim.simulate derives the radius lip*eps + 2 sqrt(m) mu2 from the loop
     cfg = load_config(bundled_config_path("example5"))
     cfg.mode = "disturbance-injected"
     path = tmp_path / "trajectory.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -212,6 +214,50 @@ class TestSymbolicQuantBias:
         radius = lip * eps + 3.0 * np.sqrt(m) * mu2
         expected = (abs(rho) * 21.0 + 20.0) * radius**2 + (abs(nu) * 21.0 + 20.0) * m * mu1**2
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestQuantizationBiasRule:
+    """``degrade_quantization`` and ``symbolic_quant_bias`` share one bias
+    rule: the same weights and the same input checks."""
+
+    def test_biases_are_their_docstring_formulas_on_random_draws(self):
+        rng = np.random.default_rng(32)
+        for _ in range(500):
+            nu, rho = (float(v) for v in rng.uniform(-1, 1, 2))
+            lip, eps, mu1, mu2 = (float(v) for v in rng.uniform(0, 1, 4))
+            m = int(rng.integers(1, 5))
+            l2, l3, l4, l5 = (float(v) for v in rng.uniform(0.1, 50, 4))
+            out_w = abs(rho) * (1.0 + l2) + l4
+            in_w = abs(nu) * (1.0 + l3) + l5
+            got = degrade_quantization(nu, rho, mu1, mu2, m, l2, l3, l4, l5)
+            assert got.delta == out_w * m * mu2**2 + in_w * m * mu1**2
+            assert got.nu == nu - abs(nu) / l3 - 1.0 / (4.0 * l4)
+            assert got.rho == rho - abs(rho) / l2 - 1.0 / (4.0 * l5)
+            got = symbolic_quant_bias(nu, rho, lip, eps, mu1, mu2, m, l2, l3, l4, l5)
+            radius = lip * eps + 3 * math.sqrt(m) * mu2
+            assert got == out_w * radius**2 + in_w * m * mu1**2
+
+    @pytest.mark.parametrize(
+        "bias",
+        [
+            lambda mu1, mu2, m, lam: degrade_quantization(0.2, 0.9, mu1, mu2, m, *lam),
+            lambda mu1, mu2, m, lam: symbolic_quant_bias(0.2, 0.9, 1.0, 0.1, mu1, mu2, m, *lam),
+        ],
+        ids=["degrade_quantization", "symbolic_quant_bias"],
+    )
+    @pytest.mark.parametrize(
+        "mu1, mu2, m, lam, match",
+        [
+            (-0.01, 0.01, 2, (20, 20, 20, 20), "precisions"),
+            (0.01, -0.01, 2, (20, 20, 20, 20), "precisions"),
+            (-0.01, -0.01, 0, (20, 20, 20, 20), "precisions"),
+            (0.01, 0.01, 0, (20, 20, 20, 20), "signal dimension"),
+            (0.01, 0.01, 2, (20, 20, 0, 20), "lambda2..lambda5"),
+        ],
+    )
+    def test_rejected_inputs(self, bias, mu1, mu2, m, lam, match):
+        with pytest.raises(ParameterError, match=match):
+            bias(mu1, mu2, m, lam)
 
 
 class TestComposeFeedback:

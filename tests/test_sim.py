@@ -110,17 +110,17 @@ class TestSimulate:
         assert np.max(np.abs(traj.x2 - traj.x2s)) <= cfg.eps + 1e-12
 
     def test_disturbance_mode_respects_bound(self, bench_model):
-        cfg = base_config(
-            bench_model, mode="disturbance-injected", disturbance_bound=0.05, seed=9
-        )
+        cfg = base_config(bench_model, mode="disturbance-injected", eps=0.1, seed=9)
         traj = simulate(cfg)
-        # u1 = r1 - (y2~ + w) with r1 = 0 recovers the injected disturbance
+        # u1 = r1 - (y2~ + w) with r1 = 0 recovers the injected disturbance,
+        # drawn within the twin's gap lip*eps + 2 sqrt(m) mu2
         w = (cfg.r1 - traj.u1) - traj.y2_tilde
-        assert np.max(np.linalg.norm(w, axis=1)) <= 0.05 + 1e-12
+        bound = lipschitz_output_bound(bench_model) * cfg.eps + 2.0 * np.sqrt(2.0) * cfg.mu2
+        assert np.max(np.linalg.norm(w, axis=1)) <= bound + 1e-12
         assert np.any(w)
 
     def test_disturbance_reproducible(self, bench_model):
-        cfg = base_config(bench_model, mode="disturbance-injected", disturbance_bound=0.05, seed=4)
+        cfg = base_config(bench_model, mode="disturbance-injected", eps=0.1, seed=4)
         a = simulate(cfg)
         b = simulate(cfg)
         assert np.array_equal(a.u1, b.u1)
@@ -179,7 +179,16 @@ class TestLoopConfig:
 
     def test_negative_seed_rejected(self, bench_model):
         with pytest.raises(ParameterError, match="seed must be nonnegative"):
-            base_config(bench_model, mode="disturbance-injected", disturbance_bound=0.05, seed=-1)
+            base_config(bench_model, mode="disturbance-injected", eps=0.1, seed=-1)
+
+    def test_disturbance_loop_needs_the_twin_constants(self, cubic_plant, bench_model):
+        # the injected radius is derived from eps and the controller's
+        # Lipschitz output bound, so a loop lacking either is not built
+        with pytest.raises(ParameterError, match="requires a positive eps"):
+            base_config(bench_model, mode="disturbance-injected")
+        unbounded = replace(cubic_plant, h1_lipschitz=None)
+        with pytest.raises(ParameterError, match="h1_lipschitz"):
+            base_config(bench_model, controller=unbounded, mode="disturbance-injected", eps=0.1)
 
     def test_unsupported_plant_rejected(self, bench_model):
         with pytest.raises(ParameterError, match="unsupported plant type"):
