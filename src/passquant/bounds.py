@@ -31,12 +31,16 @@ __all__ = [
 @dataclass(frozen=True)
 class BoundReport:
     """Certified storage levels: ``V <= level_d1`` always, ``V <= level_d2``
-    ultimately.  ``constants`` holds the intermediate quantities by name."""
+    ultimately.  ``mp`` is the matrix of the detectability quadratic the
+    levels were taken under (the loop's composed one for the loop bounds),
+    which :func:`margin_check` weighs against the state bias.  ``constants``
+    holds the intermediate quantities by name."""
 
     eta1: float
     eta2: float
     level_d1: float
     level_d2: float
+    mp: np.ndarray
     constants: dict = field(default_factory=dict)
 
 
@@ -112,6 +116,7 @@ def single_system_bounds(
         eta2=eta2,
         level_d1=float(xi1),
         level_d2=float(xi3),
+        mp=cert.mp,
         constants={
             "lam": lam,
             "c1": c1,
@@ -159,6 +164,7 @@ def _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, 
         eta2=eta2,
         level_d1=float(level_d1),
         level_d2=float(level_d2),
+        mp=mp,
         constants=constants,
     )
 

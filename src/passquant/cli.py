@@ -203,9 +203,8 @@ def _compute_bounds(cfg: AnalysisConfig, traj=None):
             composed, cert1, cert2, storage, r_norm,
             cfg.mu1, cfg.mu2, m, lam=cfg.lam, d3=cfg.d3, v_first=v_first,
         )
-    _, _, mp_loop = bounds.loop_detectability_matrix(cert1, cert2)
     margin = bounds.margin_check(
-        report.eta2, mp_loop,
+        report.eta2, report.mp,
         composed.w1, _beta_matrix(cfg.plant), composed.w2, _beta_matrix(cfg.controller),
     )
     return report, margin, composed, {"plant": info1, "controller": info2}

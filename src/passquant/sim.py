@@ -51,14 +51,15 @@ class LoopConfig:
     """Full description of one closed-loop run, checked once when built.
 
     The plant must be a strictly proper :class:`LtiModel` or
-    :class:`NonlinearModel`; ``x1_0`` must have ``n1`` entries, ``x2_0`` and
-    ``x2s_0`` ``n2``, ``r1`` and ``r2`` ``m`` (absent references are stored
-    as zeros).  Symbolic mode needs ``eta`` and ``eps``, which
-    :func:`abstraction.check_bisim_params`, not the run, certifies; the twin
-    starts from ``x2s_0`` (``x2_0`` when None) rounded to the ``eta`` grid,
-    which must lie within ``eps`` of ``x2_0`` in the inf-norm.  Disturbance
-    mode needs ``eps`` and a controller Lipschitz bound ``lip``: it draws,
-    with ``seed``, within the twin's output gap ``lip*eps + 2 sqrt(m) mu2``.
+    :class:`NonlinearModel`, the controller either of the two; ``x1_0``
+    must have ``n1`` entries, ``x2_0`` and ``x2s_0`` ``n2``, ``r1`` and
+    ``r2`` ``m`` (absent references are stored as zeros).  Symbolic mode
+    needs ``eta`` and ``eps``, which :func:`abstraction.check_bisim_params`,
+    not the run, certifies; the twin starts from ``x2s_0`` (``x2_0`` when
+    None) rounded to the ``eta`` grid, which must lie within ``eps`` of
+    ``x2_0`` in the inf-norm.  Disturbance mode needs ``eps`` and a
+    controller Lipschitz bound ``lip``: it draws, with ``seed``, within the
+    twin's output gap ``lip*eps + 2 sqrt(m) mu2``.
     """
 
     plant: Union[LtiModel, NonlinearModel]
@@ -80,8 +81,10 @@ class LoopConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.plant, (LtiModel, NonlinearModel)):
-            raise ParameterError(f"unsupported plant type {type(self.plant).__name__}")
+        for role in ("plant", "controller"):
+            model = getattr(self, role)
+            if not isinstance(model, (LtiModel, NonlinearModel)):
+                raise ParameterError(f"unsupported {role} type {type(model).__name__}")
         if not self.plant.strictly_proper:
             raise WellPosednessError(
                 "the plant must be strictly proper (no feedthrough); "

@@ -1,5 +1,6 @@
 """System models, uniform quantizers, ZOH discretization and flow maps."""
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -174,14 +175,78 @@ def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
     return DiscreteLti(e[:n, :n], e[:n, n:], model.c.copy(), model.d.copy())
 
 
+def _rates(k, n):
+    """An rhs value that is not an ``n``-tuple, as a tuple of ``n`` floats."""
+    k = np.asarray(k, float)
+    if k.shape != (n,):
+        raise DimensionError(f"rhs must return {n} values, got shape {k.shape}")
+    return tuple(k.tolist())
+
+
+_RK4_TEMPLATE = """\
+def kernel(f, x, u, h):
+    half, sixth = 0.5 * h, h / 6.0
+    {x}, = x
+    for i in range(64):
+        try:
+{stages}
+        except OverflowError as exc:
+            # float arithmetic raises where the array form yields inf
+            raise DivergenceError(f"state diverged at substep {{i}}", step=i) from exc
+{update}
+        if not ({finite}):
+            raise DivergenceError(f"state diverged at substep {{i}}", step=i)
+    return ({x},)
+"""
+
+
+@functools.cache
+def _rk4_kernel(n: int):
+    """The RK4 substep loop of :func:`flow`, unrolled over ``n`` state entries.
+
+    The state and the four stages live in scalar locals, so no substep
+    builds a list or walks a ``zip``; each entry is combined exactly as in
+    the array form.  Built on the first flow of an ``n``-state model.
+    """
+    x = [f"x{j}" for j in range(n)]
+    k1, k2, k3, k4 = ([f"{s}{j}" for j in range(n)] for s in "abcd")
+
+    def shifted(step, k):
+        return [f"{xj} + {step} * {kj}" for xj, kj in zip(x, k)]
+
+    stages = []
+    for k, arg in (
+        (k1, x), (k2, shifted("half", k1)), (k3, shifted("half", k2)), (k4, shifted("h", k3))
+    ):
+        stages += [
+            f"k = f(({', '.join(arg)},), u)",
+            f"if type(k) is not tuple or len(k) != {n}:",
+            f"    k = rates(k, {n})",
+            f"{', '.join(k)}, = k",
+        ]
+    src = _RK4_TEMPLATE.format(
+        x=", ".join(x),
+        stages="\n".join(" " * 12 + line for line in stages),
+        update="\n".join(
+            f"        {xj} = {xj} + sixth * ((({aj} + 2.0 * {bj}) + 2.0 * {cj}) + {dj})"
+            for xj, aj, bj, cj, dj in zip(x, k1, k2, k3, k4)
+        ),
+        finite=" and ".join(f"isfinite({xj})" for xj in x),
+    )
+    namespace = {"rates": _rates, "isfinite": math.isfinite, "DivergenceError": DivergenceError}
+    exec(compile(src, f"<rk4 kernel, n={n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def flow(model: NonlinearModel, x0, u, tau: float):
     """State reached at time ``tau`` under the constant input ``u``.
 
     Classical fourth-order Runge-Kutta with 64 fixed substeps of ``tau/64``
     for determinism.  ``x0`` must have shape ``(n,)`` and ``u`` shape
-    ``(m,)`` (else :class:`DimensionError`).  The state and the stages are
-    tuples of Python floats, combined entrywise in the order of the array
-    form ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is
+    ``(m,)`` (else :class:`DimensionError`).  The substep loop is generated
+    once per state dimension ``n``, unrolled over the entries: the state and
+    the stages are Python floats, combined entrywise in the order of the
+    array form ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is
     bit-identical to it.  ``model.rhs`` receives the stage and the input as
     float tuples and must return ``n`` numbers (a tuple, a list or a 1-D
     array).  Raises :class:`DivergenceError` (with the substep index) if the
@@ -196,36 +261,8 @@ def flow(model: NonlinearModel, x0, u, tau: float):
     v = np.asarray(u, dtype=float)
     if v.shape != (model.m,):
         raise DimensionError(f"input must have shape ({model.m},), got {v.shape}")
-    h = tau / 64
-    half, sixth = 0.5 * h, h / 6.0
-    x, u = tuple(x.tolist()), tuple(v.tolist())
-    f = model.rhs
-
-    def rates(stage):
-        k = f(stage, u)
-        if type(k) is tuple and len(k) == n:
-            return k
-        k = np.asarray(k, float)
-        if k.shape != (n,):
-            raise DimensionError(f"rhs must return {n} values, got shape {k.shape}")
-        return tuple(k.tolist())
-
-    for i in range(64):
-        try:
-            k1 = rates(x)
-            k2 = rates(tuple([a + half * b for a, b in zip(x, k1)]))
-            k3 = rates(tuple([a + half * b for a, b in zip(x, k2)]))
-            k4 = rates(tuple([a + h * b for a, b in zip(x, k3)]))
-        except OverflowError as exc:
-            # float arithmetic raises where the array form yields inf
-            raise DivergenceError(f"state diverged at substep {i}", step=i) from exc
-        x = tuple([
-            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ])
-        if not all(map(math.isfinite, x)):
-            raise DivergenceError(f"state diverged at substep {i}", step=i)
-    return np.array(x)
+    kernel = _rk4_kernel(n)
+    return np.array(kernel(model.rhs, tuple(x.tolist()), tuple(v.tolist()), tau / 64))
 
 
 @dataclass

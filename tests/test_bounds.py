@@ -132,6 +132,11 @@ class TestLoopDetectabilityMatrix:
             assert theta == expected
             halved = scipy.linalg.block_diag(c1.mp, 0.5 * c2.mp)
             assert np.array_equal(mp, (1.0 - expected) * halved)
+            rep = loop_bounds(
+                ComposedIndices(nu=-2.0, rho=0.5, delta=0.0, w1=0.0, w2=0.0),
+                c1, c2, np.eye(len(mp)), 0.0, 0.01, 0.01, 2,
+            )
+            assert np.array_equal(rep.mp, mp)
 
 
 class TestSymbolicLoopBounds:

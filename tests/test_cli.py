@@ -352,6 +352,20 @@ class TestBoundCommand:
         assert any("margin" in f for f in rep["failures"])
         assert np.isfinite(rep["level_d2"])
 
+    @pytest.mark.parametrize("name", ["loop_a", "example5"])
+    def test_loop_quadratic_composed_once(self, capsys, monkeypatch, name):
+        # the margin check reads the quadratic the levels were taken under
+        calls = []
+        compose = passquant.bounds.loop_detectability_matrix
+
+        def counted(cert1, cert2):
+            calls.append(compose(cert1, cert2))
+            return calls[-1]
+
+        monkeypatch.setattr(passquant.bounds, "loop_detectability_matrix", counted)
+        run_json(capsys, "bound", bundled_config_path(name))
+        assert len(calls) == 1
+
     def test_standalone_failing_certificate_is_reported(self, capsys, tmp_path):
         sd = {"window": 0, "theta": 0, "p": square2([10, 0, 0, 10])}
         code, rep = run_doc(capsys, tmp_path, "bound", bundled_doc("example2", "controller.sd", sd))

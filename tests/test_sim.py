@@ -194,6 +194,10 @@ class TestLoopConfig:
         with pytest.raises(ParameterError, match="unsupported plant type"):
             base_config(bench_model, plant=object())
 
+    def test_unsupported_controller_rejected(self, bench_model):
+        with pytest.raises(ParameterError, match="unsupported controller type object"):
+            base_config(bench_model, controller=object())
+
     def test_absent_references_are_zero_vectors(self, bench_model):
         cfg = base_config(bench_model)
         assert np.array_equal(cfg.r1, np.zeros(2)) and np.array_equal(cfg.r2, np.zeros(2))
@@ -278,7 +282,7 @@ class TestUltimateBoundAudit:
     def test_zero_trajectory_enters_immediately(self, bench_model):
         cfg = base_config(bench_model, x1_0=np.zeros(2), x2_0=np.zeros(2))
         traj = simulate(cfg)
-        report = BoundReport(eta1=1.0, eta2=1.0, level_d1=1.0, level_d2=0.5)
+        report = BoundReport(eta1=1.0, eta2=1.0, level_d1=1.0, level_d2=0.5, mp=np.eye(4))
         audit = ultimate_bound_audit(traj, report, np.eye(4))
         assert audit.global_ok and audit.entry_index == 0 and audit.post_entry_ok
 
@@ -287,10 +291,10 @@ class TestUltimateBoundAudit:
         # ultimate level must be flagged
         traj = simulate(symbolic_config(cubic_plant, bench_model, horizon=200))
         storage = np.eye(4)
-        generous = BoundReport(eta1=1.0, eta2=1.0, level_d1=1e6, level_d2=1.0)
+        generous = BoundReport(eta1=1.0, eta2=1.0, level_d1=1e6, level_d2=1.0, mp=np.eye(4))
         ok = ultimate_bound_audit(traj, generous, storage)
         assert ok.global_ok and ok.post_entry_ok
-        tiny = BoundReport(eta1=1.0, eta2=1.0, level_d1=1e6, level_d2=1e-3 * 1.0e-3)
+        tiny = BoundReport(eta1=1.0, eta2=1.0, level_d1=1e6, level_d2=1e-3 * 1.0e-3, mp=np.eye(4))
         bad = ultimate_bound_audit(traj, tiny, storage)
         assert not bad.post_entry_ok
         assert bad.entry_index is None

@@ -48,6 +48,26 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def polynomial_plant(rng, n, wrap=tuple):
+    """A random ``n``-state, one-input plant: linear, quadratic and damping
+    cubic terms, summed in one fixed order on floats and numpy scalars alike.
+    ``wrap`` sets the container the rhs returns."""
+    lin = rng.uniform(-1.0, 1.0, (n, n)).tolist()
+    gain = rng.uniform(-1.0, 1.0, n).tolist()
+    quad = [(int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(-1.0, 1.0)))
+            for _ in range(n)]
+    damp = rng.uniform(0.5, 1.5, n).tolist()
+
+    def rhs(x, u):
+        return wrap([
+            sum(lin[i][j] * x[j] for j in range(n)) + gain[i] * u[0]
+            + quad[i][2] * x[quad[i][0]] * x[quad[i][1]] - damp[i] * x[i] * x[i] * x[i]
+            for i in range(n)
+        ])
+
+    return NonlinearModel(n, 1, rhs=rhs, h1=lambda x: x[:1])
+
+
 class TestQuantize:
     def test_floor_positive(self):
         assert quantize(np.array([0.26]), 0.1) == pytest.approx([0.2])
@@ -210,6 +230,16 @@ class TestFlow:
             want = array_rk4(cubic_plant, x, u, 0.3)
             assert same_bits(flow(example5_plant, x, u, 0.3), want)
             assert same_bits(flow(cubic_plant, x, u, 0.3), want)
+        # the kernel generated for other state dimensions
+        for n in (1, 3, 5):
+            for _ in range(10):
+                model = polynomial_plant(rng, n)
+                for _ in range(5):
+                    x = rng.uniform(-2.0, 2.0, n)
+                    u = rng.uniform(-2.0, 2.0, 1)
+                    if on_grid:
+                        u = quantize(u, 0.01)
+                    assert same_bits(flow(model, x, u, 0.3), array_rk4(model, x, u, 0.3))
 
     def test_rhs_receives_float_tuples(self):
         seen = []
@@ -276,3 +306,51 @@ class TestFlow:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             flow(model, np.array([5.0]), np.zeros(1), 10.0)
         assert err.value.step is not None
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    def test_rhs_return_types_bit_identical_at_other_dimensions(self, n, wrap):
+        rng = np.random.default_rng(16 + n)
+        model = polynomial_plant(rng, n)
+        wrapped = polynomial_plant(np.random.default_rng(16 + n), n, wrap)
+        for _ in range(10):
+            x = rng.uniform(-2.0, 2.0, n)
+            u = quantize(rng.uniform(-2.0, 2.0, 1), 0.01)
+            assert same_bits(flow(wrapped, x, u, 0.3), flow(model, x, u, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("wrap", [tuple, np.array])
+    def test_rejects_wrongly_sized_rhs_at_other_dimensions(self, n, wrap):
+        model = NonlinearModel(n, 1, rhs=lambda x, u: wrap([0.0] * (n + 1)), h1=lambda x: x[:1])
+        with pytest.raises(DimensionError, match=rf"rhs must return {n} values, got shape \({n + 1},\)"):
+            flow(model, np.ones(n), np.zeros(1), 0.5)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_overflow_in_rhs_is_divergence_at_other_dimensions(self, n):
+        # float ** raises OverflowError in the first stage of substep 0
+        model = NonlinearModel(
+            n, 1, rhs=lambda x, u: tuple(-(a**3) for a in x), h1=lambda x: x[:1]
+        )
+        x0 = np.zeros(n)
+        x0[-1] = 1e110
+        with pytest.raises(DivergenceError, match=r"^state diverged at substep 0$") as err:
+            flow(model, x0, np.zeros(1), 0.3)
+        assert err.value.step == 0
+        assert isinstance(err.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_divergence_step_matches_array_form_at_other_dimensions(self, n):
+        # products overflow to inf without raising, so the non-finite check
+        # after the substep reports it, at the array form's substep
+        def rhs(x, u):
+            return (x[0] * x[0] * x[0],) + tuple(-a for a in x[1:])
+
+        model = NonlinearModel(n, 1, rhs=rhs, h1=lambda x: x[:1])
+        x0 = np.full(n, 5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                array_rk4(model, x0, np.zeros(1), 10.0)
+            with pytest.raises(DivergenceError) as err:
+                flow(model, x0, np.zeros(1), 10.0)
+        assert err.value.step == want.value.step and err.value.step > 0
+        assert str(err.value) == str(want.value) == f"state diverged at substep {err.value.step}"
