@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, _finite, _nonnegative, _positive
 from .passivity import Verdict
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize_nearest
 
@@ -45,12 +45,11 @@ class DeltaIssBound:
     input_gain: float
 
     def __post_init__(self):
-        if self.scale < 1.0:
+        _finite(scale=self.scale)
+        if not self.scale >= 1.0:
             raise ParameterError(f"scale must be >= 1, got {self.scale}")
-        if self.rate <= 0:
-            raise ParameterError(f"decay rate must be positive, got {self.rate}")
-        if self.input_gain < 0:
-            raise ParameterError(f"input gain must be nonnegative, got {self.input_gain}")
+        _positive(rate=self.rate)
+        _nonnegative(input_gain=self.input_gain)
 
     def beta1(self, r, t):
         return self.scale * math.exp(-self.rate * t) * r
@@ -84,8 +83,7 @@ def check_bisim_params(bound: DeltaIssBound, eps, tau, mu, eta) -> Verdict:
     nonnegative slack certifies that the sampled system and its
     state-quantized twin are (eps, mu)-approximately bisimilar.
     """
-    if min(eps, tau, mu, eta) <= 0:
-        raise ParameterError("eps, tau, mu and eta must all be positive")
+    _positive(eps=eps, tau=tau, mu=mu, eta=eta)
     slack = eps - (bound.beta1(eps, tau) + bound.beta2(mu) + eta / 2.0)
     return Verdict(passed=bool(slack >= 0.0), margin=float(slack))
 
@@ -106,8 +104,7 @@ class SymbolicController:
     """
 
     def __init__(self, model: SampledModel, eta: float, mu: float, x0):
-        if min(eta, mu) <= 0:
-            raise ParameterError("eta and mu must be positive")
+        _positive(eta=eta, mu=mu)
         self.model = model
         self.eta = float(eta)
         self.mu = float(mu)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .detectability import SdCertificate, compose_sd
-from .errors import ParameterError
+from .errors import ParameterError, _nonnegative, _positive
 from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
 
 __all__ = [
@@ -45,15 +45,14 @@ class BoundReport:
 
 
 def _split(nu, rho, lam):
-    if rho <= 0:
-        raise ParameterError(f"output index must be positive, got rho = {rho}")
+    _positive(rho=rho)
     if lam is None:
         lam = rho / 2.0
     if not 0.0 < lam < rho:
         raise ParameterError(f"lam must lie in (0, rho) = (0, {rho}), got {lam}")
     eta1 = 1.0 / (4.0 * lam) - nu
     eta2 = rho - lam
-    if eta1 <= 0:
+    if not eta1 > 0:  # NaN fails too
         raise ParameterError(
             f"eta1 = 1/(4 lam) - nu = {eta1:.6g} must be positive; "
             "pick a smaller lam or note that nu is too large"
@@ -94,8 +93,7 @@ def single_system_bounds(
     """
     if indices.w != 0.0:
         raise ParameterError("single-system bounds require a constant bias (w = 0)")
-    if u_norm < 0:
-        raise ParameterError("u_norm must be nonnegative")
+    _nonnegative(u_norm=u_norm)
     lam, eta1, eta2 = _split(indices.nu, indices.rho, lam)
     v = _storage_matrix(storage)
     n_win = cert.window + 1
@@ -103,8 +101,7 @@ def single_system_bounds(
     c3 = n_win * (eta1 * u_norm**2 + indices.delta)
     if c5 is None:
         c5 = 1e-3 * (c2 + 1.0)
-    if c5 <= 0:
-        raise ParameterError("c5 must be strictly positive")
+    _positive(c5=c5)
     xi2 = max(p_x0, c2 / eta2)
     c1 = linalg.quad_sublevel_max(v, cert.mp, xi2)
     xi1 = c1 + c3
@@ -144,15 +141,13 @@ def loop_detectability_matrix(cert1: SdCertificate, cert2: SdCertificate):
 
 
 def _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, **extra):
-    if r_norm < 0 or mu1 < 0 or mu2 < 0:
-        raise ParameterError("r_norm, mu1 and mu2 must be nonnegative")
+    _nonnegative(r_norm=r_norm, mu1=mu1, mu2=mu2)
     lam, eta1, eta2 = _split(idx.nu, idx.rho, lam)
     n_win, theta, mp = loop
     d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
     if d3 is None:
         d3 = 1e-3 * (d1 + d2 + 1.0)
-    if d3 <= 0:
-        raise ParameterError("d3 must be strictly positive")
+    _positive(d3=d3)
     v = _storage_matrix(storage)
     d4 = linalg.quad_sublevel_max(v, mp, d1 + d2 + d3)
     level_d2 = d1 + d2 + d4

@@ -10,7 +10,7 @@ import argparse
 import json
 import shutil
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,23 +144,10 @@ def _loop_config(cfg: AnalysisConfig):
         raise ToolkitError("simulation section needs horizon, x1_0 and x2_0")
     if cfg.mu1 is None:
         raise ToolkitError("quantization section required")
-    return sim.LoopConfig(
-        plant=cfg.plant.model,
-        controller=cfg.controller.model,
-        mode=cfg.mode,
-        tau=cfg.tau,
-        mu1=cfg.mu1,
-        mu2=cfg.mu2,
-        horizon=cfg.horizon,
-        x1_0=cfg.x1_0,
-        x2_0=cfg.x2_0,
-        x2s_0=cfg.x2s_0,
-        eta=cfg.eta,
-        eps=cfg.eps,
-        r1=cfg.r1,
-        r2=cfg.r2,
-        seed=cfg.seed,
-    )
+    # every other loop setting has an AnalysisConfig field of the same name
+    shared = {f.name: getattr(cfg, f.name) for f in fields(sim.LoopConfig)
+              if f.name not in ("plant", "controller")}
+    return sim.LoopConfig(plant=cfg.plant.model, controller=cfg.controller.model, **shared)
 
 
 def _reference_norm(cfg: AnalysisConfig):

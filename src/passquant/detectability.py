@@ -16,7 +16,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import CertificateError, DimensionError, NotDetectableError, ParameterError
+from .errors import (
+    CertificateError, DimensionError, NotDetectableError, ParameterError, _nonnegative,
+    _positive)
 from .passivity import Verdict, _quadratic_form
 from .systems import DiscreteLti
 
@@ -40,10 +42,10 @@ class SdCertificate:
     mp: np.ndarray
 
     def __post_init__(self):
-        if self.window < 0 or int(self.window) != self.window:
+        # NaN and the infinities are not integers
+        if not (self.window >= 0 and float(self.window).is_integer()):
             raise ParameterError(f"window must be a nonnegative integer, got {self.window}")
-        if self.theta < 0:
-            raise ParameterError(f"theta must be nonnegative, got {self.theta}")
+        _nonnegative(theta=self.theta)
         object.__setattr__(self, "mp", _quadratic_form(self.mp, "Mp", definite=True))
         object.__setattr__(self, "window", int(self.window))
 
@@ -209,10 +211,8 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
         Worst observed ratio and, if some draw exceeded ``1 + 1e-9``, the
         offending ``(x0, U)`` pair.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    _positive(trials=trials)
+    _nonnegative(seed=seed)
     rng = np.random.default_rng(seed)
     steps = cert.window + 1
     worst = 0.0

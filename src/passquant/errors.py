@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one scalar rule."""
+
+import sys
 
 
 class ToolkitError(Exception):
@@ -11,6 +13,27 @@ class DimensionError(ToolkitError, ValueError):
 
 class ParameterError(ToolkitError, ValueError):
     """A scalar parameter violates its contract (sign, range, ordering)."""
+
+
+# The scalar rule: each check takes its values by name, fails NaN and both
+# infinities, and raises ``<name> must be <kind>, got <value>`` for the first
+# value that fails.
+def _positive(**values):
+    for name, value in values.items():
+        if not 0 < value <= sys.float_info.max:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _nonnegative(**values):
+    for name, value in values.items():
+        if not 0 <= value <= sys.float_info.max:
+            raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _finite(**values):
+    for name, value in values.items():
+        if not abs(value) <= sys.float_info.max:
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class CertificateError(ToolkitError):

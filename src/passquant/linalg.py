@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from .errors import CertificateError, DimensionError
+from .errors import CertificateError, DimensionError, _nonnegative
 
 __all__ = [
     "sym_eig",
@@ -73,8 +73,7 @@ def quad_sublevel_max(m_form, p_form, xi):
     p_form = _as_symmetric(p_form, "P")
     if m_form.shape != p_form.shape:
         raise DimensionError("M and P must have identical shapes")
-    if xi < 0:
-        raise DimensionError(f"sublevel value must be nonnegative, got {xi}")
+    _nonnegative(xi=xi)
     lam_min = min_eig(p_form)
     if lam_min <= 1e-12:
         raise CertificateError(

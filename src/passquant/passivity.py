@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CertificateError, DimensionError, ParameterError
+from .errors import (
+    CertificateError, DimensionError, ParameterError, _finite, _nonnegative, _positive)
 from .systems import DiscreteLti, LtiModel
 
 __all__ = [
@@ -51,10 +52,8 @@ class IndexSet:
     w: float = 0.0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ParameterError(f"delta must be nonnegative, got {self.delta}")
-        if self.w < 0:
-            raise ParameterError(f"bias weight must be nonnegative, got {self.w}")
+        _finite(nu=self.nu, rho=self.rho)
+        _nonnegative(delta=self.delta, w=self.w)
 
 
 # feasibility tolerance on the largest eigenvalue of every index LMI
@@ -89,8 +88,7 @@ class GainCertificate:
     beta_matrix: np.ndarray
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        _positive(gamma=self.gamma)
         mb = _quadratic_form(self.beta_matrix, "beta matrix")
         object.__setattr__(self, "beta_matrix", mb)
 
@@ -111,9 +109,7 @@ class LambdaChoices:
     lambda5: float = 20.0
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be strictly positive")
+        _positive(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -259,8 +255,7 @@ def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
 
     Returns an :class:`IndexSet` with ``delta = 0`` and the weight ``w`` set.
     """
-    if tau <= 0 or gamma <= 0 or lambda1 <= 0:
-        raise ParameterError("tau, gamma and lambda1 must be strictly positive")
+    _positive(tau=tau, gamma=gamma, lambda1=lambda1)
     nu_s = nu - tau * gamma - tau**2 * gamma**2 * (1.0 + lambda1) * abs(rho)
     rho_s = rho - abs(rho) / lambda1
     w = abs(rho) * tau * (1.0 + lambda1) + 1.0 / gamma
@@ -270,12 +265,9 @@ def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
 def _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5):
     """Bias weights ``(|rho|(1+lambda2) + lambda4, |nu|(1+lambda3) + lambda5)``
     of the squared output and input errors, once the inputs are checked."""
-    if min(lambda2, lambda3, lambda4, lambda5) <= 0:
-        raise ParameterError("lambda2..lambda5 must be strictly positive")
-    if mu1 < 0 or mu2 < 0:
-        raise ParameterError("quantizer precisions must be nonnegative")
-    if m < 1:
-        raise ParameterError("signal dimension must be >= 1")
+    _positive(lambda2=lambda2, lambda3=lambda3, lambda4=lambda4, lambda5=lambda5)
+    _nonnegative(mu1=mu1, mu2=mu2)
+    _positive(m=m)
     return abs(rho) * (1.0 + lambda2) + lambda4, abs(nu) * (1.0 + lambda3) + lambda5
 
 
@@ -312,8 +304,7 @@ def _twin_radius(lip, eps, m, mu2, cells):
     = 2``, the disturbance-injected radius); the twin's own output quantizer
     raises it to ``lip*eps + 3 sqrt(m) mu2`` (``cells = 3``).
     """
-    if lip < 0 or eps < 0:
-        raise ParameterError("lip and eps must be nonnegative")
+    _nonnegative(lip=lip, eps=eps)
     return lip * eps + cells * math.sqrt(m) * mu2
 
 
@@ -348,6 +339,7 @@ def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:
     The per-subsystem bias weights are carried so the state bias remains
     evaluable as ``w1*beta1(x1) + w2*beta2(x2)``.
     """
+    _finite(nu_hat=nu_hat)
     bound = min(idx1.nu, idx2.nu)
     if not nu_hat < bound:
         raise ParameterError(
@@ -375,8 +367,6 @@ def choose_nu_hat(idx1: IndexSet, idx2: IndexSet):
     still confirms local optimality at the returned point.
     """
     bound = min(idx1.nu, idx2.nu)
-    if not np.isfinite(bound):
-        raise ParameterError("subsystem nu indices must be finite")
 
     def objective(nh):
         return compose_feedback(idx1, idx2, nh).rho

@@ -19,7 +19,8 @@ import numpy as np
 from .abstraction import SymbolicController, lipschitz_output_bound
 from .bounds import BoundReport
 from .errors import (
-    DimensionError, DivergenceError, ParameterError, ToolkitError, WellPosednessError)
+    DimensionError, DivergenceError, ParameterError, ToolkitError, WellPosednessError,
+    _nonnegative, _positive)
 from .passivity import _quad_values, _storage_matrix, _twin_radius
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
@@ -90,20 +91,17 @@ class LoopConfig:
                 "the plant must be strictly proper (no feedthrough); "
                 "otherwise the loop contains an algebraic cycle"
             )
-        if self.tau <= 0 or self.mu1 <= 0 or self.mu2 <= 0:
-            raise ParameterError("tau, mu1 and mu2 must be positive")
-        if self.horizon < 1:
-            raise ParameterError("horizon must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        _positive(tau=self.tau, mu1=self.mu1, mu2=self.mu2, horizon=self.horizon)
+        _nonnegative(seed=self.seed)
         m = self.plant.m
         if self.controller.m != m:
             raise ParameterError("plant and controller must share the signal dimension")
         # the twin's constants each twin mode reads
         twin = {"symbolic": ("eta", "eps"), "disturbance-injected": ("eps",)}.get(self.mode, ())
         for name in twin:
-            if getattr(self, name) is None or getattr(self, name) <= 0:
+            if getattr(self, name) is None:
                 raise ParameterError(f"{self.mode} mode requires a positive {name}")
+            _positive(**{name: getattr(self, name)})
         if self.mode == "disturbance-injected":
             lipschitz_output_bound(self.controller)  # raises without a bound
         n1, n2 = self.plant.n, self.controller.n

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import DimensionError, DivergenceError, ParameterError, _nonnegative, _positive
 
 __all__ = [
     "LtiModel",
@@ -74,8 +74,8 @@ class NonlinearModel:
 
     ``rhs(x, u)`` receives the state and the input as tuples of Python
     floats and returns ``n`` numbers (a tuple, a list or a 1-D array);
-    ``h1`` and ``h2`` receive float arrays.  ``rhs(0, 0) = 0`` and
-    ``h1(0) + h2(0) = 0`` are checked at construction.
+    ``h1`` and ``h2`` receive float arrays and return ``m`` numbers.  Sizes,
+    ``rhs(0, 0) = 0`` and ``h1(0) + h2(0) = 0`` are checked at construction.
     ``h1_lipschitz`` is an optional user-supplied bound ``|h1(z1) - h1(z2)| <=
     L |z1 - z2|_inf`` needed by the symbolic-loop analysis.
     """
@@ -88,13 +88,20 @@ class NonlinearModel:
     h1_lipschitz: Optional[float] = None
 
     def __post_init__(self):
-        f0 = self.rhs((0.0,) * self.n, (0.0,) * self.m)
-        if np.max(np.abs(np.asarray(f0, float))) > 1e-9:
+        for name in ("n", "m"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not (isinstance(size, (int, np.integer)) and size > 0):
+                raise DimensionError(f"{name} must be a positive integer, got {size!r}")
+        if self.h1_lipschitz is not None:
+            _nonnegative(h1_lipschitz=self.h1_lipschitz)
+        # NaN fails the vanishing tests too
+        f0 = _values(self.rhs((0.0,) * self.n, (0.0,) * self.m), self.n, "rhs")
+        if not np.max(np.abs(f0)) <= 1e-9:
             raise ParameterError("rhs(0, 0) must vanish")
-        y0 = np.asarray(self.h1(np.zeros(self.n)), float)
+        y0 = _values(self.h1(np.zeros(self.n)), self.m, "h1")
         if self.h2 is not None:
-            y0 = y0 + np.asarray(self.h2(np.zeros(self.m)), float)
-        if np.max(np.abs(y0)) > 1e-9:
+            y0 = y0 + _values(self.h2(np.zeros(self.m)), self.m, "h2")
+        if not np.max(np.abs(y0)) <= 1e-9:
             raise ParameterError("output at (0, 0) must vanish")
 
     def output(self, x, u):
@@ -116,8 +123,7 @@ def quantize(s, mu):
     one-cell snap away from zero absorbs floating-point noise when ``s``
     already sits on the grid.
     """
-    if mu <= 0:
-        raise ParameterError(f"quantizer precision must be positive, got {mu}")
+    _positive(mu=mu)
     s = np.asarray(s, dtype=float)
     k = np.trunc(s / mu)
     away = k + np.copysign(1.0, s)
@@ -126,8 +132,7 @@ def quantize(s, mu):
 
 def quantize_nearest(s, eta):
     """Round entrywise to the nearest point of ``eta * Z``, ties toward zero."""
-    if eta <= 0:
-        raise ParameterError(f"grid pitch must be positive, got {eta}")
+    _positive(eta=eta)
     s = np.asarray(s, dtype=float)
     r = s / eta
     k = np.where(s >= 0, np.ceil(r - 0.5), np.floor(r + 0.5))
@@ -165,8 +170,7 @@ def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
     augmented ``(n+m) x (n+m)`` block matrix ``[[A, B], [0, 0]] * tau``;
     the output matrices are unchanged.
     """
-    if tau <= 0:
-        raise ParameterError(f"sampling time must be positive, got {tau}")
+    _positive(tau=tau)
     n, m = model.n, model.m
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = model.a * tau
@@ -175,12 +179,12 @@ def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
     return DiscreteLti(e[:n, :n], e[:n, n:], model.c.copy(), model.d.copy())
 
 
-def _rates(k, n):
-    """An rhs value that is not an ``n``-tuple, as a tuple of ``n`` floats."""
-    k = np.asarray(k, float)
-    if k.shape != (n,):
-        raise DimensionError(f"rhs must return {n} values, got shape {k.shape}")
-    return tuple(k.tolist())
+def _values(v, n, name):
+    """``v`` as a float vector of ``n`` entries, else :class:`DimensionError`."""
+    v = np.asarray(v, float)
+    if v.shape != (n,):
+        raise DimensionError(f"{name} must return {n} values, got shape {v.shape}")
+    return v
 
 
 _RK4_TEMPLATE = """\
@@ -221,7 +225,7 @@ def _rk4_kernel(n: int):
         stages += [
             f"k = f(({', '.join(arg)},), u)",
             f"if type(k) is not tuple or len(k) != {n}:",
-            f"    k = rates(k, {n})",
+            f"    k = tuple(values(k, {n}, 'rhs').tolist())",
             f"{', '.join(k)}, = k",
         ]
     src = _RK4_TEMPLATE.format(
@@ -233,7 +237,7 @@ def _rk4_kernel(n: int):
         ),
         finite=" and ".join(f"isfinite({xj})" for xj in x),
     )
-    namespace = {"rates": _rates, "isfinite": math.isfinite, "DivergenceError": DivergenceError}
+    namespace = {"values": _values, "isfinite": math.isfinite, "DivergenceError": DivergenceError}
     exec(compile(src, f"<rk4 kernel, n={n}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -252,8 +256,7 @@ def flow(model: NonlinearModel, x0, u, tau: float):
     array).  Raises :class:`DivergenceError` (with the substep index) if the
     state becomes non-finite or the rhs overflows.
     """
-    if tau <= 0:
-        raise ParameterError(f"flow horizon must be positive, got {tau}")
+    _positive(tau=tau)
     n = model.n
     x = np.asarray(x0, dtype=float)
     if x.shape != (n,):
@@ -279,8 +282,7 @@ class SampledModel:
     _disc: Optional[DiscreteLti] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ParameterError(f"sampling time must be positive, got {self.tau}")
+        _positive(tau=self.tau)
         if isinstance(self.source, LtiModel):
             self._disc = discretize_exact(self.source, self.tau)
 

@@ -47,3 +47,8 @@ def test_trajectory_fields():
 
 def test_analysis_config_fields():
     assert names(AnalysisConfig) == ANALYSIS_CONFIG
+
+
+def test_loop_settings_are_analysis_config_fields():
+    # the CLI builds a LoopConfig from the AnalysisConfig fields of the same name
+    assert set(LOOP_CONFIG) - {"plant", "controller"} <= set(ANALYSIS_CONFIG)

@@ -237,6 +237,13 @@ class TestQuantizationBiasRule:
             radius = lip * eps + 3 * math.sqrt(m) * mu2
             assert got == out_w * radius**2 + in_w * m * mu1**2
 
+    # the fault of each case -> the message of the scalar rule it raises
+    MESSAGES = {
+        "precisions": r"^mu[12] must be nonnegative and finite, got -0\.01$",
+        "signal dimension": r"^m must be positive and finite, got 0$",
+        "lambda2..lambda5": r"^lambda4 must be positive and finite, got 0$",
+    }
+
     @pytest.mark.parametrize(
         "bias",
         [
@@ -246,7 +253,7 @@ class TestQuantizationBiasRule:
         ids=["degrade_quantization", "symbolic_quant_bias"],
     )
     @pytest.mark.parametrize(
-        "mu1, mu2, m, lam, match",
+        "mu1, mu2, m, lam, fault",
         [
             (-0.01, 0.01, 2, (20, 20, 20, 20), "precisions"),
             (0.01, -0.01, 2, (20, 20, 20, 20), "precisions"),
@@ -255,8 +262,8 @@ class TestQuantizationBiasRule:
             (0.01, 0.01, 2, (20, 20, 0, 20), "lambda2..lambda5"),
         ],
     )
-    def test_rejected_inputs(self, bias, mu1, mu2, m, lam, match):
-        with pytest.raises(ParameterError, match=match):
+    def test_rejected_inputs(self, bias, mu1, mu2, m, lam, fault):
+        with pytest.raises(ParameterError, match=self.MESSAGES[fault]):
             bias(mu1, mu2, m, lam)
 
 

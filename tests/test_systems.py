@@ -48,6 +48,12 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def sized_at_origin(n, value):
+    """An rhs that returns ``n`` zeros at the origin, where the model checks
+    its size, and ``value`` at every other state."""
+    return lambda x, u: value if any(x) else (0.0,) * n
+
+
 def polynomial_plant(rng, n, wrap=tuple):
     """A random ``n``-state, one-input plant: linear, quadratic and damping
     cubic terms, summed in one fixed order on floats and numpy scalars alike.
@@ -166,6 +172,30 @@ class TestDiscretizeExact:
 
 
 class TestNonlinearModel:
+    @pytest.mark.parametrize(
+        "overrides, error, message",
+        [
+            ({"n": 0}, DimensionError, r"^n must be a positive integer, got 0$"),
+            ({"m": 0}, DimensionError, r"^m must be a positive integer, got 0$"),
+            ({"n": 2.5}, DimensionError, r"^n must be a positive integer, got 2\.5$"),
+            ({"m": True}, DimensionError, r"^m must be a positive integer, got True$"),
+            ({"rhs": lambda x, u: (0.0,) * 3}, DimensionError,
+             r"^rhs must return 2 values, got shape \(3,\)$"),
+            ({"h1": lambda x: np.zeros(3)}, DimensionError,
+             r"^h1 must return 2 values, got shape \(3,\)$"),
+            ({"h2": lambda u: np.zeros(1)}, DimensionError,
+             r"^h2 must return 2 values, got shape \(1,\)$"),
+            ({"h1_lipschitz": -1.0}, ParameterError, r"^h1_lipschitz must be nonnegative"),
+            ({"h1_lipschitz": float("nan")}, ParameterError, r"^h1_lipschitz must be nonnegative"),
+        ],
+        ids=["n=0", "m=0", "n=2.5", "m=True", "rhs size", "h1 size", "h2 size",
+             "negative lipschitz", "nan lipschitz"],
+    )
+    def test_rejected_at_construction(self, overrides, error, message):
+        kwargs = dict(n=2, m=2, rhs=lambda x, u: tuple(-a for a in x), h1=lambda x: x)
+        with pytest.raises(error, match=message):
+            NonlinearModel(**{**kwargs, **overrides})
+
     def test_rejects_nonvanishing_rhs(self):
         with pytest.raises(ParameterError):
             NonlinearModel(1, 1, rhs=lambda x, u: np.array([1.0]), h1=lambda x: x)
@@ -285,12 +315,12 @@ class TestFlow:
             flow(example5_plant, x0, u, 0.3)
 
     def test_rejects_wrongly_sized_rhs(self):
-        model = NonlinearModel(2, 1, rhs=lambda x, u: np.zeros(1), h1=lambda x: x[:1])
+        model = NonlinearModel(2, 1, rhs=sized_at_origin(2, np.zeros(1)), h1=lambda x: x[:1])
         with pytest.raises(DimensionError):
             flow(model, np.array([1.0, -2.0]), np.zeros(1), 0.5)
 
     def test_rejects_wrongly_sized_tuple(self):
-        model = NonlinearModel(2, 1, rhs=lambda x, u: (0.0,), h1=lambda x: x[:1])
+        model = NonlinearModel(2, 1, rhs=sized_at_origin(2, (0.0,)), h1=lambda x: x[:1])
         with pytest.raises(DimensionError, match=r"got shape \(1,\)"):
             flow(model, np.array([1.0, -2.0]), np.zeros(1), 0.5)
 
@@ -321,7 +351,8 @@ class TestFlow:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("wrap", [tuple, np.array])
     def test_rejects_wrongly_sized_rhs_at_other_dimensions(self, n, wrap):
-        model = NonlinearModel(n, 1, rhs=lambda x, u: wrap([0.0] * (n + 1)), h1=lambda x: x[:1])
+        rhs = sized_at_origin(n, wrap([0.0] * (n + 1)))
+        model = NonlinearModel(n, 1, rhs=rhs, h1=lambda x: x[:1])
         with pytest.raises(DimensionError, match=rf"rhs must return {n} values, got shape \({n + 1},\)"):
             flow(model, np.ones(n), np.zeros(1), 0.5)
 
