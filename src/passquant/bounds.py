@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .detectability import SdCertificate, compose_sd
-from .errors import ParameterError, _nonnegative, _positive
+from .errors import ParameterError, _count, _finite, _nonnegative, _positive
 from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
 
 __all__ = [
@@ -142,6 +142,7 @@ def loop_detectability_matrix(cert1: SdCertificate, cert2: SdCertificate):
 
 def _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, **extra):
     _nonnegative(r_norm=r_norm, mu1=mu1, mu2=mu2)
+    _count(m=m)
     lam, eta1, eta2 = _split(idx.nu, idx.rho, lam)
     n_win, theta, mp = loop
     d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
@@ -243,6 +244,7 @@ def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2) -> Verdict:
     minimum eigenvalue (the margin) exceeds 1e-9.  This is a global check,
     stronger than needed on any particular invariant set.
     """
+    _finite(eta2=eta2)
     mp = np.atleast_2d(np.asarray(mp, float))
     mb = _bias_matrix(w1, mbeta1, w2, mbeta2)
     if mb.shape != mp.shape:

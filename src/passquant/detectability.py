@@ -17,8 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError, DimensionError, NotDetectableError, ParameterError, _nonnegative,
-    _positive)
+    CertificateError, DimensionError, NotDetectableError, ParameterError, _count, _nonnegative)
 from .passivity import Verdict, _quadratic_form
 from .systems import DiscreteLti
 
@@ -95,12 +94,6 @@ def _gram(o, h):
     return o.T @ o, o.T @ h, h.T @ o, h.T @ h
 
 
-def _schur_complement(gram, theta):
-    oo, oh, ho, hh = gram
-    g = theta * np.eye(hh.shape[0]) + hh
-    return oo - oh @ np.linalg.solve(g, ho)
-
-
 def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
     """Construct an SD certificate for a discrete LTI system.
 
@@ -109,10 +102,16 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
     smallest ``theta`` in [1e-9, 1e3] making the Schur complement
 
         S(theta) = O'O - O'H (theta I + H'H)^{-1} H'O
+                 = O'O - Z' diag(s^2 / (theta + s^2)) Z
 
     positive definite (min eigenvalue >= 1e-8) is found by geometric
     bisection and the certificate is returned with ``Mp = S(theta)/2``; the
     halving makes the certificate inequality strict and robust to round-off.
+    The second form comes from one thin SVD ``H = U diag(s) V'`` with
+    ``Z = U'O``, taken once per certificate, so each check costs one
+    product with ``Z`` and an ``n x n`` eigenvalue, not a solve with
+    ``theta I + H'H``.  Rounding near the 1e-8 floor resolves ``theta``
+    only to about 1e-8 relative.
     After 59 halvings the bisection stops once its geometric midpoint equals
     an end of the bracket: the bracket can no longer change, so this gives
     the same theta as running all 80 halvings.  If even ``theta = 1e3``
@@ -128,11 +127,17 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
             rank=rank,
             window=window,
         )
-    # the theta-free products, formed once for the whole bisection
-    gram = _gram(o, h)
+    # the theta-free factors, formed once for the whole bisection
+    u, s, _ = np.linalg.svd(h, full_matrices=False)
+    z = u.T @ o
+    oo = o.T @ o
+    s2 = s * s
+
+    def schur(theta):
+        return oo - z.T @ ((s2 / (theta + s2))[:, None] * z)
 
     def feasible(theta):
-        return linalg.min_eig(_schur_complement(gram, theta)) >= 1e-8
+        return linalg.min_eig(schur(theta)) >= 1e-8
 
     lo, hi = 1e-9, 1e3
     if not feasible(hi):
@@ -159,7 +164,7 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
             else:
                 lo = mid
         theta = hi
-    return SdCertificate(window=window, theta=theta, mp=0.5 * _schur_complement(gram, theta))
+    return SdCertificate(window=window, theta=theta, mp=0.5 * schur(theta))
 
 
 def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:
@@ -211,7 +216,7 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
         Worst observed ratio and, if some draw exceeded ``1 + 1e-9``, the
         offending ``(x0, U)`` pair.
     """
-    _positive(trials=trials)
+    _count(trials=trials)
     _nonnegative(seed=seed)
     rng = np.random.default_rng(seed)
     steps = cert.window + 1

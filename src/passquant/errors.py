@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the one scalar rule."""
 
+import numbers
 import sys
 
 
@@ -17,7 +18,7 @@ class ParameterError(ToolkitError, ValueError):
 
 # The scalar rule: each check takes its values by name, fails NaN and both
 # infinities, and raises ``<name> must be <kind>, got <value>`` for the first
-# value that fails.
+# value that fails.  Counts take ints and numpy integers, never bools or floats.
 def _positive(**values):
     for name, value in values.items():
         if not 0 < value <= sys.float_info.max:
@@ -34,6 +35,12 @@ def _finite(**values):
     for name, value in values.items():
         if not abs(value) <= sys.float_info.max:
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _count(**values):
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ParameterError(f"{name} must be a positive integer, got {value}")
 
 
 class CertificateError(ToolkitError):

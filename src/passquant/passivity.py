@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError, DimensionError, ParameterError, _finite, _nonnegative, _positive)
+    CertificateError, DimensionError, ParameterError, _count, _finite, _nonnegative, _positive)
 from .systems import DiscreteLti, LtiModel
 
 __all__ = [
@@ -126,6 +126,9 @@ class ComposedIndices:
     w1: float = 0.0
     w2: float = 0.0
 
+    def __post_init__(self):
+        _finite(**vars(self))
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -187,6 +190,7 @@ def verify_lti_passivity(model, storage, nu, rho) -> Verdict:
     """
     if not isinstance(model, (LtiModel, DiscreteLti)):
         raise DimensionError("model must be an LtiModel or DiscreteLti")
+    _finite(nu=nu, rho=rho)
     p = _storage_matrix(storage)
     margin = linalg.max_eig(_passivity_lmi(model, p, nu, rho))
     return Verdict(passed=bool(margin <= _LMI_TOL), margin=float(margin))
@@ -201,6 +205,7 @@ def max_index_bisection(model, storage, fixed, fixed_value):
     """
     if fixed not in ("nu", "rho"):
         raise ParameterError("fixed must be 'nu' or 'rho'")
+    _finite(fixed_value=fixed_value)
     p = _storage_matrix(storage)
 
     def feasible(free):
@@ -267,7 +272,7 @@ def _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5):
     of the squared output and input errors, once the inputs are checked."""
     _positive(lambda2=lambda2, lambda3=lambda3, lambda4=lambda4, lambda5=lambda5)
     _nonnegative(mu1=mu1, mu2=mu2)
-    _positive(m=m)
+    _count(m=m)
     return abs(rho) * (1.0 + lambda2) + lambda4, abs(nu) * (1.0 + lambda3) + lambda5
 
 
@@ -305,6 +310,7 @@ def _twin_radius(lip, eps, m, mu2, cells):
     raises it to ``lip*eps + 3 sqrt(m) mu2`` (``cells = 3``).
     """
     _nonnegative(lip=lip, eps=eps)
+    _count(m=m)
     return lip * eps + cells * math.sqrt(m) * mu2
 
 

@@ -20,7 +20,7 @@ from .abstraction import SymbolicController, lipschitz_output_bound
 from .bounds import BoundReport
 from .errors import (
     DimensionError, DivergenceError, ParameterError, ToolkitError, WellPosednessError,
-    _nonnegative, _positive)
+    _count, _nonnegative, _positive)
 from .passivity import _quad_values, _storage_matrix, _twin_radius
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
@@ -91,7 +91,8 @@ class LoopConfig:
                 "the plant must be strictly proper (no feedthrough); "
                 "otherwise the loop contains an algebraic cycle"
             )
-        _positive(tau=self.tau, mu1=self.mu1, mu2=self.mu2, horizon=self.horizon)
+        _positive(tau=self.tau, mu1=self.mu1, mu2=self.mu2)
+        _count(horizon=self.horizon)
         _nonnegative(seed=self.seed)
         m = self.plant.m
         if self.controller.m != m:

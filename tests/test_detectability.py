@@ -122,16 +122,16 @@ def oracle_certificate(system, window):
     return SdCertificate(window=window, theta=hi, mp=0.5 * oracle_schur(o, h, hi))
 
 
-def random_stable(seed, n, m, tau):
+def random_stable(seed, n, m, tau, feedthrough=0.5):
     """Seeded stable system sampled at ``tau``: ``A = -Q diag(l) Q' + S``
-    with ``l`` in [0.5, 2] and ``S`` skew."""
+    with ``l`` in [0.5, 2] and ``S`` skew, and ``D = feedthrough * I``."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     s = rng.normal(size=(n, n))
     a = -(q * rng.uniform(0.5, 2.0, n)) @ q.T + 0.5 * (s - s.T)
     b = rng.normal(size=(n, m)) / np.sqrt(n)
     c = rng.normal(size=(m, n)) / np.sqrt(n)
-    return discretize_exact(LtiModel(a, b, c, 0.5 * np.eye(m)), tau)
+    return discretize_exact(LtiModel(a, b, c, feedthrough * np.eye(m)), tau)
 
 
 SEEDED = [
@@ -141,9 +141,26 @@ SEEDED = [
 ]
 
 
+def assert_agrees_with_oracle(system, window):
+    """The construction matches the oracle to rounding: theta within 1e-6
+    relative, Mp within 1e-6 of its largest entry, the certificate passes
+    the exact check, and theta sits on the oracle's 1e-8 floor, which holds
+    just above it and fails just below it."""
+    cert = lti_sd_certificate(system, window)
+    ref = oracle_certificate(system, window)
+    assert cert.theta == pytest.approx(ref.theta, rel=1e-6, abs=0)
+    assert np.abs(cert.mp - ref.mp).max() <= 1e-6 * np.abs(ref.mp).max()
+    assert check_sd_certificate(system, cert).passed
+    o, h = oracle_stack(system, window)
+    assert min_eig(oracle_schur(o, h, 1.00001 * cert.theta)) >= 1e-8
+    assert min_eig(oracle_schur(o, h, 0.99999 * cert.theta)) < 1e-8
+
+
 class TestAgainstOracle:
-    """The construction is bit-identical to the per-block stack, the Schur
-    complement recomputed on every check and the full 80-step bisection."""
+    """The stacks are bit-identical to the per-block ones; the certificate
+    agrees to rounding with the Schur complement solved afresh on every
+    check and the full 80-step bisection.  Near the 1e-8 floor the two
+    round differently, so theta agrees only to about 1e-8 relative."""
 
     @pytest.mark.parametrize("seed, n, m, window, tau", SEEDED)
     def test_bit_identical_on_seeded_systems(self, seed, n, m, window, tau):
@@ -151,10 +168,24 @@ class TestAgainstOracle:
         o, h = observability_stack(system, window)
         o_ref, h_ref = oracle_stack(system, window)
         assert np.array_equal(o, o_ref) and np.array_equal(h, h_ref)
-        cert = lti_sd_certificate(system, window)
-        ref = oracle_certificate(system, window)
-        assert cert.theta == ref.theta
-        assert np.array_equal(cert.mp, ref.mp)
+        assert_agrees_with_oracle(system, window)
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_rank_deficient_input_output_map(self, window):
+        # with D = 0 the diagonal blocks of H vanish, so H has zero
+        # singular values, whose weights s^2/(theta + s^2) are zero
+        system = random_stable(5, 4, 2, 0.3, feedthrough=0.0)
+        _, h = observability_stack(system, window)
+        assert np.linalg.matrix_rank(h) < h.shape[1]
+        assert_agrees_with_oracle(system, window)
+
+    def test_construction_makes_no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for seed, n, m, window in [(0, 2, 1, 1), (1, 8, 2, 7)]:
+            lti_sd_certificate(random_stable(seed, n, m, 0.3), window)
 
     def test_same_errors(self, double_integrator):
         # rank 1 < 2 at window 0; at window 1 the stack is full rank, but

@@ -29,12 +29,17 @@ from passquant import (
     discretize_exact,
     flow,
     loop_bounds,
+    margin_check,
+    max_index_bisection,
     quantize,
     quantize_nearest,
     sd_falsify,
     single_system_bounds,
+    symbolic_loop_bounds,
     symbolic_quant_bias,
+    verify_lti_passivity,
 )
+from passquant.bounds import _split
 from passquant.linalg import quad_sublevel_max
 
 I1 = np.eye(1)
@@ -58,9 +63,14 @@ def loop(**values):
     return LoopConfig(**{**settings, **values})
 
 
-def loop_levels(rho=0.5, r_norm=0.0, mu1=0.01, mu2=0.01, d3=None):
+def loop_levels(rho=0.5, r_norm=0.0, mu1=0.01, mu2=0.01, d3=None, m=1):
     idx = ComposedIndices(nu=0.1, rho=rho, delta=0.0)
-    return loop_bounds(idx, CERT, CERT, np.eye(2), r_norm, mu1, mu2, 1, d3=d3)
+    return loop_bounds(idx, CERT, CERT, np.eye(2), r_norm, mu1, mu2, m, d3=d3)
+
+
+def symbolic_loop_levels(m=1):
+    idx = ComposedIndices(nu=0.1, rho=0.5, delta=0.0)
+    return symbolic_loop_bounds(idx, CERT, CERT, np.eye(2), 0.0, 1.0, 0.1, 0.01, 0.01, m)
 
 
 def quantization(**values):
@@ -128,6 +138,20 @@ CASES = {
         f"LoopConfig.{name}": (name, lambda v, name=name: loop(**{name: v}))
         for name in ("tau", "mu1", "mu2", "horizon", "seed", "eta", "eps")
     },
+    **{
+        f"ComposedIndices.{name}": (
+            name, lambda v, name=name: ComposedIndices(**{"nu": 0.1, "rho": 0.5, "delta": 0.0,
+                                                          name: v}))
+        for name in ("nu", "rho", "delta", "w1", "w2")
+    },
+    "verify_lti_passivity.nu": ("nu", lambda v: verify_lti_passivity(LTI, I1, v, 0.1)),
+    "verify_lti_passivity.rho": ("rho", lambda v: verify_lti_passivity(LTI, I1, 0.1, v)),
+    **{
+        f"max_index_bisection.{fixed}": (
+            "fixed_value", lambda v, fixed=fixed: max_index_bisection(LTI, I1, fixed, v))
+        for fixed in ("nu", "rho")
+    },
+    "margin_check.eta2": ("eta2", lambda v: margin_check(v, np.eye(2), 0.1, I1, 0.1, I1)),
     "quantize.mu": ("mu", lambda v: quantize([0.3], v)),
     "quantize_nearest.eta": ("eta", lambda v: quantize_nearest([0.3], v)),
     "discretize_exact.tau": ("tau", lambda v: discretize_exact(LTI, v)),
@@ -154,14 +178,40 @@ def test_non_finite_value_names_the_parameter(case, value):
         (lambda v: SdCertificate(v, 0.5, I1), "window must be a nonnegative integer"),
         (lambda v: single_system_bounds(IndexSet(0.1, 0.5), CERT, I1, 1.0, lam=v),
          "lam must lie in"),
-        (lambda v: loop_bounds(ComposedIndices(v, 0.5, 0.0), CERT, CERT, np.eye(2),
-                               0.0, 0.01, 0.01, 1),
-         "eta1 = "),
+        (lambda v: _split(v, 0.5, None), "eta1 = "),
     ],
     ids=["SdCertificate.window", "single_system_bounds.lam", "loop_bounds.eta1"],
 )
 def test_own_rules_reject_non_finite_values(call, message, value):
-    # a rule with its own message fails NaN too; ComposedIndices carries an
-    # unchecked nu, so a non-finite one reaches the eta1 rule
+    # a rule with its own message fails NaN too.  IndexSet and
+    # ComposedIndices reject a non-finite nu themselves, so the eta1 rule
+    # is reached through the split that every bound computation shares
     with pytest.raises(ParameterError, match=f"^{message}"):
         call(value)
+
+
+# case id -> (count name, call with the value in its place)
+COUNTS = {
+    "LoopConfig.horizon": ("horizon", lambda v: loop(horizon=v)),
+    "sd_falsify.trials": (
+        "trials", lambda v: sd_falsify(discretize_exact(LTI, 0.3), CERT, trials=v)),
+    "degrade_quantization.m": ("m", lambda v: quantization(m=v)),
+    "symbolic_quant_bias.m": (
+        "m", lambda v: symbolic_quant_bias(0.2, 0.9, 1.0, 0.1, 0.01, 0.01, v)),
+    "loop_bounds.m": ("m", lambda v: loop_levels(m=v)),
+    "symbolic_loop_bounds.m": ("m", lambda v: symbolic_loop_levels(m=v)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, 0, -1, np.int64(0)], ids=repr)
+@pytest.mark.parametrize("case", list(COUNTS))
+def test_count_must_be_a_positive_integer(case, value):
+    name, call = COUNTS[case]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a positive integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(2)], ids=repr)
+@pytest.mark.parametrize("case", list(COUNTS))
+def test_count_takes_python_and_numpy_integers(case, value):
+    COUNTS[case][1](value)

@@ -240,7 +240,7 @@ class TestQuantizationBiasRule:
     # the fault of each case -> the message of the scalar rule it raises
     MESSAGES = {
         "precisions": r"^mu[12] must be nonnegative and finite, got -0\.01$",
-        "signal dimension": r"^m must be positive and finite, got 0$",
+        "signal dimension": r"^m must be a positive integer, got 0$",
         "lambda2..lambda5": r"^lambda4 must be positive and finite, got 0$",
     }
 
