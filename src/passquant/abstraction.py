@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, ParameterError, _finite, _nonnegative, _positive
+from .errors import (
+    ContractViolationError, ParameterError, _array, _finite, _nonnegative, _positive)
 from .passivity import Verdict
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize_nearest
 
@@ -67,7 +68,7 @@ def lti_delta_iss(a, b) -> DeltaIssBound:
     ``scale * ||B||_2 / rate`` from the variation-of-constants convolution.
     """
     a = np.atleast_2d(np.asarray(a, float))
-    b = np.atleast_2d(np.asarray(b, float))
+    b = _array(np.atleast_2d(b), "b", (len(a), None))
     p = linalg.lyap(a, np.eye(a.shape[0]))
     eigs = np.linalg.eigvalsh(p)
     rate = 1.0 / (2.0 * eigs[-1])
@@ -108,17 +109,13 @@ class SymbolicController:
         self.model = model
         self.eta = float(eta)
         self.mu = float(mu)
-        x0 = np.asarray(x0, float)
-        if x0.shape != (self.model.n,):
-            raise ParameterError(f"initial state must have shape ({self.model.n},)")
+        x0 = _array(x0, "x0", (self.model.n,))
         # + 0.0 turns a -0.0 grid value into 0.0
         self.state = quantize_nearest(x0, self.eta) + 0.0
 
     def step(self, u):
         """Advance one sampling period; returns the new grid state."""
-        u = np.asarray(u, float)
-        if u.shape != (self.model.m,):
-            raise ContractViolationError(f"input must have shape ({self.model.m},)")
+        u = _array(u, "u", (self.model.m,))
         if not np.array_equal(np.round(u / self.mu) * self.mu, u):
             raise ContractViolationError(
                 f"input must lie on the {self.mu} grid; quantize it first"

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .detectability import SdCertificate, compose_sd
-from .errors import ParameterError, _count, _finite, _nonnegative, _positive
+from .errors import ParameterError, _array, _count, _finite, _nonnegative, _positive
 from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
 
 __all__ = [
@@ -232,8 +232,8 @@ def _bias_matrix(w1, mbeta1, w2, mbeta2):
     """``blockdiag(w1 Mb1, w2 Mb2)``, the matrix of the loop's state bias
     ``w1 beta1(x1) + w2 beta2(x2)``."""
     return linalg.block_diag(
-        w1 * np.atleast_2d(np.asarray(mbeta1, float)),
-        w2 * np.atleast_2d(np.asarray(mbeta2, float)),
+        w1 * _array(np.atleast_2d(mbeta1), "mbeta1", (None, None)),
+        w2 * _array(np.atleast_2d(mbeta2), "mbeta2", (None, None)),
     )
 
 
@@ -245,11 +245,7 @@ def margin_check(eta2, mp, w1, mbeta1, w2, mbeta2) -> Verdict:
     stronger than needed on any particular invariant set.
     """
     _finite(eta2=eta2)
-    mp = np.atleast_2d(np.asarray(mp, float))
     mb = _bias_matrix(w1, mbeta1, w2, mbeta2)
-    if mb.shape != mp.shape:
-        raise ParameterError(
-            f"bias blocks stack to {mb.shape} but Mp is {mp.shape}"
-        )
+    mp = _array(np.atleast_2d(mp), "Mp", mb.shape)
     margin = linalg.min_eig(eta2 * mp - mb)
     return Verdict(passed=bool(margin > 1e-9), margin=float(margin))

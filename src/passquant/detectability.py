@@ -17,7 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError, DimensionError, NotDetectableError, ParameterError, _count, _nonnegative)
+    CertificateError, DimensionError, NotDetectableError, _array, _count, _nonnegative,
+    _nonnegative_integer)
 from .passivity import Verdict, _quadratic_form
 from .systems import DiscreteLti
 
@@ -41,12 +42,9 @@ class SdCertificate:
     mp: np.ndarray
 
     def __post_init__(self):
-        # NaN and the infinities are not integers
-        if not (self.window >= 0 and float(self.window).is_integer()):
-            raise ParameterError(f"window must be a nonnegative integer, got {self.window}")
+        _nonnegative_integer(window=self.window)
         _nonnegative(theta=self.theta)
         object.__setattr__(self, "mp", _quadratic_form(self.mp, "Mp", definite=True))
-        object.__setattr__(self, "window", int(self.window))
 
     def p(self, x):
         x = np.asarray(x, float)
@@ -69,6 +67,7 @@ def observability_stack(system: DiscreteLti, window: int):
     """Stacked maps O, H with ``Y = O x[k0] + H U`` over ``window + 1`` steps."""
     if not isinstance(system, DiscreteLti):
         raise DimensionError("system must be a DiscreteLti")
+    _nonnegative_integer(window=window)
     ad, bd, c, d = system.ad, system.bd, system.c, system.d
     n = system.n
     mo = c.shape[0]
@@ -175,11 +174,10 @@ def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:
     it passes when the minimum eigenvalue (the margin) is at least -1e-9.
     """
     o, h = observability_stack(system, cert.window)
-    if cert.mp.shape[0] != system.n:
-        raise DimensionError("certificate Mp size must match the state dimension")
+    mp = _array(cert.mp, "Mp", (system.n, system.n))
     # update in place and free the blocks before min_eig copies blk: none is held twice
     oo, oh, ho, hh = _gram(o, h)
-    oo -= cert.mp
+    oo -= mp
     hh += cert.theta * np.eye(hh.shape[0])
     blk = np.block([[oo, oh], [ho, hh]])
     del oo, oh, ho, hh
@@ -217,7 +215,8 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
         offending ``(x0, U)`` pair.
     """
     _count(trials=trials)
-    _nonnegative(seed=seed)
+    _nonnegative_integer(seed=seed)
+    _array(cert.mp, "Mp", (system.n, system.n))
     rng = np.random.default_rng(seed)
     steps = cert.window + 1
     worst = 0.0

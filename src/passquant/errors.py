@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the one scalar rule."""
+"""Exception types shared across the toolkit, and the one scalar and array rule."""
 
 import numbers
 import sys
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -13,12 +15,12 @@ class DimensionError(ToolkitError, ValueError):
 
 
 class ParameterError(ToolkitError, ValueError):
-    """A scalar parameter violates its contract (sign, range, ordering)."""
+    """A parameter violates its contract (sign, range, ordering, finiteness)."""
 
 
 # The scalar rule: each check takes its values by name, fails NaN and both
 # infinities, and raises ``<name> must be <kind>, got <value>`` for the first
-# value that fails.  Counts take ints and numpy integers, never bools or floats.
+# value that fails.  Integer rules take ints and numpy integers, never bools or floats.
 def _positive(**values):
     for name, value in values.items():
         if not 0 < value <= sys.float_info.max:
@@ -41,6 +43,25 @@ def _count(**values):
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ParameterError(f"{name} must be a positive integer, got {value}")
+
+
+def _nonnegative_integer(**values):
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ParameterError(f"{name} must be a nonnegative integer, got {value}")
+
+
+# The array rule: ``value`` as a float array whose shape matches ``shape``,
+# where ``None`` matches any size, and whose entries are all finite.
+def _array(value, name, shape):
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape and (
+        len(a.shape) != len(shape) or any(w not in (None, h) for w, h in zip(shape, a.shape))
+    ):
+        raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} must be finite")
+    return a
 
 
 class CertificateError(ToolkitError):

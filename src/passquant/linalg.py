@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from .errors import CertificateError, DimensionError, _nonnegative
+from .errors import CertificateError, _array, _nonnegative
 
 __all__ = [
     "sym_eig",
@@ -24,16 +24,16 @@ __all__ = [
 ]
 
 
-def _as_square(a, name="matrix"):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
+def _as_square(a, name="matrix", size=None):
+    """``a`` through the array rule as a ``size x size`` (any square) matrix."""
+    if size is None and np.shape(a):
+        size = len(a)
+    return _array(a, name, (size, size))
 
 
-def _as_symmetric(a, name="matrix"):
+def _as_symmetric(a, name="matrix", size=None):
     """Symmetric part ``(A + A')/2`` of a square matrix."""
-    a = _as_square(a, name)
+    a = _as_square(a, name, size)
     return 0.5 * (a + a.T)
 
 
@@ -70,9 +70,7 @@ def quad_sublevel_max(m_form, p_form, xi):
     since the sublevel set contains the origin).
     """
     m_form = _as_symmetric(m_form, "M")
-    p_form = _as_symmetric(p_form, "P")
-    if m_form.shape != p_form.shape:
-        raise DimensionError("M and P must have identical shapes")
+    p_form = _as_symmetric(p_form, "P", len(m_form))
     _nonnegative(xi=xi)
     lam_min = min_eig(p_form)
     if lam_min <= 1e-12:
@@ -90,9 +88,7 @@ def lyap(a, q):
     ``A`` must be Hurwitz; the symmetric part of the solution is returned.
     """
     a = _as_square(a, "A")
-    q = _as_symmetric(q, "Q")
-    if q.shape != a.shape:
-        raise DimensionError("A and Q must have identical shapes")
+    q = _as_symmetric(q, "Q", len(a))
     eigs = np.linalg.eigvals(a)
     worst = eigs[np.argmax(eigs.real)]
     if worst.real >= 0:

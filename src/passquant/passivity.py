@@ -15,7 +15,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError, DimensionError, ParameterError, _count, _finite, _nonnegative, _positive)
+    CertificateError, DimensionError, ParameterError, _array, _count, _finite, _nonnegative,
+    _positive)
 from .systems import DiscreteLti, LtiModel
 
 __all__ = [
@@ -60,10 +61,10 @@ class IndexSet:
 _LMI_TOL = 1e-8
 
 
-def _quadratic_form(matrix, name, definite=False):
-    """Symmetric part of ``matrix``, checked positive semidefinite (minimum
-    eigenvalue >= -1e-10) or, with ``definite``, positive definite."""
-    q = linalg._as_symmetric(np.atleast_2d(matrix), name)
+def _quadratic_form(matrix, name, definite=False, size=None):
+    """Symmetric part of ``matrix`` (``size x size`` when given), checked positive
+    semidefinite (minimum eigenvalue >= -1e-10) or, with ``definite``, definite."""
+    q = linalg._as_symmetric(np.atleast_2d(matrix), name, size)
     lam = linalg.min_eig(q)
     if not ((lam > 0) if definite else (lam >= -1e-10)):  # NaN fails too
         kind = "definite" if definite else "semidefinite"
@@ -143,8 +144,8 @@ class Verdict:
     margin: float
 
 
-def _storage_matrix(storage):
-    return _quadratic_form(storage, "storage matrix")
+def _storage_matrix(storage, size=None):
+    return _quadratic_form(storage, "storage matrix", size=size)
 
 
 def _passivity_lmi(model, p, nu, rho):
@@ -152,10 +153,6 @@ def _passivity_lmi(model, p, nu, rho):
     the dissipation inequality for the candidate (P, nu, rho)."""
     c, d = model.c, model.d
     m = c.shape[0]
-    if p.shape[0] != model.n:
-        raise DimensionError(
-            f"storage is {p.shape[0]}x{p.shape[0]} but the state dimension is {model.n}"
-        )
     if isinstance(model, DiscreteLti):
         ad, bd = model.ad, model.bd
         m11 = ad.T @ p @ ad - p + rho * c.T @ c
@@ -191,7 +188,7 @@ def verify_lti_passivity(model, storage, nu, rho) -> Verdict:
     if not isinstance(model, (LtiModel, DiscreteLti)):
         raise DimensionError("model must be an LtiModel or DiscreteLti")
     _finite(nu=nu, rho=rho)
-    p = _storage_matrix(storage)
+    p = _storage_matrix(storage, model.n)
     margin = linalg.max_eig(_passivity_lmi(model, p, nu, rho))
     return Verdict(passed=bool(margin <= _LMI_TOL), margin=float(margin))
 
@@ -206,7 +203,7 @@ def max_index_bisection(model, storage, fixed, fixed_value):
     if fixed not in ("nu", "rho"):
         raise ParameterError("fixed must be 'nu' or 'rho'")
     _finite(fixed_value=fixed_value)
-    p = _storage_matrix(storage)
+    p = _storage_matrix(storage, model.n)
 
     def feasible(free):
         nu, rho = (fixed_value, free) if fixed == "nu" else (free, fixed_value)
@@ -235,9 +232,7 @@ def verify_gain_assumption(model: LtiModel, cert: GainCertificate):
     ``d/dt beta(x) <= gamma^2 |u|^2 - |d/dt (Cx)|^2`` with ``beta = x'Mb x``.
     """
     a, b, c = model.a, model.b, model.c
-    if cert.beta_matrix.shape[0] != model.n:
-        raise DimensionError("beta matrix size must match the state dimension")
-    pb = cert.beta_matrix
+    pb = _array(cert.beta_matrix, "beta matrix", (model.n, model.n))
     g = cert.gamma
     m11 = a.T @ pb + pb @ a + a.T @ c.T @ c @ a
     m12 = pb @ b + a.T @ c.T @ c @ b
@@ -412,15 +407,14 @@ def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=
         - sum(supply)``; a value <= 0 means the inequality held empirically.
         Every step is audited, in O(K) time and memory.
     """
-    states = np.asarray(states, float)
-    inputs = np.asarray(inputs, float)
-    outputs = np.asarray(outputs, float)
-    if states.shape[0] != inputs.shape[0] + 1 or inputs.shape != outputs.shape:
-        raise DimensionError("trajectory arrays are misaligned")
-    if inputs.shape[0] == 0:
+    p = _storage_matrix(storage)
+    inputs = _array(inputs, "inputs", (None, None))
+    outputs = _array(outputs, "outputs", inputs.shape)
+    states = _array(states, "states", (len(inputs) + 1, len(p)))
+    if len(inputs) == 0:
         raise DimensionError("trajectory has no steps to audit")
 
-    v = _quad_values(_storage_matrix(storage), states)
+    v = _quad_values(p, states)
     supply = (
         np.einsum("ki,ki->k", inputs, outputs)
         - indices.nu * np.einsum("ki,ki->k", inputs, inputs)

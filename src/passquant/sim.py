@@ -19,8 +19,8 @@ import numpy as np
 from .abstraction import SymbolicController, lipschitz_output_bound
 from .bounds import BoundReport
 from .errors import (
-    DimensionError, DivergenceError, ParameterError, ToolkitError, WellPosednessError,
-    _count, _nonnegative, _positive)
+    DivergenceError, ParameterError, ToolkitError, WellPosednessError, _array, _count,
+    _nonnegative_integer, _positive)
 from .passivity import _quad_values, _storage_matrix, _twin_radius
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
@@ -93,7 +93,7 @@ class LoopConfig:
             )
         _positive(tau=self.tau, mu1=self.mu1, mu2=self.mu2)
         _count(horizon=self.horizon)
-        _nonnegative(seed=self.seed)
+        _nonnegative_integer(seed=self.seed)
         m = self.plant.m
         if self.controller.m != m:
             raise ParameterError("plant and controller must share the signal dimension")
@@ -112,10 +112,7 @@ class LoopConfig:
                 value = np.zeros(size)
             elif value is None:
                 continue
-            value = np.asarray(value, float)
-            if value.shape != (size,):
-                raise DimensionError(f"{name} must have shape ({size},), got {value.shape}")
-            setattr(self, name, value)
+            setattr(self, name, _array(value, name, (size,)))
         if self.mode == "symbolic":
             # the twin starts from x2s_0 (or x2_0) rounded to the eta grid
             start = quantize_nearest(self.x2_0 if self.x2s_0 is None else self.x2s_0, self.eta)
@@ -157,7 +154,7 @@ class Trajectory:
 
     def storage_values(self, storage):
         """``V = x'Px`` at every step for the storage matrix P."""
-        return _quad_values(_storage_matrix(storage), self.loop_states)
+        return _quad_values(_storage_matrix(storage, self.loop_states.shape[1]), self.loop_states)
 
     def to_csv(self, path, storage=None):
         """Write one row per step with 17 significant digits.

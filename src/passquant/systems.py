@@ -8,7 +8,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, DivergenceError, ParameterError, _nonnegative, _positive
+from .errors import (
+    DimensionError, DivergenceError, ParameterError, _array, _nonnegative, _positive)
 
 __all__ = [
     "LtiModel",
@@ -20,6 +21,17 @@ __all__ = [
     "discretize_exact",
     "flow",
 ]
+
+
+def _lti_matrices(model, names, square):
+    """Pass the LTI matrices in the fields ``names`` through the array rule:
+    with n states, m inputs and p outputs (any p, or m when ``square``) the
+    shapes are (n, n), (n, m), (p, n), (p, m); a scalar or vector is a matrix."""
+    a, b, c, d = (np.atleast_2d(getattr(model, name)) for name in names)
+    n, m = a.shape[0], b.shape[1]
+    p = m if square else c.shape[0]
+    for name, mat, shape in zip(names, (a, b, c, d), ((n, n), (n, m), (p, n), (p, m))):
+        object.__setattr__(model, name, _array(mat, name, shape))
 
 
 @dataclass(frozen=True)
@@ -35,22 +47,7 @@ class LtiModel:
     d: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        d = np.atleast_2d(np.asarray(self.d, dtype=float))
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionError(f"A must be square, got {a.shape}")
-        m = b.shape[1]
-        if b.shape != (n, m):
-            raise DimensionError(f"B must be {n}x{m}, got {b.shape}")
-        if c.shape != (m, n):
-            raise DimensionError(f"C must be {m}x{n}, got {c.shape}")
-        if d.shape != (m, m):
-            raise DimensionError(f"feedthrough must be square {m}x{m}, got {d.shape}")
-        for name, mat in (("a", a), ("b", b), ("c", c), ("d", d)):
-            object.__setattr__(self, name, mat)
+        _lti_matrices(self, ("a", "b", "c", "d"), square=True)
 
     @property
     def n(self) -> int:
@@ -147,6 +144,9 @@ class DiscreteLti:
     bd: np.ndarray
     c: np.ndarray
     d: np.ndarray
+
+    def __post_init__(self):
+        _lti_matrices(self, ("ad", "bd", "c", "d"), square=False)
 
     @property
     def n(self) -> int:
@@ -246,8 +246,8 @@ def flow(model: NonlinearModel, x0, u, tau: float):
     """State reached at time ``tau`` under the constant input ``u``.
 
     Classical fourth-order Runge-Kutta with 64 fixed substeps of ``tau/64``
-    for determinism.  ``x0`` must have shape ``(n,)`` and ``u`` shape
-    ``(m,)`` (else :class:`DimensionError`).  The substep loop is generated
+    for determinism.  ``x0`` (shape ``(n,)``) and ``u`` (shape ``(m,)``) go
+    through the array rule.  The substep loop is generated
     once per state dimension ``n``, unrolled over the entries: the state and
     the stages are Python floats, combined entrywise in the order of the
     array form ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is
@@ -258,12 +258,8 @@ def flow(model: NonlinearModel, x0, u, tau: float):
     """
     _positive(tau=tau)
     n = model.n
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise DimensionError(f"initial state must have shape ({n},), got {x.shape}")
-    v = np.asarray(u, dtype=float)
-    if v.shape != (model.m,):
-        raise DimensionError(f"input must have shape ({model.m},), got {v.shape}")
+    x = _array(x0, "initial state", (n,))
+    v = _array(u, "input", (model.m,))
     kernel = _rk4_kernel(n)
     return np.array(kernel(model.rhs, tuple(x.tolist()), tuple(v.tolist()), tau / 64))
 

@@ -351,5 +351,5 @@ class TestFalsify:
 
     def test_negative_seed_rejected(self, double_integrator):
         cert = lti_sd_certificate(double_integrator, 1)
-        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+        with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
             sd_falsify(double_integrator, cert, trials=10, seed=-1)

@@ -1,17 +1,26 @@
-"""The scalar rule at every call site.
+"""The scalar and array rules at every call site.
 
-Each case passes one value in place of one scalar parameter, through the
-public function or constructor that checks it, with every other argument
-valid.  NaN and both infinities must fail with a :class:`ParameterError`
-whose message starts with the parameter's name.
+Each case passes one value in place of one parameter, through the public
+function or constructor that checks it, with every other argument valid.
+NaN and both infinities must fail with a :class:`ParameterError` whose
+message starts with the parameter's name; an array of the wrong shape must
+fail with a :class:`DimensionError` that names it the same way.  A scan of
+the package source keeps every such test inside the two rules.
 """
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import passquant
 from passquant import (
     ComposedIndices,
     DeltaIssBound,
+    DimensionError,
+    DiscreteLti,
     GainCertificate,
     IndexSet,
     LambdaChoices,
@@ -23,24 +32,31 @@ from passquant import (
     SdCertificate,
     SymbolicController,
     check_bisim_params,
+    check_sd_certificate,
     compose_feedback,
     degrade_quantization,
     degrade_sampling,
     discretize_exact,
+    dissipation_audit,
     flow,
+    lti_delta_iss,
+    lti_sd_certificate,
     loop_bounds,
     margin_check,
     max_index_bisection,
     quantize,
     quantize_nearest,
     sd_falsify,
+    simulate,
     single_system_bounds,
     symbolic_loop_bounds,
     symbolic_quant_bias,
+    verify_gain_assumption,
     verify_lti_passivity,
 )
 from passquant.bounds import _split
-from passquant.linalg import quad_sublevel_max
+from passquant.detectability import observability_stack
+from passquant.linalg import expm, lyap, max_eig, min_eig, quad_sublevel_max, sym_eig
 
 I1 = np.eye(1)
 LTI = LtiModel(-I1, I1, I1, np.zeros((1, 1)))
@@ -215,3 +231,171 @@ def test_count_must_be_a_positive_integer(case, value):
 @pytest.mark.parametrize("case", list(COUNTS))
 def test_count_takes_python_and_numpy_integers(case, value):
     COUNTS[case][1](value)
+
+
+Z1 = np.zeros((1, 1))
+DISC = discretize_exact(LTI, 0.3)
+
+
+def controller(x0=(0.0,)):
+    return SymbolicController(SampledModel(LTI, 0.3), 0.1, 0.01, x0)
+
+
+def audit(states=np.zeros((3, 1)), inputs=np.zeros((2, 1)), outputs=np.zeros((2, 1))):
+    return dissipation_audit(states, inputs, outputs, I1, IndexSet(0.1, 0.2))
+
+
+# case id -> (array name, call with the array in its place, a valid array,
+# an array of the wrong shape).  The non-finite arrays are the valid one with
+# its first entry replaced.
+ARRAYS = {
+    "LtiModel.a": ("a", lambda v: LtiModel(v, I1, I1, Z1), -I1, np.zeros((1, 2))),
+    "LtiModel.b": ("b", lambda v: LtiModel(-I1, v, I1, Z1), I1, np.zeros((2, 1))),
+    "LtiModel.c": ("c", lambda v: LtiModel(-I1, I1, v, Z1), I1, np.zeros((1, 2))),
+    "LtiModel.d": ("d", lambda v: LtiModel(-I1, I1, I1, v), Z1, np.zeros((1, 2))),
+    # a NaN model must not reach the index LMI, whose eigenvalues look finite
+    "verify_lti_passivity.model": (
+        "a", lambda v: verify_lti_passivity(LtiModel(v, I1, I1, Z1), I1, 0.1, 0.1), I1,
+        np.zeros((2, 1))),
+    "DiscreteLti.ad": (
+        "ad", lambda v: DiscreteLti(v, np.ones((2, 1)), np.ones((1, 2)), Z1), np.eye(2),
+        np.zeros((2, 3))),
+    # a wrongly sized input matrix must fail when built, not in a later product
+    "DiscreteLti.bd": (
+        "bd", lambda v: DiscreteLti(np.eye(2), v, np.ones((1, 2)), Z1), np.ones((2, 1)),
+        np.ones((3, 1))),
+    "DiscreteLti.c": (
+        "c", lambda v: DiscreteLti(np.eye(2), np.ones((2, 1)), v, Z1), np.ones((1, 2)),
+        np.ones((1, 3))),
+    "DiscreteLti.d": (
+        "d", lambda v: DiscreteLti(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), v), Z1,
+        np.zeros((2, 2))),
+    "flow.x0": ("initial state", lambda v: flow(PLANT, v, [0.0], 0.3), [0.3], [0.3, 0.0]),
+    "flow.u": ("input", lambda v: flow(PLANT, [0.3], v, 0.3), [0.0], [0.0, 0.0]),
+    # a NaN start must fail when the loop is built, not diverge at step 0
+    **{
+        f"LoopConfig.{name}": (
+            name, lambda v, name=name: simulate(loop(**{name: v})), np.zeros(1), np.zeros(2))
+        for name in ("x1_0", "x2_0", "x2s_0", "r1", "r2")
+    },
+    "Trajectory.storage_values": (
+        "storage matrix", lambda v: simulate(loop()).storage_values(v), np.eye(2), np.eye(3)),
+    "lti_delta_iss.b": ("b", lambda v: lti_delta_iss(-I1, v), I1, np.ones((2, 1))),
+    "SymbolicController.x0": ("x0", lambda v: controller(v), [0.0], [0.0, 0.0]),
+    "SymbolicController.step": ("u", lambda v: controller().step(v), [0.0], [0.0, 0.0]),
+    "verify_lti_passivity.storage": (
+        "storage matrix", lambda v: verify_lti_passivity(LTI, v, 0.1, 0.1), I1, np.eye(2)),
+    "max_index_bisection.storage": (
+        "storage matrix", lambda v: max_index_bisection(LTI, v, "rho", 0.1), I1, np.eye(2)),
+    "verify_gain_assumption.beta_matrix": (
+        "beta matrix", lambda v: verify_gain_assumption(LTI, GainCertificate(0.2, v)), I1,
+        np.eye(2)),
+    # a NaN state must not turn into a NaN violation
+    "dissipation_audit.states": (
+        "states", lambda v: audit(states=v), np.zeros((3, 1)), np.zeros((4, 1))),
+    "dissipation_audit.inputs": (
+        "inputs", lambda v: audit(inputs=v), np.zeros((2, 1)), np.zeros(2)),
+    "dissipation_audit.outputs": (
+        "outputs", lambda v: audit(outputs=v), np.zeros((2, 1)), np.zeros((2, 2))),
+    "check_sd_certificate.mp": (
+        "Mp", lambda v: check_sd_certificate(DISC, SdCertificate(0, 0.5, v)), I1, np.eye(2)),
+    "sd_falsify.mp": (
+        "Mp", lambda v: sd_falsify(DISC, SdCertificate(0, 0.5, v), trials=1), I1, np.eye(2)),
+    "margin_check.mp": (
+        "Mp", lambda v: margin_check(0.5, v, 0.1, I1, 0.1, I1), np.eye(2), np.eye(3)),
+    "margin_check.mbeta1": (
+        "mbeta1", lambda v: margin_check(0.5, np.eye(2), 0.1, v, 0.1, I1), I1,
+        np.zeros((1, 1, 1))),
+    "margin_check.mbeta2": (
+        "mbeta2", lambda v: margin_check(0.5, np.eye(2), 0.1, I1, 0.1, v), I1,
+        np.zeros((1, 1, 1))),
+    # no NaN matrix may reach an eigenvalue routine
+    "min_eig": ("matrix", min_eig, I1, np.zeros((1, 2))),
+    "max_eig": ("matrix", max_eig, I1, np.zeros(2)),
+    "sym_eig": ("matrix", sym_eig, I1, np.zeros((2, 1))),
+    "expm": ("matrix", expm, I1, np.zeros((1, 2))),
+    "quad_sublevel_max.m_form": (
+        "M", lambda v: quad_sublevel_max(v, I1, 1.0), I1, np.zeros((1, 2))),
+    "quad_sublevel_max.p_form": (
+        "P", lambda v: quad_sublevel_max(I1, v, 1.0), I1, np.eye(2)),
+    "lyap.a": ("A", lambda v: lyap(v, I1), -I1, np.zeros((1, 2))),
+    "lyap.q": ("Q", lambda v: lyap(-I1, v), I1, np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAYS))
+def test_valid_array_is_accepted(case):
+    _, call, valid, _ = ARRAYS[case]
+    call(valid)
+
+
+@pytest.mark.parametrize("case", list(ARRAYS))
+def test_wrongly_shaped_array_names_the_parameter(case):
+    name, call, _, wrong = ARRAYS[case]
+    with pytest.raises(DimensionError, match=rf"^{name} must have shape \(.*\), got \("):
+        call(wrong)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("case", list(ARRAYS))
+def test_non_finite_array_names_the_parameter(case, value):
+    name, call, valid, _ = ARRAYS[case]
+    array = np.array(valid, dtype=float)
+    array.flat[0] = value
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite$"):
+        call(array)
+
+
+# case id -> (name, call with the value in its place)
+NONNEGATIVE_INTEGERS = {
+    "LoopConfig.seed": ("seed", lambda v: loop(seed=v)),
+    "sd_falsify.seed": ("seed", lambda v: sd_falsify(DISC, CERT, trials=1, seed=v)),
+    "SdCertificate.window": ("window", lambda v: SdCertificate(v, 0.5, I1)),
+    "observability_stack.window": ("window", lambda v: observability_stack(DISC, v)),
+    "lti_sd_certificate.window": ("window", lambda v: lti_sd_certificate(DISC, v)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, -1, np.int64(-1)], ids=repr)
+@pytest.mark.parametrize("case", list(NONNEGATIVE_INTEGERS))
+def test_nonnegative_integer_rule(case, value):
+    name, call = NONNEGATIVE_INTEGERS[case]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a nonnegative integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0, 2, np.int64(1)], ids=repr)
+@pytest.mark.parametrize("case", list(NONNEGATIVE_INTEGERS))
+def test_nonnegative_integer_takes_python_and_numpy_integers(case, value):
+    NONNEGATIVE_INTEGERS[case][1](value)
+
+
+# the hand-written tests the two rules replace: a sign test of a scalar and a
+# shape test of an array
+HAND_WRITTEN = re.compile(
+    r"if .*(<=? ?0(\.0)?|< ?1(\.0)?)( or|:)|\.shape *(!=|==)|\.ndim|shape\[[01]\] *!="
+)
+# errors.py holds the rules and config.py its own path-naming parsers; the
+# size test of what a model's callback returns stays in systems._values, since
+# a non-finite value during integration is divergence, not a bad argument
+RULE_FREE = {"errors.py", "config.py"}
+CALLBACK_CHECKS = {("systems.py", "_values")}
+
+
+def test_parameters_are_checked_by_the_rules_only():
+    offending = []
+    for path in sorted(Path(passquant.__file__).parent.glob("*.py")):
+        if path.name in RULE_FREE:
+            continue
+        source = path.read_text(encoding="utf-8")
+        functions = [
+            node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
+        ]
+        for number, line in enumerate(source.splitlines(), 1):
+            owners = {
+                (path.name, node.name) for node in functions
+                if node.lineno <= number <= node.end_lineno
+            }
+            if HAND_WRITTEN.search(line) and not owners & CALLBACK_CHECKS:
+                offending.append(f"{path.name}:{number}: {line.strip()}")
+    assert not offending, "hand-written checks outside errors.py:\n" + "\n".join(offending)

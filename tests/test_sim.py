@@ -178,7 +178,7 @@ class TestLoopConfig:
             self.sized_config(**{name: np.zeros(size + 1)})
 
     def test_negative_seed_rejected(self, bench_model):
-        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+        with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
             base_config(bench_model, mode="disturbance-injected", eps=0.1, seed=-1)
 
     def test_disturbance_loop_needs_the_twin_constants(self, cubic_plant, bench_model):
