@@ -65,7 +65,8 @@ def _quadratic_form(matrix, name, definite=False, size=None):
     """Symmetric part of ``matrix`` (``size x size`` when given), checked positive
     semidefinite (minimum eigenvalue >= -1e-10) or, with ``definite``, definite."""
     q = linalg._as_symmetric(np.atleast_2d(matrix), name, size)
-    lam = linalg.min_eig(q)
+    # q is its own symmetric part, so min_eig's second pass is skipped
+    lam = np.linalg.eigh(q)[0][0]
     if not ((lam > 0) if definite else (lam >= -1e-10)):  # NaN fails too
         kind = "definite" if definite else "semidefinite"
         raise ParameterError(f"{name} must be positive {kind}")
@@ -148,6 +149,11 @@ def _storage_matrix(storage, size=None):
     return _quadratic_form(storage, "storage matrix", size=size)
 
 
+def _lti_model(model):
+    if not isinstance(model, (LtiModel, DiscreteLti)):
+        raise DimensionError("model must be an LtiModel or DiscreteLti")
+
+
 def _passivity_lmi(model, p, nu, rho):
     """Quadratic form in (x, u) whose negative semidefiniteness certifies
     the dissipation inequality for the candidate (P, nu, rho)."""
@@ -185,8 +191,7 @@ def verify_lti_passivity(model, storage, nu, rho) -> Verdict:
         ``passed`` is True iff the form is negative semidefinite within
         1e-8; ``margin`` is its max eigenvalue.
     """
-    if not isinstance(model, (LtiModel, DiscreteLti)):
-        raise DimensionError("model must be an LtiModel or DiscreteLti")
+    _lti_model(model)
     _finite(nu=nu, rho=rho)
     p = _storage_matrix(storage, model.n)
     margin = linalg.max_eig(_passivity_lmi(model, p, nu, rho))
@@ -200,6 +205,7 @@ def max_index_bisection(model, storage, fixed, fixed_value):
     the other is bisected over [-10, 10] to a resolution of 1e-5.  Raises a
     :class:`CertificateError` when even the lower bound is infeasible.
     """
+    _lti_model(model)
     if fixed not in ("nu", "rho"):
         raise ParameterError("fixed must be 'nu' or 'rho'")
     _finite(fixed_value=fixed_value)

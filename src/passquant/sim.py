@@ -171,16 +171,22 @@ class Trajectory:
             "k", *_columns("x1", n1), *_columns("x2", states.shape[1] - n1),
             *(name for stem in _SIGNALS for name in _columns(stem, m)), "V",
         ]
-        fmt = lambda x: format(float(x), ".17g")
-        vvals = [""] * len(states) if storage is None else map(fmt, self.storage_values(storage))
-        blank = [""] * signals.shape[1]
+        # the bytes of csv.writer's default dialect, one "%.17g" per value:
+        # empty signal fields on the final row, an empty V field without a
+        # storage (v[k:k + 1] is then empty too)
+        cells = "%d" + ",%.17g" * states.shape[1]
+        v_cell = ",\r\n" if storage is None else ",%.17g\r\n"
+        step_row = cells + ",%.17g" * signals.shape[1] + v_cell
+        last_row = cells + "," * signals.shape[1] + v_cell
+        v = () if storage is None else self.storage_values(storage)
         try:
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for k, (state, v) in enumerate(zip(states, vvals)):
-                    values = map(fmt, signals[k]) if k < self.horizon else blank
-                    writer.writerow([k, *map(fmt, state), *values, v])
+                fh.write(",".join(header) + "\r\n")
+                # row by row: no Python list of the whole trajectory
+                for k in range(self.horizon):
+                    fh.write(step_row % (k, *states[k].tolist(), *signals[k].tolist(), *v[k:k + 1]))
+                k = self.horizon
+                fh.write(last_row % (k, *states[k].tolist(), *v[k:k + 1]))
         except OSError as exc:
             raise ToolkitError(f"cannot write trajectory {path}: {exc.strerror}") from exc
 
@@ -265,7 +271,7 @@ def simulate(config: LoopConfig) -> Trajectory:
         u1 = r1 - applied
         x1 = plant.step(x1, u1)
         x2 = ctrl_exact.step(x2, u2)
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
             raise DivergenceError(f"loop state diverged at step {k}", step=k)
         states.append((x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.step(u2)))
         steps.append((u1, u2_tilde, u2, y1, y2, y2_tilde))

@@ -118,13 +118,22 @@ def quantize(s, mu):
     Entrywise ``trunc(s/mu) * mu`` (floor for nonnegative entries, ceil for
     negative ones), so ``|Q(s) - s|_inf <= mu`` and ``|Q(s)| <= |s|``.  A
     one-cell snap away from zero absorbs floating-point noise when ``s``
-    already sits on the grid.
+    already sits on the grid.  The entries are worked as Python floats,
+    cheaper than numpy on the short vectors of a loop step: ``v / mu`` is
+    truncated by ``math.modf``, which keeps the sign of zero and passes ±inf
+    and NaN through, then snapped; these are the IEEE operations of the
+    ``np.trunc``/``np.where`` form in the same order, so the bits agree.
     """
     _positive(mu=mu)
     s = np.asarray(s, dtype=float)
-    k = np.trunc(s / mu)
-    away = k + np.copysign(1.0, s)
-    return np.where(np.abs(away * mu) <= np.abs(s), away, k) * mu
+    q = []
+    for v in s.ravel().tolist():
+        k = math.modf(v / mu)[1]
+        away = k + math.copysign(1.0, v)
+        q.append((away if abs(away * mu) <= abs(v) else k) * mu)
+    q = np.array(q)
+    q.shape = s.shape  # in place: a reshaped view would keep a second array object alive
+    return q
 
 
 def quantize_nearest(s, eta):

@@ -11,6 +11,7 @@ from passquant import (
     GainCertificate,
     IndexSet,
     LtiModel,
+    NonlinearModel,
     ParameterError,
     choose_nu_hat,
     compose_feedback,
@@ -114,6 +115,18 @@ class TestMaxIndexBisection:
         model = LtiModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(CertificateError):
             max_index_bisection(model, np.eye(1), "nu", 10.0)
+
+
+class TestModelType:
+    NONLINEAR = NonlinearModel(1, 1, lambda x, u: (0.0,), lambda x: np.zeros(1))
+
+    @pytest.mark.parametrize("check", [
+        lambda model: verify_lti_passivity(model, np.eye(1), 0.0, 0.1),
+        lambda model: max_index_bisection(model, np.eye(1), "rho", 0.1),
+    ], ids=["verify_lti_passivity", "max_index_bisection"])
+    def test_nonlinear_model_rejected(self, check):
+        with pytest.raises(DimensionError, match="^model must be an LtiModel or DiscreteLti$"):
+            check(self.NONLINEAR)
 
 
 class TestGainAssumption:

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -19,11 +20,33 @@ from passquant import (
     ultimate_bound_audit,
 )
 from passquant.passivity import _quad_values, _storage_matrix
-from passquant.sim import AuditResult, SweepPoint, read_csv
+from passquant.sim import AuditResult, SweepPoint, Trajectory, read_csv
+
+STORAGE4 = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.0, 0.2],
+                     [0.1, 0.0, 1.2, 0.4], [0.0, 0.2, 0.4, 0.9]])
 
 
 def lti_plant():
     return LtiModel([[-1.0, 0.5], [-0.5, -1.0]], np.eye(2), np.eye(2), np.zeros((2, 2)))
+
+
+def csv_writer_reference(traj, path, storage=None):
+    """Reference: the trajectory CSV written through ``csv.writer``, one
+    ``format(x, ".17g")`` string per value, blank signals on the final row
+    and a blank V column without a storage."""
+    n1, n2, m = traj.x1.shape[1], traj.loop_states.shape[1] - traj.x1.shape[1], traj.u1.shape[1]
+    stems = ("u1", "u2tilde", "u2", "y1", "y2", "y2tilde")
+    header = ["k", *(f"x1_{i}" for i in range(1, n1 + 1)), *(f"x2_{i}" for i in range(1, n2 + 1)),
+              *(f"{stem}_{i}" for stem in stems for i in range(1, m + 1)), "V"]
+    signals = np.hstack([traj.u1, traj.u2_tilde, traj.u2, traj.y1, traj.y2, traj.y2_tilde])
+    v = traj.storage_values(storage) if storage is not None else None
+    fmt = lambda x: format(float(x), ".17g")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k, state in enumerate(traj.loop_states):
+            step = map(fmt, signals[k]) if k < traj.horizon else [""] * signals.shape[1]
+            writer.writerow([k, *map(fmt, state), *step, "" if v is None else fmt(v[k])])
 
 
 def base_config(bench_model, **overrides):
@@ -143,13 +166,30 @@ class TestSimulate:
     def test_divergence_reported(self, bench_model):
         unstable = LtiModel(30.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
         cfg = base_config(bench_model, plant=unstable, horizon=500)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        with np.errstate(over="ignore"), pytest.raises(
+            DivergenceError, match="^loop state diverged at step 78$"
+        ) as info:
             simulate(cfg)
+        assert info.value.step == 78
+
+    def test_controller_divergence_reported(self, bench_model):
+        # the controller state overflows one step before the plant state it drives
+        unstable = LtiModel(30.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        cfg = base_config(bench_model, controller=unstable, horizon=500)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="^loop state diverged at step 78$"
+        ) as info:
+            simulate(cfg)
+        assert info.value.step == 78
 
     def test_overflowing_plant_is_divergence(self, example5_plant, bench_model):
         cfg = base_config(bench_model, plant=example5_plant, x1_0=np.array([1e110, 0.0]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        # the first RK4 substep of the first step overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="^state diverged at substep 0$"
+        ) as info:
             simulate(cfg)
+        assert info.value.step == 0
 
 
 class TestLoopConfig:
@@ -228,8 +268,7 @@ class TestLoopStates:
             cfg = replace(cfg, mode="sampled-quantized", eta=None, eps=None)
         traj = simulate(cfg)
         second = traj.x2s if symbolic else traj.x2
-        storage = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.0, 0.2],
-                            [0.1, 0.0, 1.2, 0.4], [0.0, 0.2, 0.4, 0.9]])
+        storage = STORAGE4
         per_step = (np.concatenate([traj.x1[k], second[k]]) for k in range(traj.horizon + 1))
         assert np.array_equal(
             traj.storage_values(storage), _quad_values(_storage_matrix(storage), per_step)
@@ -246,6 +285,36 @@ class TestCsv:
         simulate(cfg).to_csv(p1, storage=storage)
         simulate(cfg).to_csv(p2, storage=storage)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("storage", [None, STORAGE4], ids=["no-storage", "storage"])
+    @pytest.mark.parametrize("horizon", [1, 40])
+    @pytest.mark.parametrize("mode", ["sampled-quantized", "symbolic", "disturbance-injected"])
+    def test_same_bytes_as_csv_writer(self, cubic_plant, bench_model, tmp_path, mode, horizon,
+                                      storage):
+        if mode == "symbolic":
+            cfg = symbolic_config(cubic_plant, bench_model, horizon=horizon)
+        else:
+            cfg = base_config(bench_model, mode=mode, eps=0.1, seed=9, horizon=horizon)
+        traj = simulate(cfg)
+        traj.to_csv(tmp_path / "got.csv", storage=storage)
+        csv_writer_reference(traj, tmp_path / "want.csv", storage=storage)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("storage", [None, np.eye(3)], ids=["no-storage", "storage"])
+    def test_special_values_same_bytes_as_csv_writer(self, tmp_path, storage):
+        # signed zeros, subnormals, extremes and non-finite values, with
+        # n1 = 2, n2 = 1 and m = 1 so that every block has its own width
+        special = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, np.inf, -np.inf, np.nan,
+                   1.0 / 3.0, -2.5e-310, 123456789.0, 1e22]
+        values = iter(special * 3)
+        block = lambda rows, cols: np.array([[next(values) for _ in range(cols)]
+                                             for _ in range(rows)])
+        traj = Trajectory(x1=block(3, 2), x2=block(3, 1), **{
+            name: block(2, 1) for name in ("u1", "u2_tilde", "u2", "y1", "y2", "y2_tilde")})
+        with np.errstate(invalid="ignore", over="ignore"):
+            traj.to_csv(tmp_path / "got.csv", storage=storage)
+            csv_writer_reference(traj, tmp_path / "want.csv", storage=storage)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_header_and_shape(self, bench_model, tmp_path):
         cfg = base_config(bench_model, horizon=5)

@@ -103,6 +103,13 @@ class TestQuantize:
         assert same_bits(quantize(s, mu), three_pass_quantize(s, mu))
         assert same_bits(quantize(-0.0, mu), three_pass_quantize(-0.0, mu))
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_keeps_shape_and_float_dtype(self, shape):
+        s = (np.arange(np.prod(shape, dtype=int)) - 2).reshape(shape)  # integer entries
+        q = quantize(s, 0.37)
+        assert q.shape == shape and q.dtype == np.float64
+        assert same_bits(q, three_pass_quantize(s, 0.37))
+
     def test_random_properties(self):
         rng = np.random.default_rng(10)
         s = rng.uniform(-50.0, 50.0, (100000, 3))
