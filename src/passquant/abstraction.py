@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    ContractViolationError, ParameterError, _array, _finite, _nonnegative, _positive)
+    ContractViolationError, ParameterError, _array, _finite, _instance, _nonnegative, _positive)
 from .passivity import Verdict
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize_nearest
 
@@ -105,8 +105,8 @@ class SymbolicController:
     """
 
     def __init__(self, model: SampledModel, eta: float, mu: float, x0):
+        self.model = _instance(model, "model", SampledModel)
         _positive(eta=eta, mu=mu)
-        self.model = model
         self.eta = float(eta)
         self.mu = float(mu)
         x0 = _array(x0, "x0", (self.model.n,))
@@ -135,13 +135,10 @@ def lipschitz_output_bound(model):
     ``sqrt(sum_i (sum_j |C_ij|)^2)``.  Nonlinear models must carry a
     user-supplied ``h1_lipschitz``.
     """
+    _instance(model, "model", LtiModel, NonlinearModel)
     if isinstance(model, LtiModel):
         c = model.c
         return float(math.sqrt(float(np.sum(np.abs(c).sum(axis=1) ** 2))))
-    if isinstance(model, NonlinearModel):
-        if model.h1_lipschitz is None:
-            raise ParameterError(
-                "nonlinear models need a user-supplied h1_lipschitz bound"
-            )
-        return float(model.h1_lipschitz)
-    raise ParameterError(f"unsupported model type {type(model).__name__}")
+    if model.h1_lipschitz is None:
+        raise ParameterError("nonlinear models need a user-supplied h1_lipschitz bound")
+    return float(model.h1_lipschitz)

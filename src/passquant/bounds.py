@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .detectability import SdCertificate, compose_sd
-from .errors import ParameterError, _array, _count, _finite, _nonnegative, _positive
+from .errors import ParameterError, _array, _count, _finite, _nonnegative, _overflow, _positive
 from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
 
 __all__ = [
@@ -97,8 +97,9 @@ def single_system_bounds(
     lam, eta1, eta2 = _split(indices.nu, indices.rho, lam)
     v = _storage_matrix(storage)
     n_win = cert.window + 1
-    c2 = n_win * ((eta1 + cert.theta * eta2) * u_norm**2 + indices.delta)
-    c3 = n_win * (eta1 * u_norm**2 + indices.delta)
+    with _overflow("c2"):  # c3 squares the same u_norm
+        c2 = n_win * ((eta1 + cert.theta * eta2) * u_norm**2 + indices.delta)
+        c3 = n_win * (eta1 * u_norm**2 + indices.delta)
     if c5 is None:
         c5 = 1e-3 * (c2 + 1.0)
     _positive(c5=c5)
@@ -145,7 +146,8 @@ def _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, 
     _count(m=m)
     lam, eta1, eta2 = _split(idx.nu, idx.rho, lam)
     n_win, theta, mp = loop
-    d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
+    with _overflow("d1"):
+        d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
     if d3 is None:
         d3 = 1e-3 * (d1 + d2 + 1.0)
     _positive(d3=d3)
@@ -194,7 +196,8 @@ def loop_bounds(
     """
     loop = loop_detectability_matrix(cert1, cert2)
     theta = loop[1]
-    d2 = m * (1.0 - theta) * (cert2.window + 1) * (cert2.theta * mu1**2 + mu2**2)
+    with _overflow("d2"):
+        d2 = m * (1.0 - theta) * (cert2.window + 1) * (cert2.theta * mu1**2 + mu2**2)
     return _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first)
 
 
@@ -222,7 +225,8 @@ def symbolic_loop_bounds(
     (lip*eps + 3 sqrt(m) mu2)^2]``.
     """
     radius = _twin_radius(lip, eps, m, mu2, 3)
-    d2 = (cert2.window + 1) * (cert2.theta * m * mu1**2 + radius**2)
+    with _overflow("d2"):
+        d2 = (cert2.window + 1) * (cert2.theta * m * mu1**2 + radius**2)
     loop = loop_detectability_matrix(cert1, cert2)
     return _loop_report(
         idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, lip=lip, eps=eps)

@@ -8,7 +8,6 @@ Failures are collected in a machine-readable list.
 
 import argparse
 import json
-import shutil
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -378,17 +377,9 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
         for eta in cfg.eta_sweep:
             # repr reads back as the same float: no two pitches share a file
             eta_path = out_dir / f"trajectory_eta_{eta!r}.csv"
-            if eta == loop.eta:
-                # the configured run is already on disk
-                traj_eta = traj
-                try:
-                    shutil.copyfile(csv_path, eta_path)
-                except OSError as exc:
-                    msg = f"cannot write trajectory {eta_path}: {exc.strerror}"
-                    raise ToolkitError(msg) from exc
-            else:
-                traj_eta = sim.simulate(replace(loop, eta=eta))
-                traj_eta.to_csv(eta_path, storage=storage)
+            # the configured pitch reuses the run above
+            traj_eta = traj if eta == loop.eta else sim.simulate(replace(loop, eta=eta))
+            traj_eta.to_csv(eta_path, storage=storage)
             sweep.append(asdict(sim.SweepPoint.from_trajectory(eta, traj_eta)))
         report["eta_sweep"] = sweep
     return report, failures

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError, DimensionError, NotDetectableError, _array, _count, _nonnegative,
+    CertificateError, NotDetectableError, _array, _count, _instance, _nonnegative,
     _nonnegative_integer)
 from .passivity import Verdict, _quadratic_form
 from .systems import DiscreteLti
@@ -65,8 +65,7 @@ class FalsifyResult:
 
 def observability_stack(system: DiscreteLti, window: int):
     """Stacked maps O, H with ``Y = O x[k0] + H U`` over ``window + 1`` steps."""
-    if not isinstance(system, DiscreteLti):
-        raise DimensionError("system must be a DiscreteLti")
+    _instance(system, "system", DiscreteLti)
     _nonnegative_integer(window=window)
     ad, bd, c, d = system.ad, system.bd, system.c, system.d
     n = system.n
@@ -86,11 +85,6 @@ def observability_stack(system: DiscreteLti, window: int):
         for j in range(i + 1):
             h[i * mo : (i + 1) * mo, j * mi : (j + 1) * mi] = markov[i - j]
     return o, h
-
-
-def _gram(o, h):
-    """The products ``(O'O, O'H, H'O, H'H)`` of the stacked maps."""
-    return o.T @ o, o.T @ h, h.T @ o, h.T @ h
 
 
 def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
@@ -176,7 +170,7 @@ def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:
     o, h = observability_stack(system, cert.window)
     mp = _array(cert.mp, "Mp", (system.n, system.n))
     # update in place and free the blocks before min_eig copies blk: none is held twice
-    oo, oh, ho, hh = _gram(o, h)
+    oo, oh, ho, hh = o.T @ o, o.T @ h, h.T @ o, h.T @ h
     oo -= mp
     hh += cert.theta * np.eye(hh.shape[0])
     blk = np.block([[oo, oh], [ho, hh]])

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the one scalar and array rule."""
+"""Exception types shared across the toolkit, and the one scalar, array and type rule."""
 
+import contextlib
 import numbers
 import sys
 
@@ -62,6 +63,26 @@ def _array(value, name, shape):
     if not np.isfinite(a).all():
         raise ParameterError(f"{name} must be finite")
     return a
+
+
+# The type rule: ``value`` itself when it is an instance of one of ``types``,
+# which the caller passes, so this module imports no model module.
+def _instance(value, name, *types):
+    if not isinstance(value, types):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise ParameterError(f"{name} must be {kinds}, got {type(value).__name__}")
+    return value
+
+
+# A float ``**`` raises OverflowError where ``*`` returns inf for the scalar
+# rule to reject: inside ``with _overflow(name):`` it fails as a
+# ParameterError naming the quantity the formula computes.
+@contextlib.contextmanager
+def _overflow(name):
+    try:
+        yield
+    except OverflowError as exc:
+        raise ParameterError(f"{name} overflows the float range") from exc
 
 
 class CertificateError(ToolkitError):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError, DimensionError, ParameterError, _array, _count, _finite, _nonnegative,
-    _positive)
+    CertificateError, DimensionError, ParameterError, _array, _count, _finite, _instance,
+    _nonnegative, _overflow, _positive)
 from .systems import DiscreteLti, LtiModel
 
 __all__ = [
@@ -149,11 +149,6 @@ def _storage_matrix(storage, size=None):
     return _quadratic_form(storage, "storage matrix", size=size)
 
 
-def _lti_model(model):
-    if not isinstance(model, (LtiModel, DiscreteLti)):
-        raise DimensionError("model must be an LtiModel or DiscreteLti")
-
-
 def _passivity_lmi(model, p, nu, rho):
     """Quadratic form in (x, u) whose negative semidefiniteness certifies
     the dissipation inequality for the candidate (P, nu, rho)."""
@@ -191,7 +186,7 @@ def verify_lti_passivity(model, storage, nu, rho) -> Verdict:
         ``passed`` is True iff the form is negative semidefinite within
         1e-8; ``margin`` is its max eigenvalue.
     """
-    _lti_model(model)
+    _instance(model, "model", LtiModel, DiscreteLti)
     _finite(nu=nu, rho=rho)
     p = _storage_matrix(storage, model.n)
     margin = linalg.max_eig(_passivity_lmi(model, p, nu, rho))
@@ -205,7 +200,7 @@ def max_index_bisection(model, storage, fixed, fixed_value):
     the other is bisected over [-10, 10] to a resolution of 1e-5.  Raises a
     :class:`CertificateError` when even the lower bound is infeasible.
     """
-    _lti_model(model)
+    _instance(model, "model", LtiModel, DiscreteLti)
     if fixed not in ("nu", "rho"):
         raise ParameterError("fixed must be 'nu' or 'rho'")
     _finite(fixed_value=fixed_value)
@@ -237,6 +232,7 @@ def verify_gain_assumption(model: LtiModel, cert: GainCertificate):
     Assembles the 2x2-block form whose negative semidefiniteness certifies
     ``d/dt beta(x) <= gamma^2 |u|^2 - |d/dt (Cx)|^2`` with ``beta = x'Mb x``.
     """
+    _instance(model, "model", LtiModel)
     a, b, c = model.a, model.b, model.c
     pb = _array(cert.beta_matrix, "beta matrix", (model.n, model.n))
     g = cert.gamma
@@ -262,7 +258,8 @@ def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
     Returns an :class:`IndexSet` with ``delta = 0`` and the weight ``w`` set.
     """
     _positive(tau=tau, gamma=gamma, lambda1=lambda1)
-    nu_s = nu - tau * gamma - tau**2 * gamma**2 * (1.0 + lambda1) * abs(rho)
+    with _overflow("nu'"):
+        nu_s = nu - tau * gamma - tau**2 * gamma**2 * (1.0 + lambda1) * abs(rho)
     rho_s = rho - abs(rho) / lambda1
     w = abs(rho) * tau * (1.0 + lambda1) + 1.0 / gamma
     return IndexSet(nu=nu_s, rho=rho_s, delta=0.0, w=w)
@@ -295,7 +292,8 @@ def degrade_quantization(
     out_w, in_w = _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5)
     nu_q = nu - abs(nu) / lambda3 - 1.0 / (4.0 * lambda4)
     rho_q = rho - abs(rho) / lambda2 - 1.0 / (4.0 * lambda5)
-    delta_q = out_w * m * mu2**2 + in_w * m * mu1**2
+    with _overflow("delta~"):
+        delta_q = out_w * m * mu2**2 + in_w * m * mu1**2
     return IndexSet(nu=nu_q, rho=rho_q, delta=delta_q, w=w)
 
 
@@ -329,7 +327,8 @@ def symbolic_quant_bias(
                + [|nu|(1+lambda3) + lambda5] m mu1^2
     """
     out_w, in_w = _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5)
-    return out_w * _twin_radius(lip, eps, m, mu2, 3) ** 2 + in_w * m * mu1**2
+    with _overflow("delta~"):
+        return out_w * _twin_radius(lip, eps, m, mu2, 3) ** 2 + in_w * m * mu1**2
 
 
 def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:

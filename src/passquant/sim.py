@@ -20,7 +20,7 @@ from .abstraction import SymbolicController, lipschitz_output_bound
 from .bounds import BoundReport
 from .errors import (
     DivergenceError, ParameterError, ToolkitError, WellPosednessError, _array, _count,
-    _nonnegative_integer, _positive)
+    _instance, _nonnegative_integer, _positive)
 from .passivity import _quad_values, _storage_matrix, _twin_radius
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
@@ -82,10 +82,8 @@ class LoopConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for role in ("plant", "controller"):
-            model = getattr(self, role)
-            if not isinstance(model, (LtiModel, NonlinearModel)):
-                raise ParameterError(f"unsupported {role} type {type(model).__name__}")
+        _instance(self.plant, "plant", LtiModel, NonlinearModel)
+        _instance(self.controller, "controller", LtiModel, NonlinearModel)
         if not self.plant.strictly_proper:
             raise WellPosednessError(
                 "the plant must be strictly proper (no feedthrough); "

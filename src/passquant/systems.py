@@ -9,7 +9,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionError, DivergenceError, ParameterError, _array, _nonnegative, _positive)
+    DimensionError, DivergenceError, ParameterError, _array, _instance, _nonnegative,
+    _positive)
 
 __all__ = [
     "LtiModel",
@@ -179,6 +180,7 @@ def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
     augmented ``(n+m) x (n+m)`` block matrix ``[[A, B], [0, 0]] * tau``;
     the output matrices are unchanged.
     """
+    _instance(model, "model", LtiModel)
     _positive(tau=tau)
     n, m = model.n, model.m
     aug = np.zeros((n + m, n + m))
@@ -287,6 +289,7 @@ class SampledModel:
     _disc: Optional[DiscreteLti] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        _instance(self.source, "source", LtiModel, NonlinearModel)
         _positive(tau=self.tau)
         if isinstance(self.source, LtiModel):
             self._disc = discretize_exact(self.source, self.tau)

@@ -420,8 +420,8 @@ class TestSimulateCommand:
         "name, csv", [("loop_a", "trajectory.csv"), ("example5", "trajectory_eta_0.1.csv")]
     )
     def test_unwritable_trajectory_is_reported(self, capsys, tmp_path, name, csv):
-        # a directory in the CSV's place makes the write, or the copy of the
-        # configured sweep pitch's run, fail
+        # a directory in the CSV's place makes the write of the run, or of the
+        # configured sweep pitch's reused run, fail
         (tmp_path / csv).mkdir()
         code, rep = run_json(capsys, "simulate", bundled_config_path(name), "--out", str(tmp_path))
         assert code == 1

@@ -4,7 +4,6 @@ import pytest
 import passquant
 from passquant import (
     CertificateError,
-    DimensionError,
     DiscreteLti,
     LtiModel,
     NotDetectableError,
@@ -34,7 +33,7 @@ class TestCertificateType:
 class TestConstruction:
     def test_rejects_quadruple(self, double_integrator):
         d = double_integrator
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match="^system must be DiscreteLti, got tuple$"):
             lti_sd_certificate((d.ad, d.bd, d.c, d.d), 1)
 
     def test_double_integrator_rejected_at_window_zero(self, double_integrator):

@@ -1,14 +1,18 @@
-"""The scalar and array rules at every call site.
+"""The scalar, array and type rules at every call site.
 
 Each case passes one value in place of one parameter, through the public
 function or constructor that checks it, with every other argument valid.
 NaN and both infinities must fail with a :class:`ParameterError` whose
 message starts with the parameter's name; an array of the wrong shape must
-fail with a :class:`DimensionError` that names it the same way.  A scan of
-the package source keeps every such test inside the two rules.
+fail with a :class:`DimensionError` that names it the same way, and a model
+of the wrong kind with a :class:`ParameterError` that names it and its type.
+A finite value whose square overflows fails as a :class:`ParameterError`
+naming the quantity being computed.  A scan of the package source keeps
+every such test inside the three rules.
 """
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from passquant import (
     discretize_exact,
     dissipation_audit,
     flow,
+    lipschitz_output_bound,
     lti_delta_iss,
     lti_sd_certificate,
     loop_bounds,
@@ -55,6 +60,8 @@ from passquant import (
     verify_lti_passivity,
 )
 from passquant.bounds import _split
+from passquant.cli import main
+from passquant.config import bundled_config_path
 from passquant.detectability import observability_stack
 from passquant.linalg import expm, lyap, max_eig, min_eig, quad_sublevel_max, sym_eig
 
@@ -84,9 +91,10 @@ def loop_levels(rho=0.5, r_norm=0.0, mu1=0.01, mu2=0.01, d3=None, m=1):
     return loop_bounds(idx, CERT, CERT, np.eye(2), r_norm, mu1, mu2, m, d3=d3)
 
 
-def symbolic_loop_levels(m=1):
+def symbolic_loop_levels(**values):
     idx = ComposedIndices(nu=0.1, rho=0.5, delta=0.0)
-    return symbolic_loop_bounds(idx, CERT, CERT, np.eye(2), 0.0, 1.0, 0.1, 0.01, 0.01, m)
+    args = dict(r_norm=0.0, lip=1.0, eps=0.1, mu1=0.01, mu2=0.01, m=1)
+    return symbolic_loop_bounds(idx, CERT, CERT, np.eye(2), **{**args, **values})
 
 
 def quantization(**values):
@@ -370,10 +378,81 @@ def test_nonnegative_integer_takes_python_and_numpy_integers(case, value):
     NONNEGATIVE_INTEGERS[case][1](value)
 
 
-# the hand-written tests the two rules replace: a sign test of a scalar and a
-# shape test of an array
+# case id -> (argument name, call with the value in its place, a model of a
+# kind the call does not take)
+TYPES = {
+    "LoopConfig.plant": ("plant", lambda v: loop(plant=v), DISC),
+    "LoopConfig.controller": ("controller", lambda v: loop(controller=v), object()),
+    "verify_lti_passivity": ("model", lambda v: verify_lti_passivity(v, I1, 0.1, 0.1), PLANT),
+    "max_index_bisection": ("model", lambda v: max_index_bisection(v, I1, "rho", 0.1), PLANT),
+    "observability_stack": ("system", lambda v: observability_stack(v, 0), LTI),
+    "lti_sd_certificate": ("system", lambda v: lti_sd_certificate(v, 0), LTI),
+    "check_sd_certificate": ("system", lambda v: check_sd_certificate(v, CERT), LTI),
+    "lipschitz_output_bound": ("model", lipschitz_output_bound, DISC),
+    "discretize_exact": ("model", lambda v: discretize_exact(v, 0.3), PLANT),
+    "verify_gain_assumption": (
+        "model", lambda v: verify_gain_assumption(v, GainCertificate(0.2, I1)), DISC),
+    "SampledModel": ("source", lambda v: SampledModel(v, 0.3), object()),
+    "SymbolicController": ("model", lambda v: SymbolicController(v, 0.1, 0.01, [0.0]), LTI),
+}
+
+
+@pytest.mark.parametrize("case", list(TYPES))
+def test_wrong_model_type_names_the_argument(case):
+    name, call, wrong = TYPES[case]
+    message = rf"^{name} must be \w+( or \w+)*, got {type(wrong).__name__}$"
+    with pytest.raises(ParameterError, match=message):
+        call(wrong)
+
+
+# case id -> (quantity the formula computes, call with a finite value whose
+# square overflows in place of one argument)
+HUGE = 1e300
+OVERFLOWS = {
+    "degrade_sampling.tau": ("nu'", lambda: sampling(tau=HUGE)),
+    "degrade_sampling.gamma": ("nu'", lambda: sampling(gamma=HUGE)),
+    "degrade_quantization.mu1": ("delta~", lambda: quantization(mu1=HUGE)),
+    "degrade_quantization.mu2": ("delta~", lambda: quantization(mu2=HUGE)),
+    "symbolic_quant_bias.eps": (
+        "delta~", lambda: symbolic_quant_bias(0.2, 0.9, 1.0, HUGE, 0.01, 0.01, 2)),
+    "symbolic_quant_bias.mu1": (
+        "delta~", lambda: symbolic_quant_bias(0.2, 0.9, 1.0, 0.1, HUGE, 0.01, 2)),
+    "single_system_bounds.u_norm": (
+        "c2", lambda: single_system_bounds(IndexSet(0.1, 0.5), CERT, I1, HUGE)),
+    "loop_bounds.r_norm": ("d1", lambda: loop_levels(r_norm=HUGE)),
+    "loop_bounds.mu1": ("d2", lambda: loop_levels(mu1=HUGE)),
+    "loop_bounds.mu2": ("d2", lambda: loop_levels(mu2=HUGE)),
+    "symbolic_loop_bounds.eps": ("d2", lambda: symbolic_loop_levels(eps=HUGE)),
+    "symbolic_loop_bounds.mu1": ("d2", lambda: symbolic_loop_levels(mu1=HUGE)),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_overflow_names_the_quantity(case):
+    name, call = OVERFLOWS[case]
+    with pytest.raises(ParameterError, match=rf"^{re.escape(name)} overflows the float range$"):
+        call()
+
+
+def test_cli_reports_an_overflow(capsys, tmp_path):
+    with open(bundled_config_path("example2")) as fh:
+        doc = json.load(fh)
+    doc["quantization"]["mu1"] = HUGE
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["degrade", "--config", str(path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"] == "delta~ overflows the float range"
+    assert report["failures"] == [report["error"]]
+
+
+# the hand-written tests the three rules replace: a sign test of a scalar, a
+# shape test of an array and a type test of a model
 HAND_WRITTEN = re.compile(
     r"if .*(<=? ?0(\.0)?|< ?1(\.0)?)( or|:)|\.shape *(!=|==)|\.ndim|shape\[[01]\] *!="
+    r"|if not isinstance\("
+    r"|raise \w+Error\(.*(unsupported .*type|must be an? (LtiModel|DiscreteLti|NonlinearModel))"
 )
 # errors.py holds the rules and config.py its own path-naming parsers; the
 # size test of what a model's callback returns stays in systems._values, since

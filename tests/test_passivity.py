@@ -125,7 +125,9 @@ class TestModelType:
         lambda model: max_index_bisection(model, np.eye(1), "rho", 0.1),
     ], ids=["verify_lti_passivity", "max_index_bisection"])
     def test_nonlinear_model_rejected(self, check):
-        with pytest.raises(DimensionError, match="^model must be an LtiModel or DiscreteLti$"):
+        with pytest.raises(
+            ParameterError, match="^model must be LtiModel or DiscreteLti, got NonlinearModel$"
+        ):
             check(self.NONLINEAR)
 
 

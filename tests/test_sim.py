@@ -231,11 +231,13 @@ class TestLoopConfig:
             base_config(bench_model, controller=unbounded, mode="disturbance-injected", eps=0.1)
 
     def test_unsupported_plant_rejected(self, bench_model):
-        with pytest.raises(ParameterError, match="unsupported plant type"):
+        with pytest.raises(ParameterError, match="^plant must be LtiModel or NonlinearModel, got "):
             base_config(bench_model, plant=object())
 
     def test_unsupported_controller_rejected(self, bench_model):
-        with pytest.raises(ParameterError, match="unsupported controller type object"):
+        with pytest.raises(
+            ParameterError, match="^controller must be LtiModel or NonlinearModel, got object$"
+        ):
             base_config(bench_model, controller=object())
 
     def test_absent_references_are_zero_vectors(self, bench_model):
