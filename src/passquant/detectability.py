@@ -97,17 +97,26 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
         S(theta) = O'O - O'H (theta I + H'H)^{-1} H'O
                  = O'O - Z' diag(s^2 / (theta + s^2)) Z
 
-    positive definite (min eigenvalue >= 1e-8) is found by geometric
-    bisection and the certificate is returned with ``Mp = S(theta)/2``; the
-    halving makes the certificate inequality strict and robust to round-off.
-    The second form comes from one thin SVD ``H = U diag(s) V'`` with
-    ``Z = U'O``, taken once per certificate, so each check costs one
-    product with ``Z`` and an ``n x n`` eigenvalue, not a solve with
-    ``theta I + H'H``.  Rounding near the 1e-8 floor resolves ``theta``
-    only to about 1e-8 relative.
-    After 59 halvings the bisection stops once its geometric midpoint equals
-    an end of the bracket: the bracket can no longer change, so this gives
-    the same theta as running all 80 halvings.  If even ``theta = 1e3``
+    positive definite (min eigenvalue >= 1e-8) is searched for and the
+    certificate is returned with ``Mp = S(theta)/2``; the halving makes the
+    certificate inequality strict and robust to round-off.  The second form
+    comes from one thin SVD ``H = U diag(s) V'`` with ``Z = U'O``, taken
+    once per certificate, so each check costs one product with ``Z`` and an
+    ``n x n`` eigenvalue, not a solve with ``theta I + H'H``.
+
+    Along the eigenvector ``v`` of the smallest eigenvalue at a point
+    ``t0`` below the floor, ``v' S(t) v = lambda_min(S(t0)) + p(t0) - p(t)``
+    with the pole sum ``p(t) = sum_i (Z v)_i^2 s_i^2 / (t + s_i^2)``.  It
+    bounds ``lambda_min(S(t))`` from above, so the ``t`` where it reaches
+    the floor (:func:`_floor_along`) is at most the smallest feasible theta,
+    and equals it when the eigenvector does not turn.  Eight such steps run
+    from the lower end, each from the largest point that failed (a step
+    leaving the bracket takes its geometric midpoint), then the closing
+    points ``lo (1 + 10^k)``, k = -13, -11, ..., -5; ``theta`` is the
+    smallest point whose own check passed.  So every certificate costs 15
+    eigenvalue problems (2 when ``theta = 1e-9`` passes), and rounding near
+    the floor resolves ``theta`` only to about 1e-8 relative, or worse where
+    ``lambda_min(S)`` is nearly flat at the floor.  If even ``theta = 1e3``
     fails, :class:`CertificateError` names the searched range and carries
     its ends as ``theta_lo`` and ``theta_hi`` in ``info``.
     """
@@ -120,7 +129,7 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
             rank=rank,
             window=window,
         )
-    # the theta-free factors, formed once for the whole bisection
+    # the theta-free factors, formed once for the whole search
     u, s, _ = np.linalg.svd(h, full_matrices=False)
     z = u.T @ o
     oo = o.T @ o
@@ -129,11 +138,8 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
     def schur(theta):
         return oo - z.T @ ((s2 / (theta + s2))[:, None] * z)
 
-    def feasible(theta):
-        return linalg.min_eig(schur(theta)) >= 1e-8
-
     lo, hi = 1e-9, 1e3
-    if not feasible(hi):
+    if linalg.min_eig(schur(hi)) < 1e-8:
         raise CertificateError(
             f"no theta in the searched range [{lo:g}, {hi:g}] certifies "
             f"detectability at window {window}",
@@ -141,23 +147,50 @@ def lti_sd_certificate(system: DiscreteLti, window: int) -> SdCertificate:
             theta_lo=lo,
             theta_hi=hi,
         )
-    if feasible(lo):
+    w, v = linalg.sym_eig(schur(lo))
+    if w[0] >= 1e-8:
         theta = lo
     else:
-        # geometric bisection: theta spans twelve orders of magnitude.  The
-        # bracket stops changing after 56-58 halvings; testing for that
-        # only from halving 59 on keeps the work per certificate the same
-        # (61 feasibility checks) whatever the system
-        for step in range(80):
-            mid = (lo * hi) ** 0.5
-            if step >= 59 and (mid == lo or mid == hi):
-                break
-            if feasible(mid):
-                hi = mid
+        # (w, v) is the eigendecomposition at lo, the largest failed point
+        for _ in range(8):
+            trial = _floor_along(z @ v[:, 0], s2, lo, 1e-8 - float(w[0]))
+            if not lo < trial < hi:
+                trial = (lo * hi) ** 0.5
+            w_trial, v_trial = linalg.sym_eig(schur(trial))
+            if w_trial[0] >= 1e-8:
+                hi = trial
             else:
-                lo = mid
+                lo, w, v = trial, w_trial, v_trial
+        for k in (-13, -11, -9, -7, -5):
+            trial = lo * (1.0 + 10.0**k)
+            if linalg.min_eig(schur(trial)) >= 1e-8:
+                hi = min(hi, trial)
         theta = hi
     return SdCertificate(window=window, theta=theta, mp=0.5 * schur(theta))
+
+
+def _floor_along(zv, s2, theta, gap):
+    """Smallest ``t >= theta`` where ``v' S(t) v`` has risen by ``gap``,
+    for the eigenvector ``v`` with ``zv = Z v``; inf when it never does.
+
+    The rise is ``p(theta) - p(t)`` with ``p(t) = sum_i a_i / (t + s_i^2)``
+    and ``a = zv^2 s^2``.  ``1/p`` is concave (Cauchy-Schwarz), so Newton
+    steps on ``1/p(t) = 1/(p(theta) - gap)`` climb to the root from below;
+    one pole is solved in one step.
+    """
+    a = zv * zv * s2
+    target = float(a @ (1.0 / (theta + s2))) - gap
+    if not target > 0:
+        return np.inf
+    t = theta
+    for _ in range(50):
+        e = a / (t + s2)
+        p = float(e.sum())
+        step = p * (p - target) / (target * float(e @ (1.0 / (t + s2))))
+        if not step > 1e-15 * t:
+            break
+        t += step
+    return t
 
 
 def check_sd_certificate(system: DiscreteLti, cert: SdCertificate) -> Verdict:

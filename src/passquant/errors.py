@@ -74,13 +74,19 @@ def _instance(value, name, *types):
     return value
 
 
-# A float ``**`` raises OverflowError where ``*`` returns inf for the scalar
-# rule to reject: inside ``with _overflow(name):`` it fails as a
-# ParameterError naming the quantity the formula computes.
+# The overflow rule: a float ``**`` raises OverflowError where ``*`` returns
+# inf.  Inside ``with _overflow(name) as finite:`` the first fails as a
+# ParameterError naming the quantity the formula computes, and so does an
+# infinite result passed through ``finite``.
 @contextlib.contextmanager
 def _overflow(name):
+    def finite(value):
+        if not abs(value) <= sys.float_info.max:
+            raise ParameterError(f"{name} overflows the float range")
+        return value
+
     try:
-        yield
+        yield finite
     except OverflowError as exc:
         raise ParameterError(f"{name} overflows the float range") from exc
 

@@ -74,8 +74,9 @@ def _quadratic_form(matrix, name, definite=False, size=None):
 
 
 def _quad_values(q, states):
-    """``x' Q x`` for each state, one float evaluation per state."""
-    return np.array([float(x @ q @ x) for x in states])
+    """``x' Q x`` for each row ``x`` of ``states``, as one batched product
+    with the bits of ``float(x @ q @ x)`` row by row."""
+    return ((states[:, None, :] @ q) @ states[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,17 @@ def max_index_bisection(model, storage, fixed, fixed_value):
     """Largest value of the free index passing :func:`verify_lti_passivity`.
 
     ``fixed`` names which index ("nu" or "rho") is held at ``fixed_value``;
-    the other is bisected over [-10, 10] to a resolution of 1e-5.  Raises a
-    :class:`CertificateError` when even the lower bound is infeasible.
+    the other is searched over [-10, 10].  The LMI is affine in the free
+    index x, ``M(x) = M(-10) + (x + 10) F``, with ``F`` positive
+    semidefinite (``diag(0, I)`` for nu, ``[C D]'[C D]`` for rho), so the
+    largest x with ``M(x) <= level I`` is one generalized eigenvalue of a
+    symmetric pencil, ``-10 + 1 / lambda_max(F, level I - M(-10))`` (-10
+    when ``level I - M(-10)`` is not positive definite).  The result is the
+    larger of that x at half the 1e-8 tolerance and that x at the tolerance
+    less 0.5e-5: it passes the check with a margin, and the index + 1e-5
+    fails it.  Returns 10 when the whole window passes.  Raises a
+    :class:`CertificateError` when even the lower bound is infeasible, or
+    when the result fails its check (``info`` carries its margin).
     """
     _instance(model, "model", LtiModel, DiscreteLti)
     if fixed not in ("nu", "rho"):
@@ -206,24 +216,36 @@ def max_index_bisection(model, storage, fixed, fixed_value):
     _finite(fixed_value=fixed_value)
     p = _storage_matrix(storage, model.n)
 
-    def feasible(free):
+    def lmi(free):
         nu, rho = (fixed_value, free) if fixed == "nu" else (free, fixed_value)
-        return linalg.max_eig(_passivity_lmi(model, p, nu, rho)) <= _LMI_TOL
+        return _passivity_lmi(model, p, nu, rho)
 
     lo, hi = -10.0, 10.0
-    if not feasible(lo):
+    base = lmi(lo)
+    if linalg.max_eig(base) > _LMI_TOL:
         raise CertificateError(
             f"no feasible index at the search lower bound {lo}", lower_bound=lo
         )
-    if feasible(hi):
+    if linalg.max_eig(lmi(hi)) <= _LMI_TOL:
         return hi
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    step = lmi(lo + 1.0) - base
+    eye = np.eye(len(base))
+
+    def largest(level):
+        try:
+            return lo + 1.0 / linalg.quad_sublevel_max(step, level * eye - base, 1.0)
+        except CertificateError:  # M(lo) is already within 1e-12 of the level
+            return lo
+
+    free = max(largest(0.5 * _LMI_TOL), largest(_LMI_TOL) - 0.5e-5)
+    margin = float(linalg.max_eig(lmi(free)))
+    if margin > _LMI_TOL:
+        raise CertificateError(
+            f"the largest index {free} fails its LMI check (margin {margin:.3e})",
+            index=free,
+            margin=margin,
+        )
+    return free
 
 
 def verify_gain_assumption(model: LtiModel, cert: GainCertificate):
@@ -306,11 +328,13 @@ def _twin_radius(lip, eps, m, mu2, cells):
     ``sqrt(m) mu2``.  The gap between the twin's and the exact controller's
     quantized outputs is thus at most ``lip*eps + 2 sqrt(m) mu2`` (``cells
     = 2``, the disturbance-injected radius); the twin's own output quantizer
-    raises it to ``lip*eps + 3 sqrt(m) mu2`` (``cells = 3``).
+    raises it to ``lip*eps + 3 sqrt(m) mu2`` (``cells = 3``).  A radius
+    that overflows the float range raises :class:`ParameterError`.
     """
     _nonnegative(lip=lip, eps=eps)
     _count(m=m)
-    return lip * eps + cells * math.sqrt(m) * mu2
+    with _overflow("twin radius") as finite:
+        return finite(lip * eps + cells * math.sqrt(m) * mu2)
 
 
 def symbolic_quant_bias(

@@ -176,11 +176,14 @@ class Trajectory:
         v_cell = ",\r\n" if storage is None else ",%.17g\r\n"
         step_row = cells + ",%.17g" * signals.shape[1] + v_cell
         last_row = cells + "," * signals.shape[1] + v_cell
-        v = () if storage is None else self.storage_values(storage)
+        # V once as Python floats: the same "%.17g" bytes, cheaper than a
+        # numpy slice per row
+        v = () if storage is None else self.storage_values(storage).tolist()
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(",".join(header) + "\r\n")
-                # row by row: no Python list of the whole trajectory
+                # row by row: a Python list of the whole trajectory would
+                # cost about 0.3 MB per 500 steps and save no time
                 for k in range(self.horizon):
                     fh.write(step_row % (k, *states[k].tolist(), *signals[k].tolist(), *v[k:k + 1]))
                 k = self.horizon

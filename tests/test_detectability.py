@@ -133,6 +133,15 @@ def random_stable(seed, n, m, tau, feedthrough=0.5):
     return discretize_exact(LtiModel(a, b, c, feedthrough * np.eye(m)), tau)
 
 
+def near_floor(seed, n, m, window):
+    """``random_stable(seed, n, m, 0.3)`` with ``C`` and ``D`` scaled so that
+    ``lambda_min(O'O)`` over the window is 1.5e-8, half again the floor."""
+    system = random_stable(seed, n, m, 0.3)
+    o, _ = oracle_stack(system, window)
+    scale = (1.5e-8 / min_eig(o.T @ o)) ** 0.5
+    return DiscreteLti(system.ad, system.bd, scale * system.c, scale * system.d)
+
+
 SEEDED = [
     pytest.param(seed, n, m, window, tau, id=f"n{n}-m{m}-w{window}-tau{tau}")
     for seed, (n, m, window) in enumerate([(2, 1, 1), (8, 2, 7), (32, 8, 25)])
@@ -217,20 +226,38 @@ class TestAgainstOracle:
         assert cert.theta == ref.theta == 1e-9
         assert np.array_equal(cert.mp, ref.mp)
 
+    @pytest.mark.parametrize("system, window", [
+        pytest.param(DiscreteLti([[0.5]], [[1.0]], [[1.2247e-4]], [[0.01]]), 0, id="n1"),
+        pytest.param(near_floor(0, 2, 1, 1), 1, id="n2"),
+        pytest.param(near_floor(1, 8, 2, 7), 7, id="n8"),
+    ])
+    def test_gram_eigenvalue_near_the_floor(self, system, window):
+        # lambda_min(O'O) within a factor 2 of the 1e-8 floor: lambda_min(S)
+        # levels off just above the floor, where Newton steps on it crawl
+        o, _ = oracle_stack(system, window)
+        assert 1e-8 < min_eig(o.T @ o) < 2e-8
+        assert_agrees_with_oracle(system, window)
+
     @pytest.mark.parametrize("seed, n, m, window, tau", SEEDED)
-    def test_bisection_stops_at_a_fixed_bracket(self, monkeypatch, seed, n, m, window, tau):
-        # two end checks, 59 halvings and the check that Mp is definite;
-        # all 80 halvings would make 83
+    def test_eigensolves_are_fixed(self, monkeypatch, seed, n, m, window, tau):
+        # 15 eigenvalue problems, whatever the system: the upper end check
+        # and five closing checks through min_eig, the lower end check and
+        # eight steps through sym_eig, which keeps the eigenvector
         system = random_stable(seed, n, m, tau)
-        calls = []
+        calls = {"sym_eig": 0, "min_eig": 0}
 
-        def counted(matrix):
-            calls.append(1)
-            return min_eig(matrix)
+        def counted(name, fn):
+            def wrapper(matrix):
+                calls[name] += 1
+                return fn(matrix)
+            return wrapper
 
-        monkeypatch.setattr(passquant.linalg, "min_eig", counted)
-        lti_sd_certificate(system, window)
-        assert 2 < len(calls) <= 62
+        for name in calls:
+            monkeypatch.setattr(
+                passquant.linalg, name, counted(name, getattr(passquant.linalg, name)))
+        cert = lti_sd_certificate(system, window)
+        assert cert.theta > 1e-9
+        assert calls == {"sym_eig": 15, "min_eig": 6}
 
 
 class TestCheck:

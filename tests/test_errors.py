@@ -6,9 +6,9 @@ NaN and both infinities must fail with a :class:`ParameterError` whose
 message starts with the parameter's name; an array of the wrong shape must
 fail with a :class:`DimensionError` that names it the same way, and a model
 of the wrong kind with a :class:`ParameterError` that names it and its type.
-A finite value whose square overflows fails as a :class:`ParameterError`
-naming the quantity being computed.  A scan of the package source keeps
-every such test inside the three rules.
+A finite value whose square or product overflows fails as a
+:class:`ParameterError` naming the quantity being computed.  A scan of the
+package source keeps every such test inside the three rules.
 """
 
 import ast
@@ -406,7 +406,7 @@ def test_wrong_model_type_names_the_argument(case):
 
 
 # case id -> (quantity the formula computes, call with a finite value whose
-# square overflows in place of one argument)
+# square or product overflows in place of one argument)
 HUGE = 1e300
 OVERFLOWS = {
     "degrade_sampling.tau": ("nu'", lambda: sampling(tau=HUGE)),
@@ -424,6 +424,14 @@ OVERFLOWS = {
     "loop_bounds.mu2": ("d2", lambda: loop_levels(mu2=HUGE)),
     "symbolic_loop_bounds.eps": ("d2", lambda: symbolic_loop_levels(eps=HUGE)),
     "symbolic_loop_bounds.mu1": ("d2", lambda: symbolic_loop_levels(mu1=HUGE)),
+    # lip * eps overflows through ``*`` in each caller of the twin radius
+    "symbolic_quant_bias.lip": (
+        "twin radius", lambda: symbolic_quant_bias(0.2, 0.9, 1e10, HUGE, 0.01, 0.01, 2)),
+    "symbolic_loop_bounds.lip": (
+        "twin radius", lambda: symbolic_loop_levels(lip=1e10, eps=HUGE)),
+    "simulate.eps": ("twin radius", lambda: simulate(loop(
+        controller=LtiModel(-I1, I1, 1e10 * I1, np.zeros((1, 1))),
+        mode="disturbance-injected", eta=None, eps=HUGE))),
 }
 
 

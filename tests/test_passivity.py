@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import passquant
 from passquant import (
     CertificateError,
     DimensionError,
@@ -23,6 +24,7 @@ from passquant import (
     verify_gain_assumption,
     verify_lti_passivity,
 )
+from passquant.passivity import _quad_values
 
 P_BENCH = 0.23 * np.eye(2)
 
@@ -109,6 +111,49 @@ class TestMaxIndexBisection:
             nu = max_index_bisection(system, p, "rho", 0.0)
             assert verify_lti_passivity(system, p, nu, 0.0).passed
             assert not verify_lti_passivity(system, p, nu + 1e-5, 0.0).passed
+
+    def test_small_outputs_keep_the_resolution(self):
+        # with C and D scaled by 1e-2 (and A'PA - P = -1e-4 I to match),
+        # F = [C D]'[C D] is of order 1e-4, so the boundary at tol/2 lies
+        # about 5e-5 inside the one at tol
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n, m = rng.integers(1, 4), rng.integers(1, 3)
+            ad = rng.uniform(-1, 1, (n, n))
+            ad *= rng.uniform(0.1, 0.9) / max(np.abs(np.linalg.eigvals(ad)).max(), 1e-3)
+            system = DiscreteLti(
+                ad, rng.uniform(-0.5, 0.5, (n, m)), 1e-2 * rng.uniform(-1, 1, (m, n)),
+                1e-2 * rng.uniform(-1, 1, (m, m)),
+            )
+            p = scipy.linalg.solve_discrete_lyapunov(ad.T, 1e-4 * np.eye(n))
+            rho = max_index_bisection(system, p, "nu", -1.0)
+            assert -10.0 < rho < 10.0
+            assert verify_lti_passivity(system, p, -1.0, rho).passed
+            assert not verify_lti_passivity(system, p, -1.0, rho + 1e-5).passed
+
+    def test_lower_end_within_half_the_tolerance_of_the_boundary(self):
+        # M(nu) = diag(7e-9, nu): M(-10) is above tol/2 yet every nu <= 1e-8
+        # passes, so the index is 1e-8 to within 1e-5, not -10
+        model = LtiModel([[7e-9]], [[1.0]], [[1.0]], [[0.0]])
+        nu = max_index_bisection(model, [[0.5]], "rho", 0.0)
+        assert verify_lti_passivity(model, [[0.5]], nu, 0.0).passed
+        assert not verify_lti_passivity(model, [[0.5]], nu + 1e-5, 0.0).passed
+
+    def test_interior_index_costs_three_lmi_eigenvalues(self, bench_discrete, monkeypatch):
+        # both window ends and the closed-form candidate, whatever the system
+        calls = []
+        max_eig = passquant.linalg.max_eig
+
+        def counted(matrix):
+            calls.append(1)
+            return max_eig(matrix)
+
+        monkeypatch.setattr(passquant.linalg, "max_eig", counted)
+        for fixed, value in [("nu", 0.2), ("rho", 0.0)]:
+            calls.clear()
+            index = max_index_bisection(bench_discrete, P_BENCH, fixed, value)
+            assert -10.0 < index < 10.0
+            assert len(calls) == 3
 
     def test_infeasible_raises(self, bench_discrete):
         # a strictly proper discrete system cannot pass with nu fixed at 10
@@ -348,6 +393,26 @@ class TestChooseNuHat:
             trial = star + eps
             if bound - 10.0 <= trial < bound:
                 assert best >= compose_feedback(i1, i2, trial).rho - 1e-6
+
+
+class TestQuadValues:
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_bits_of_the_per_row_product(self, layout):
+        # the batched product against float(x @ q @ x) row by row, bit for
+        # bit, over state sizes 1..32 and entries from 1e-3 to 1e15
+        rng = np.random.default_rng(17)
+        for n in range(1, 33):
+            scale = 10.0 ** rng.uniform(-3, 15)
+            q = rng.normal(size=(n, n))
+            q = q + q.T
+            wide = scale * rng.normal(size=(41, 2 * n))
+            states = {
+                "contiguous": np.ascontiguousarray(wide[:, :n]),
+                "strided": wide[:, ::2],
+                "fortran": np.asfortranarray(wide[:, :n]),
+            }[layout]
+            expected = np.array([float(x @ q @ x) for x in states])
+            assert np.array_equal(_quad_values(q, states), expected)
 
 
 class TestDissipationAudit:

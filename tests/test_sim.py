@@ -19,7 +19,6 @@ from passquant import (
     simulate,
     ultimate_bound_audit,
 )
-from passquant.passivity import _quad_values, _storage_matrix
 from passquant.sim import AuditResult, SweepPoint, Trajectory, read_csv
 
 STORAGE4 = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.0, 0.2],
@@ -271,9 +270,10 @@ class TestLoopStates:
         traj = simulate(cfg)
         second = traj.x2s if symbolic else traj.x2
         storage = STORAGE4
-        per_step = (np.concatenate([traj.x1[k], second[k]]) for k in range(traj.horizon + 1))
+        # x'Px of each step's stacked state, one float evaluation per step
+        per_step = [np.concatenate([traj.x1[k], second[k]]) for k in range(traj.horizon + 1)]
         assert np.array_equal(
-            traj.storage_values(storage), _quad_values(_storage_matrix(storage), per_step)
+            traj.storage_values(storage), [float(x @ storage @ x) for x in per_step]
         )
         assert np.array_equal(traj.loop_states, np.hstack([traj.x1, second]))
 
