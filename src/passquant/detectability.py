@@ -19,7 +19,7 @@ from . import linalg
 from .errors import (
     CertificateError, NotDetectableError, _array, _count, _instance, _nonnegative,
     _nonnegative_integer)
-from .passivity import Verdict, _quadratic_form
+from .passivity import Verdict, _quad_values, _quadratic_form
 from .systems import DiscreteLti
 
 __all__ = [
@@ -226,6 +226,11 @@ def compose_sd(cert1: SdCertificate, cert2: SdCertificate) -> SdCertificate:
     return SdCertificate(window=max(cert1.window, cert2.window), theta=theta, mp=mp)
 
 
+# trials per sd_falsify block; a trial draws n + (window + 1) m floats, so a
+# block of the bundled systems' trials holds a few kB
+_FALSIFY_BLOCK = 256
+
+
 def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
     """Sampling-based falsifier for an SD certificate.
 
@@ -234,6 +239,10 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
     ``p(x0) / sum(theta |u|^2 + |y|^2)``.  Intended for systems where the
     exact block-form check is unavailable (nonlinear dynamics); ``system``
     only needs ``step``/``output`` methods and ``n``/``m`` attributes.
+    Trials are drawn in blocks of up to 256, one draw per block, with
+    ``p(x0)`` and ``theta |u[k]|^2`` as one product per block; the draws,
+    the products and so the result are those of drawing and evaluating one
+    trial at a time.  ``step`` and ``output`` run per trial.
 
     Returns
     -------
@@ -245,25 +254,31 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
     _nonnegative_integer(seed=seed)
     _array(cert.mp, "Mp", (system.n, system.n))
     rng = np.random.default_rng(seed)
-    steps = cert.window + 1
+    n, m, steps = system.n, system.m, cert.window + 1
     worst = 0.0
     witness = None
-    for _ in range(trials):
-        x0 = rng.uniform(-3.0, 3.0, system.n)
-        useq = rng.uniform(-3.0, 3.0, (steps, system.m))
-        energy = 0.0
-        x = x0
-        for k in range(steps):
-            y = np.asarray(system.output(x, useq[k]), float)
-            energy += cert.theta * float(useq[k] @ useq[k]) + float(y @ y)
-            if k + 1 < steps:
-                x = np.asarray(system.step(x, useq[k]), float)
-        p0 = cert.p(x0)
-        if p0 == 0.0:
-            continue
-        ratio = np.inf if energy == 0.0 else p0 / energy
-        if ratio > worst:
-            worst = ratio
-            if ratio > 1.0 + 1e-9:
-                witness = (x0, useq)
+    for start in range(0, trials, _FALSIFY_BLOCK):
+        # one draw per block: row i is trial i's x0 then its inputs, the
+        # numbers the per-trial draws took from the stream, in their order
+        draws = rng.uniform(-3.0, 3.0, (min(_FALSIFY_BLOCK, trials - start), n + steps * m))
+        x0s = draws[:, :n]
+        useqs = draws[:, n:].reshape(len(draws), steps, m)
+        # p(x0) and theta |u[k]|^2 with the bits of the per-trial products
+        p0s = _quad_values(cert.mp, x0s).tolist()
+        weighted = (cert.theta * (useqs[..., None, :] @ useqs[..., :, None])[..., 0, 0]).tolist()
+        for x0, useq, p0, input_energy in zip(x0s, useqs, p0s, weighted):
+            energy = 0.0
+            x = x0
+            for k in range(steps):
+                y = np.asarray(system.output(x, useq[k]), float)
+                energy += input_energy[k] + float(y @ y)
+                if k + 1 < steps:
+                    x = np.asarray(system.step(x, useq[k]), float)
+            if p0 == 0.0:
+                continue
+            ratio = np.inf if energy == 0.0 else p0 / energy
+            if ratio > worst:
+                worst = ratio
+                if ratio > 1.0 + 1e-9:
+                    witness = (x0.copy(), useq.copy())
     return FalsifyResult(worst_ratio=float(worst), counterexample=witness)

@@ -6,13 +6,20 @@ A quadratic form ``x' A x`` depends only on the symmetric part
 take any square matrix and use its symmetric part, which only
 :func:`_as_symmetric` forms (an exactly symmetric matrix is its own
 symmetric part, bit for bit).  This is the only module that imports scipy.
+
+Each eigen routine names its LAPACK driver: :func:`sym_eig` takes every
+eigenvalue and eigenvector (numpy's ``eigh``, ``dsyevd``); :func:`min_eig`
+and :func:`max_eig` take one eigenvalue and no eigenvector (``dsyevr`` with
+an index range), which is all a yes/no verdict reads and costs a third to
+a half of the full decomposition; :func:`quad_sublevel_max` takes the
+eigenvalues of a symmetric pencil (scipy's ``eigh``, ``dsygvd``).
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from .errors import CertificateError, _array, _nonnegative
+from .errors import CertificateError, ToolkitError, _array, _nonnegative
 
 __all__ = [
     "sym_eig",
@@ -47,14 +54,31 @@ def sym_eig(a):
     return np.linalg.eigh(a)
 
 
+def _eig_at(s, i):
+    """The ``i``-th smallest eigenvalue (1-based) of an exactly symmetric
+    matrix ``s``, which is overwritten, and no eigenvector.
+
+    LAPACK ``dsyevr`` with the index range ``[i, i]`` reduces ``s`` to
+    tridiagonal form and computes that one eigenvalue; a nonzero ``info``
+    raises :class:`ToolkitError`.
+    """
+    # s.T is s, in the column order LAPACK works in without a copy
+    w, _, _, _, info = scipy.linalg.lapack.dsyevr(
+        s.T, compute_v=0, range="I", il=i, iu=i, overwrite_a=1)
+    if info:
+        raise ToolkitError(f"LAPACK dsyevr failed on a {len(s)}x{len(s)} matrix (info {info})")
+    return w[0]
+
+
 def max_eig(a):
     """Largest eigenvalue of the symmetric part of a square matrix."""
-    return sym_eig(a)[0][-1]
+    s = _as_symmetric(a)
+    return _eig_at(s, len(s))
 
 
 def min_eig(a):
     """Smallest eigenvalue of the symmetric part of a square matrix."""
-    return sym_eig(a)[0][0]
+    return _eig_at(_as_symmetric(a), 1)
 
 
 def expm(a):

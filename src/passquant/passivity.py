@@ -65,8 +65,9 @@ def _quadratic_form(matrix, name, definite=False, size=None):
     """Symmetric part of ``matrix`` (``size x size`` when given), checked positive
     semidefinite (minimum eigenvalue >= -1e-10) or, with ``definite``, definite."""
     q = linalg._as_symmetric(np.atleast_2d(matrix), name, size)
-    # q is its own symmetric part, so min_eig's second pass is skipped
-    lam = np.linalg.eigh(q)[0][0]
+    # q is its own symmetric part, so min_eig's second pass is skipped; the
+    # kernel overwrites what it is given
+    lam = linalg._eig_at(q.copy(), 1)
     if not ((lam > 0) if definite else (lam >= -1e-10)):  # NaN fails too
         kind = "definite" if definite else "semidefinite"
         raise ParameterError(f"{name} must be positive {kind}")
@@ -355,6 +356,15 @@ def symbolic_quant_bias(
         return out_w * _twin_radius(lip, eps, m, mu2, 3) ** 2 + in_w * m * mu1**2
 
 
+def _loop_rho(idx1, idx2, nu_hat):
+    """The loop's output index ``rho_hat`` at ``nu_hat`` (see
+    :func:`compose_feedback`, which checks ``nu_hat``)."""
+    return min(
+        idx1.rho - nu_hat * idx2.nu / (idx2.nu - nu_hat),
+        idx2.rho - nu_hat * idx1.nu / (idx1.nu - nu_hat),
+    )
+
+
 def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:
     """Indices of the negative-feedback interconnection of two subsystems.
 
@@ -375,13 +385,9 @@ def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:
         raise ParameterError(
             f"nu_hat must satisfy nu_hat < min(nu1, nu2) = {bound}, got {nu_hat}"
         )
-    rho_hat = min(
-        idx1.rho - nu_hat * idx2.nu / (idx2.nu - nu_hat),
-        idx2.rho - nu_hat * idx1.nu / (idx1.nu - nu_hat),
-    )
     return ComposedIndices(
         nu=nu_hat,
-        rho=rho_hat,
+        rho=_loop_rho(idx1, idx2, nu_hat),
         delta=idx1.delta + idx2.delta,
         w1=idx1.w,
         w2=idx2.w,
@@ -397,16 +403,13 @@ def choose_nu_hat(idx1: IndexSet, idx2: IndexSet):
     still confirms local optimality at the returned point.
     """
     bound = min(idx1.nu, idx2.nu)
-
-    def objective(nh):
-        return compose_feedback(idx1, idx2, nh).rho
-
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = bound - 10.0, bound - 1e-9
+    # the rho of compose_feedback, with no ComposedIndices built per probe
     while b - a > 1e-6:
         c = b - gr * (b - a)
         d = a + gr * (b - a)
-        if objective(c) > objective(d):
+        if _loop_rho(idx1, idx2, c) > _loop_rho(idx1, idx2, d):
             b = d
         else:
             a = c

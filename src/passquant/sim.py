@@ -12,6 +12,7 @@ where both sides have feedthrough are rejected rather than iterated.
 
 import csv
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Union
 
 import numpy as np
@@ -226,6 +227,12 @@ def read_csv(path, n1, n2, m):
     return states, signals
 
 
+def _step_of(sampled):
+    """The one-period step of a :class:`SampledModel`: its cached exact
+    discretization's for an LTI source, its own (the flow) otherwise."""
+    return sampled.step if sampled._disc is None else sampled._disc.step
+
+
 def simulate(config: LoopConfig) -> Trajectory:
     """Run the closed loop and record the signals it runs on.
 
@@ -239,12 +246,19 @@ def simulate(config: LoopConfig) -> Trajectory:
     """
     plant = SampledModel(config.plant, config.tau)
     ctrl_exact = SampledModel(config.controller, config.tau)
+    # the per-step callables, bound once: the config is already checked and
+    # every vector in the loop is a float array, so each LTI side steps by
+    # the discretization its SampledModel caches and outputs by its own
+    # model, with the same numpy products
+    plant_step, ctrl_step = _step_of(plant), _step_of(ctrl_exact)
+    ctrl_output = config.controller.output
     if isinstance(config.plant, NonlinearModel):
         h1 = config.plant.h1
         plant_output = lambda x: np.asarray(h1(x), float)
     else:
         plant_output = config.plant.c.__matmul__
     r1, r2, m = config.r1, config.r2, config.plant.m
+    mu1, mu2 = config.mu1, config.mu2
     ctrl_sym = None
     if config.mode == "symbolic":
         x2s0 = config.x2s_0 if config.x2s_0 is not None else config.x2_0
@@ -262,17 +276,18 @@ def simulate(config: LoopConfig) -> Trajectory:
     for k in range(config.horizon):
         y1 = plant_output(x1)
         u2_tilde = r2 + y1
-        u2 = quantize(u2_tilde, config.mu1)
-        y2 = ctrl_exact.output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
-        y2_tilde = applied = quantize(y2, config.mu2)
+        u2 = quantize(u2_tilde, mu1)
+        y2 = ctrl_output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
+        y2_tilde = applied = quantize(y2, mu2)
         if radius is not None:
             direction = rng.normal(size=m)
             direction = direction / np.linalg.norm(direction)
             applied = y2_tilde + rng.uniform(0.0, radius) * direction
         u1 = r1 - applied
-        x1 = plant.step(x1, u1)
-        x2 = ctrl_exact.step(x2, u2)
-        if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        x1 = plant_step(x1, u1)
+        x2 = ctrl_step(x2, u2)
+        # Python floats test faster than a numpy reduction on short vectors
+        if not all(map(isfinite, x1.tolist() + x2.tolist())):
             raise DivergenceError(f"loop state diverged at step {k}", step=k)
         states.append((x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.step(u2)))
         steps.append((u1, u2_tilde, u2, y1, y2, y2_tilde))

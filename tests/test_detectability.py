@@ -16,7 +16,7 @@ from passquant import (
     lti_sd_certificate,
     sd_falsify,
 )
-from passquant.detectability import observability_stack
+from passquant.detectability import FalsifyResult, observability_stack
 from passquant.linalg import min_eig
 
 
@@ -241,8 +241,9 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("seed, n, m, window, tau", SEEDED)
     def test_eigensolves_are_fixed(self, monkeypatch, seed, n, m, window, tau):
         # 15 eigenvalue problems, whatever the system: the upper end check
-        # and five closing checks through min_eig, the lower end check and
-        # eight steps through sym_eig, which keeps the eigenvector
+        # and five closing checks through min_eig, which takes one
+        # eigenvalue, the lower end check and eight steps through sym_eig,
+        # which keeps the eigenvector
         system = random_stable(seed, n, m, tau)
         calls = {"sym_eig": 0, "min_eig": 0}
 
@@ -257,7 +258,7 @@ class TestAgainstOracle:
                 passquant.linalg, name, counted(name, getattr(passquant.linalg, name)))
         cert = lti_sd_certificate(system, window)
         assert cert.theta > 1e-9
-        assert calls == {"sym_eig": 15, "min_eig": 6}
+        assert calls == {"sym_eig": 9, "min_eig": 6}
 
 
 class TestCheck:
@@ -332,6 +333,32 @@ class TestCompose:
             assert np.linalg.eigvalsh(comp.mp).min() > 0
 
 
+def falsify_trial_by_trial(system, cert, trials, seed):
+    """Reference falsifier: one draw of x0, one of the inputs and one
+    evaluation per trial, in the order of the stream."""
+    rng = np.random.default_rng(seed)
+    steps = cert.window + 1
+    worst, witness = 0.0, None
+    for _ in range(trials):
+        x0 = rng.uniform(-3.0, 3.0, system.n)
+        useq = rng.uniform(-3.0, 3.0, (steps, system.m))
+        energy, x = 0.0, x0
+        for k in range(steps):
+            y = np.asarray(system.output(x, useq[k]), float)
+            energy += cert.theta * float(useq[k] @ useq[k]) + float(y @ y)
+            if k + 1 < steps:
+                x = np.asarray(system.step(x, useq[k]), float)
+        p0 = cert.p(x0)
+        if p0 == 0.0:
+            continue
+        ratio = np.inf if energy == 0.0 else p0 / energy
+        if ratio > worst:
+            worst = ratio
+            if ratio > 1.0 + 1e-9:
+                witness = (x0, useq)
+    return FalsifyResult(worst_ratio=float(worst), counterexample=witness)
+
+
 class TestFalsify:
     def test_sound_certificate_survives(self, double_integrator):
         cert = lti_sd_certificate(double_integrator, 1)
@@ -374,6 +401,26 @@ class TestFalsify:
         cert = SdCertificate(0, 0.0, bench_discrete.c.T @ bench_discrete.c)
         result = sd_falsify(state_channel, cert, trials=10000, seed=5)
         assert not result.falsified
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind, trials", [
+        ("lti", 1), ("lti", 255), ("lti", 257), ("lti", 700), ("nonlinear", 3), ("nonlinear", 260),
+    ])
+    def test_same_result_as_trial_by_trial(self, bench_discrete, cubic_plant, window, kind,
+                                           trials):
+        # the blocks of draws and products reproduce the trial-by-trial loop
+        # bit for bit, the counterexample included, whether or not the trial
+        # count fills whole blocks
+        system = bench_discrete if kind == "lti" else SampledModel(cubic_plant, 0.3)
+        for scale in (0.05, 50.0):  # one certificate survives, one is falsified
+            cert = SdCertificate(window, 0.3, scale * np.array([[1.0, 0.2], [0.2, 0.6]]))
+            got = sd_falsify(system, cert, trials=trials, seed=7 + window)
+            want = falsify_trial_by_trial(system, cert, trials, 7 + window)
+            assert got.worst_ratio == want.worst_ratio
+            assert got.falsified == want.falsified
+            if want.falsified:
+                for a, b in zip(got.counterexample, want.counterexample):
+                    assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_negative_seed_rejected(self, double_integrator):
         cert = lti_sd_certificate(double_integrator, 1)

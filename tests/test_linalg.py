@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import passquant
-from passquant import CertificateError, DimensionError
+from passquant import CertificateError, DimensionError, ToolkitError
 from passquant import linalg
 
 
@@ -45,7 +45,34 @@ class TestSymEig:
             w, v = linalg.sym_eig(a)
             w_sym, v_sym = linalg.sym_eig(0.5 * (a + a.T))
             assert np.array_equal(w, w_sym) and np.array_equal(v, v_sym)
-            assert linalg.min_eig(a) == w_sym[0] and linalg.max_eig(a) == w_sym[-1]
+            sym = 0.5 * (a + a.T)
+            assert linalg.min_eig(a) == linalg.min_eig(sym)
+            assert linalg.max_eig(a) == linalg.max_eig(sym)
+
+    def test_extreme_eigenvalues_agree_with_eigvalsh(self):
+        # min_eig and max_eig take one eigenvalue through another LAPACK
+        # driver than eigvalsh; both are backward stable, so they agree to
+        # a few rounding errors of the spectral norm
+        rng = np.random.default_rng(4)
+        for n in [*range(1, 33), *range(40, 241, 8)]:
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 10)
+            w = np.linalg.eigvalsh(0.5 * (a + a.T))
+            # the spectral norm of a symmetric matrix is its largest |eigenvalue|
+            tol = n * np.finfo(float).eps * max(-w[0], w[-1]) * 10
+            assert abs(linalg.min_eig(a) - w[0]) <= tol
+            assert abs(linalg.max_eig(a) - w[-1]) <= tol
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        # a nonzero info from the one-eigenvalue driver is never read as a value
+        def failing(a, **kwargs):
+            return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 3
+
+        monkeypatch.setattr(linalg.scipy.linalg.lapack, "dsyevr", failing)
+        for fn in (linalg.min_eig, linalg.max_eig):
+            with pytest.raises(ToolkitError, match="dsyevr"):
+                fn(np.eye(3))
+        with pytest.raises(ToolkitError, match="dsyevr"):
+            passquant.passivity._quadratic_form(np.eye(3), "storage")
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):

@@ -7,6 +7,7 @@ import pytest
 from passquant import (
     BoundReport,
     DimensionError,
+    DiscreteLti,
     DivergenceError,
     LoopConfig,
     LtiModel,
@@ -180,6 +181,39 @@ class TestSimulate:
         ) as info:
             simulate(cfg)
         assert info.value.step == 78
+
+    @pytest.mark.parametrize("mode", ["sampled-quantized", "symbolic", "disturbance-injected"])
+    @pytest.mark.parametrize("side", ["x1", "x2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_raises_at_its_step(self, monkeypatch, bench_model, mode, side, bad):
+        # one entry of one side's exact step turns non-finite at step 5; the
+        # loop stops there, whichever side and value and in every mode
+        plant = LtiModel(-np.eye(3), np.ones((3, 2)), np.ones((2, 3)), np.zeros((2, 2)))
+        cfg = base_config(bench_model, plant=plant, mode=mode, eta=0.1, eps=0.25, horizon=12,
+                          x1_0=np.array([1.0, -1.5, 0.5]))
+        target_n = 3 if side == "x1" else 2
+        # the symbolic twin advances by the controller's exact step too,
+        # after the loop has checked the step's states
+        per_step = 2 if side == "x2" and mode == "symbolic" else 1
+        exact_step, calls = DiscreteLti.step, []
+
+        def step(disc, x, u):
+            out = exact_step(disc, x, u)
+            if disc.n == target_n:
+                if len(calls) == 5 * per_step:
+                    out = out.copy()
+                    out[1] = bad
+                calls.append(out)
+            return out
+
+        monkeypatch.setattr(DiscreteLti, "step", step)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DivergenceError, match="^loop state diverged at step 5$"
+        ) as info:
+            simulate(cfg)
+        assert info.value.step == 5
+        assert len(calls) == 5 * per_step + 1
+        assert all(np.isfinite(x).all() for x in calls[:-1])
 
     def test_overflowing_plant_is_divergence(self, example5_plant, bench_model):
         cfg = base_config(bench_model, plant=example5_plant, x1_0=np.array([1e110, 0.0]))
