@@ -271,7 +271,7 @@ def sd_falsify(system, cert: SdCertificate, trials=10000, seed=0):
             x = x0
             for k in range(steps):
                 y = np.asarray(system.output(x, useq[k]), float)
-                energy += input_energy[k] + float(y @ y)
+                energy += input_energy[k] + float(y.dot(y))
                 if k + 1 < steps:
                     x = np.asarray(system.step(x, useq[k]), float)
             if p0 == 0.0:

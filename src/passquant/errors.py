@@ -19,24 +19,29 @@ class ParameterError(ToolkitError, ValueError):
     """A parameter violates its contract (sign, range, ordering, finiteness)."""
 
 
+# the largest finite float, read once: the quantizer checks its step on
+# every call
+_FLOAT_MAX = sys.float_info.max
+
+
 # The scalar rule: each check takes its values by name, fails NaN and both
 # infinities, and raises ``<name> must be <kind>, got <value>`` for the first
 # value that fails.  Integer rules take ints and numpy integers, never bools or floats.
 def _positive(**values):
     for name, value in values.items():
-        if not 0 < value <= sys.float_info.max:
+        if not 0 < value <= _FLOAT_MAX:
             raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def _nonnegative(**values):
     for name, value in values.items():
-        if not 0 <= value <= sys.float_info.max:
+        if not 0 <= value <= _FLOAT_MAX:
             raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _finite(**values):
     for name, value in values.items():
-        if not abs(value) <= sys.float_info.max:
+        if not abs(value) <= _FLOAT_MAX:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
@@ -81,7 +86,7 @@ def _instance(value, name, *types):
 @contextlib.contextmanager
 def _overflow(name):
     def finite(value):
-        if not abs(value) <= sys.float_info.max:
+        if not abs(value) <= _FLOAT_MAX:
             raise ParameterError(f"{name} overflows the float range")
         return value
 

@@ -17,7 +17,6 @@ eigenvalues of a symmetric pencil (scipy's ``eigh``, ``dsygvd``).
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import block_diag
 
 from .errors import CertificateError, ToolkitError, _array, _nonnegative
 
@@ -28,6 +27,7 @@ __all__ = [
     "expm",
     "quad_sublevel_max",
     "lyap",
+    "block_diag",
 ]
 
 
@@ -104,6 +104,21 @@ def quad_sublevel_max(m_form, p_form, xi):
         )
     lam = scipy.linalg.eigh(m_form, p_form, eigvals_only=True)[-1]
     return float(xi) * max(float(lam), 0.0)
+
+
+def block_diag(*blocks):
+    """Float matrix with the blocks along its diagonal and zeros elsewhere.
+
+    A scalar or 1-D block is a row, as in ``scipy.linalg.block_diag``; the
+    entries are copied, so the result holds the blocks' values bit for bit.
+    """
+    blocks = [np.atleast_2d(b) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def lyap(a, q):

@@ -397,23 +397,33 @@ def compose_feedback(idx1: IndexSet, idx2: IndexSet, nu_hat) -> ComposedIndices:
 def choose_nu_hat(idx1: IndexSet, idx2: IndexSet):
     """Golden-section search for the ``nu_hat`` maximizing the loop ``rho``.
 
-    Searches ``(min(nu1, nu2) - 10, min(nu1, nu2))`` to a width of 1e-6.
-    The objective is monotone in ``nu_hat`` for fixed subsystem indices, so
-    the maximizer typically sits at the far end of the window; the search
-    still confirms local optimality at the returned point.
+    Searches ``(min(nu1, nu2) - 10, min(nu1, nu2))`` to a width of 1e-6,
+    or until the float spacing of large indices stops the probes moving
+    strictly inside the bracket.  The objective is monotone in ``nu_hat``
+    for fixed subsystem indices, so the maximizer typically sits at the far
+    end of the window; the search still confirms local optimality at the
+    returned point, which lies strictly below ``min(nu1, nu2)``.  An index
+    so large that the window holds no float below it raises
+    :class:`ParameterError`.
     """
     bound = min(idx1.nu, idx2.nu)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = bound - 10.0, bound - 1e-9
-    # the rho of compose_feedback, with no ComposedIndices built per probe
+    if not a < bound:
+        raise ParameterError(f"nu = {bound} leaves no float nu_hat in (nu - 10, nu)")
+    # the rho of compose_feedback, with no ComposedIndices built per probe;
+    # a probe is strictly inside (a, b), so never at the bound
     while b - a > 1e-6:
         c = b - gr * (b - a)
         d = a + gr * (b - a)
+        if not (a < c < b and a < d < b):
+            break
         if _loop_rho(idx1, idx2, c) > _loop_rho(idx1, idx2, d):
             b = d
         else:
             a = c
-    return 0.5 * (a + b)
+    mid = 0.5 * (a + b)
+    return mid if mid < bound else a
 
 
 def dissipation_audit(states, inputs, outputs, storage, indices: IndexSet, bias=None):

@@ -227,10 +227,20 @@ def read_csv(path, n1, n2, m):
     return states, signals
 
 
+def _affine(p, q):
+    """``(x, u) -> p x + q u`` for float-array arguments: the ``ndarray.dot``
+    products of :meth:`DiscreteLti.step` and :meth:`LtiModel.output`, bit
+    for bit, without their argument conversion."""
+    px, qu = p.dot, q.dot
+    return lambda x, u: px(x) + qu(u)
+
+
 def _step_of(sampled):
-    """The one-period step of a :class:`SampledModel`: its cached exact
-    discretization's for an LTI source, its own (the flow) otherwise."""
-    return sampled.step if sampled._disc is None else sampled._disc.step
+    """The one-period step of a :class:`SampledModel`: the products of its
+    cached exact discretization for an LTI source, its own (the flow)
+    otherwise."""
+    disc = sampled._disc
+    return sampled.step if disc is None else _affine(disc.ad, disc.bd)
 
 
 def simulate(config: LoopConfig) -> Trajectory:
@@ -249,14 +259,15 @@ def simulate(config: LoopConfig) -> Trajectory:
     # the per-step callables, bound once: the config is already checked and
     # every vector in the loop is a float array, so each LTI side steps by
     # the discretization its SampledModel caches and outputs by its own
-    # model, with the same numpy products
+    # matrices, through ndarray.dot with no per-step method frame
     plant_step, ctrl_step = _step_of(plant), _step_of(ctrl_exact)
-    ctrl_output = config.controller.output
+    ctrl = config.controller
+    ctrl_output = _affine(ctrl.c, ctrl.d) if isinstance(ctrl, LtiModel) else ctrl.output
     if isinstance(config.plant, NonlinearModel):
         h1 = config.plant.h1
         plant_output = lambda x: np.asarray(h1(x), float)
     else:
-        plant_output = config.plant.c.__matmul__
+        plant_output = config.plant.c.dot
     r1, r2, m = config.r1, config.r2, config.plant.m
     mu1, mu2 = config.mu1, config.mu2
     ctrl_sym = None

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import passquant
 from passquant import CertificateError, DimensionError, ToolkitError
@@ -161,6 +162,21 @@ class TestCholeskySolveLyap:
         with pytest.raises(CertificateError) as err:
             linalg.lyap(np.array([[1.0]]), np.eye(1))
         assert "eigenvalue" in err.value.info
+
+
+class TestBlockDiag:
+    @pytest.mark.parametrize("blocks", [
+        ([[1.0, 2.0], [3.0, 4.0]], [[5.0]]),
+        (np.arange(6).reshape(2, 3), np.ones((3, 1)), 7.5),
+        ([1.0, 2.0], [[3.0], [4.0]], np.eye(2)),
+        (np.eye(2), np.array([]), np.ones((0, 3)), [[-0.0, np.pi]]),
+        (np.asfortranarray(np.arange(4.0).reshape(2, 2)), np.arange(9.0).reshape(3, 3)[:, ::2]),
+    ], ids=["square", "int and scalar", "1-D row", "empty blocks", "strided"])
+    def test_matches_scipy(self, blocks):
+        got = linalg.block_diag(*blocks)
+        want = scipy.linalg.block_diag(*blocks)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.astype(float).tobytes()
 
 
 def test_only_linalg_imports_scipy():

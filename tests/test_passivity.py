@@ -394,6 +394,22 @@ class TestChooseNuHat:
             if bound - 10.0 <= trial < bound:
                 assert best >= compose_feedback(i1, i2, trial).rho - 1e-6
 
+    def test_result_near_1e9_unchanged(self):
+        assert choose_nu_hat(IndexSet(1e9, 0.5), IndexSet(1.0000001e9, 0.2)) == 999999990.0000005
+
+    @pytest.mark.parametrize("nu", [1e10, 3e10, 1e12, -1e12, 1e15, 1e17])
+    def test_large_index_returns_an_accepted_nu_hat(self, nu):
+        # the bound's float spacing exceeds the 1e-6 width: the search stops
+        # where its probes stop moving, never probing the bound itself
+        i1, i2 = IndexSet(nu, 0.5), IndexSet(nu + abs(nu) * 1e-7, 0.2)
+        star = choose_nu_hat(i1, i2)
+        assert nu - 10.0 <= star < nu
+        assert compose_feedback(i1, i2, star).nu == star
+
+    def test_index_beyond_the_window_raises(self):
+        with pytest.raises(ParameterError, match=r"^nu = 1e\+18 leaves no float nu_hat"):
+            choose_nu_hat(IndexSet(1e18, 0.5), IndexSet(2e18, 0.2))
+
 
 class TestQuadValues:
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])

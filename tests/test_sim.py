@@ -7,7 +7,6 @@ import pytest
 from passquant import (
     BoundReport,
     DimensionError,
-    DiscreteLti,
     DivergenceError,
     LoopConfig,
     LtiModel,
@@ -15,12 +14,19 @@ from passquant import (
     ParameterError,
     ToolkitError,
     WellPosednessError,
+    linalg,
     lipschitz_output_bound,
+    load_config,
     quantize,
+    quantize_nearest,
     simulate,
     ultimate_bound_audit,
 )
-from passquant.sim import AuditResult, SweepPoint, Trajectory, read_csv
+from passquant import sim
+from passquant.config import bundled_config_path
+from passquant.passivity import _twin_radius
+from passquant.sim import MODES, AuditResult, SweepPoint, Trajectory, read_csv
+from tests.test_systems import same_bits
 
 STORAGE4 = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.0, 0.2],
                      [0.1, 0.0, 1.2, 0.4], [0.0, 0.2, 0.4, 0.9]])
@@ -192,27 +198,29 @@ class TestSimulate:
         cfg = base_config(bench_model, plant=plant, mode=mode, eta=0.1, eps=0.25, horizon=12,
                           x1_0=np.array([1.0, -1.5, 0.5]))
         target_n = 3 if side == "x1" else 2
-        # the symbolic twin advances by the controller's exact step too,
-        # after the loop has checked the step's states
-        per_step = 2 if side == "x2" and mode == "symbolic" else 1
-        exact_step, calls = DiscreteLti.step, []
+        # the loop binds each side's exact step once, through sim._step_of
+        exact_step_of, calls = sim._step_of, []
 
-        def step(disc, x, u):
-            out = exact_step(disc, x, u)
-            if disc.n == target_n:
-                if len(calls) == 5 * per_step:
+        def step_of(sampled):
+            exact_step = exact_step_of(sampled)
+
+            def step(x, u):
+                out = exact_step(x, u)
+                if len(calls) == 5:
                     out = out.copy()
                     out[1] = bad
                 calls.append(out)
-            return out
+                return out
 
-        monkeypatch.setattr(DiscreteLti, "step", step)
+            return step if sampled.n == target_n else exact_step
+
+        monkeypatch.setattr(sim, "_step_of", step_of)
         with np.errstate(invalid="ignore"), pytest.raises(
             DivergenceError, match="^loop state diverged at step 5$"
         ) as info:
             simulate(cfg)
         assert info.value.step == 5
-        assert len(calls) == 5 * per_step + 1
+        assert len(calls) == 6
         assert all(np.isfinite(x).all() for x in calls[:-1])
 
     def test_overflowing_plant_is_divergence(self, example5_plant, bench_model):
@@ -223,6 +231,118 @@ class TestSimulate:
         ) as info:
             simulate(cfg)
         assert info.value.step == 0
+
+
+def matmul_reference_loop(cfg, plant_mats, ctrl_mats):
+    """The loop of :func:`simulate` written out with ``@``: on the matrices
+    ``(A, B, C, D)`` of each side as given, and on the slices of the
+    augmented exponential that :func:`discretize_exact` takes ``Ad`` and
+    ``Bd`` from.  Returns the :class:`Trajectory` fields as arrays."""
+
+    def discretize(a, b):
+        n, m = b.shape
+        aug = np.zeros((n + m, n + m))
+        aug[:n, :n], aug[:n, n:] = a * cfg.tau, b * cfg.tau
+        e = linalg.expm(aug)
+        return e[:n, :n], e[:n, n:]
+
+    (a1, b1), c1 = discretize(*plant_mats[:2]), plant_mats[2]
+    (a2, b2), (c2, d2) = discretize(*ctrl_mats[:2]), ctrl_mats[2:]
+    m = c1.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    radius = None
+    if cfg.mode == "disturbance-injected":
+        radius = _twin_radius(lipschitz_output_bound(cfg.controller), cfg.eps, m, cfg.mu2, 2)
+    x1, x2, xs = cfg.x1_0, cfg.x2_0, None
+    if cfg.mode == "symbolic":
+        xs = quantize_nearest(cfg.x2_0 if cfg.x2s_0 is None else cfg.x2s_0, cfg.eta) + 0.0
+    out = {name: [] for name in ("x1", "x2", "x2s", "u1", "u2_tilde", "u2", "y1", "y2",
+                                 "y2_tilde")}
+    for k in range(cfg.horizon + 1):
+        out["x1"].append(x1)
+        out["x2"].append(x2)
+        out["x2s"].append(xs)
+        if k == cfg.horizon:
+            break
+        y1 = c1 @ x1
+        u2_tilde = cfg.r2 + y1
+        u2 = quantize(u2_tilde, cfg.mu1)
+        y2 = c2 @ (x2 if xs is None else xs) + d2 @ u2
+        y2_tilde = applied = quantize(y2, cfg.mu2)
+        if radius is not None:
+            direction = rng.normal(size=m)
+            direction = direction / np.linalg.norm(direction)
+            applied = y2_tilde + rng.uniform(0.0, radius) * direction
+        u1 = cfg.r1 - applied
+        x1 = a1 @ x1 + b1 @ u1
+        x2 = a2 @ x2 + b2 @ u2
+        if xs is not None:
+            xs = quantize_nearest(a2 @ xs + b2 @ u2, cfg.eta) + 0.0
+        for name, value in zip(("u1", "u2_tilde", "u2", "y1", "y2", "y2_tilde"),
+                               (u1, u2_tilde, u2, y1, y2, y2_tilde)):
+            out[name].append(value)
+    return {name: np.array(rows) for name, rows in out.items() if rows[0] is not None}
+
+
+def random_lti(rng, n, m, feedthrough):
+    """A stable LTI side with small gains."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    s = rng.normal(size=(n, n))
+    a = -(q * rng.uniform(0.5, 2.0, n)) @ q.T + 0.5 * (s - s.T)
+    return (a, 0.5 * rng.normal(size=(n, m)) / np.sqrt(n), 0.5 * rng.normal(size=(m, n)) / np.sqrt(n),
+            0.3 * rng.normal(size=(m, m)) if feedthrough else np.zeros((m, m)))
+
+
+def random_loop(seed, mode, order="C"):
+    """A seeded loop of two random LTI sides, its matrices in ``order``;
+    returns the config and the matrices as drawn."""
+    rng = np.random.default_rng(seed)
+    n1, n2, m = (int(v) for v in rng.integers(1, [5, 5, 4]))
+    plant_mats, ctrl_mats = random_lti(rng, n1, m, False), random_lti(rng, n2, m, True)
+    plant, ctrl = (LtiModel(*(np.asarray(mat, order=order) for mat in mats))
+                   for mats in (plant_mats, ctrl_mats))
+    loop = LoopConfig(plant=plant, controller=ctrl, mode=mode, tau=0.3, mu1=0.01, mu2=0.01,
+                      horizon=150, x1_0=rng.uniform(-2, 2, n1), x2_0=rng.uniform(-2, 2, n2),
+                      eta=0.05, eps=0.25, r1=rng.uniform(-0.5, 0.5, m),
+                      r2=rng.uniform(-0.5, 0.5, m), seed=seed)
+    return loop, plant_mats, ctrl_mats
+
+
+class TestMatmulReference:
+    """The loop's products go through ``ndarray.dot`` on stored C-contiguous
+    matrices; every recorded signal has the bits of the ``@`` loop."""
+
+    @staticmethod
+    def check(cfg, plant_mats, ctrl_mats):
+        traj = simulate(cfg)
+        ref = matmul_reference_loop(cfg, plant_mats, ctrl_mats)
+        assert (traj.x2s is None) == ("x2s" not in ref)
+        for name, value in ref.items():
+            assert same_bits(getattr(traj, name), value), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["loop_a", "loop_b", "loop_c"])
+    def test_bundled_loops(self, name, mode):
+        cfg = load_config(bundled_config_path(name))
+        plant, ctrl = cfg.plant.model, cfg.controller.model
+        loop = LoopConfig(plant=plant, controller=ctrl, mode=mode, tau=cfg.tau, mu1=cfg.mu1,
+                          mu2=cfg.mu2, horizon=cfg.horizon, x1_0=cfg.x1_0, x2_0=cfg.x2_0,
+                          eta=0.05, eps=0.25, r1=cfg.r1, r2=cfg.r2, seed=cfg.seed)
+        self.check(loop, (plant.a, plant.b, plant.c), (ctrl.a, ctrl.b, ctrl.c, ctrl.d))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_loops(self, seed, mode):
+        loop, plant_mats, ctrl_mats = random_loop(seed, mode)
+        self.check(loop, plant_mats[:3], ctrl_mats)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_whatever_the_matrix_layout(self, seed):
+        # the models store C-contiguous copies, so a loop given Fortran-ordered
+        # matrices (a transpose, say) runs the products of the C-ordered one
+        by_c, by_f = (simulate(random_loop(seed, "symbolic", order)[0]) for order in "CF")
+        for name in ("x1", "x2", "x2s", "u1", "u2_tilde", "u2", "y1", "y2", "y2_tilde"):
+            assert same_bits(getattr(by_c, name), getattr(by_f, name)), name
 
 
 class TestLoopConfig:

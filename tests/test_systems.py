@@ -13,6 +13,7 @@ from passquant import (
     quantize,
     quantize_nearest,
 )
+from passquant import linalg
 from tests.test_linalg import series_expm
 
 
@@ -176,6 +177,36 @@ class TestDiscretizeExact:
         disc = discretize_exact(bench_model, 0.3)
         assert disc.ad.shape == (2, 2) and disc.bd.shape == (2, 2)
         assert np.array_equal(disc.c, bench_model.c) and np.array_equal(disc.d, bench_model.d)
+
+
+class TestProductLayout:
+    """Per-step products go through ``ndarray.dot``; on the C-contiguous
+    matrices a model stores it makes the BLAS call of ``@``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32])
+    def test_dot_is_matmul_on_every_stored_matrix(self, n):
+        rng = np.random.default_rng(n)
+        for m in range(1, 5):
+            given = (rng.normal(size=(n, n)) - 2.0 * np.eye(n), rng.normal(size=(n, m)),
+                     rng.normal(size=(m, n)), rng.normal(size=(m, m)))
+            for order in "CF":
+                model = LtiModel(*(np.asarray(mat, order=order) for mat in given))
+                disc = discretize_exact(model, 0.3)
+                x, u = rng.normal(size=n), rng.normal(size=m)
+                for mat, v in ((model.a, x), (model.b, u), (model.c, x), (model.d, u),
+                               (disc.ad, x), (disc.bd, u), (disc.c, x), (disc.d, u)):
+                    assert mat.flags.c_contiguous
+                    assert same_bits(mat.dot(v), mat @ v)
+                # the products of @ on the matrices as given and on the
+                # slices of the augmented exponential Ad and Bd are copied from
+                aug = np.zeros((n + m, n + m))
+                aug[:n, :n], aug[:n, n:] = given[0] * 0.3, given[1] * 0.3
+                e = linalg.expm(aug)
+                assert same_bits(disc.step(x, u), e[:n, :n] @ x + e[:n, n:] @ u)
+                assert same_bits(disc.output(x, u), given[2] @ x + given[3] @ u)
+                assert same_bits(model.output(x, u), given[2] @ x + given[3] @ u)
+        for y in (rng.normal(size=n), rng.normal(size=(n, 2))[:, 0]):
+            assert same_bits(y.dot(y), y @ y)
 
 
 class TestNonlinearModel:

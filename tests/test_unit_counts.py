@@ -1,21 +1,27 @@
-"""Per-unit counts of the LTI certificate routines under the benchmark tracer.
+"""Per-unit counts and looked-up names under the benchmark tracer.
 
 The benchmark's traced run (``perfbench/run.py``) fails when two units of
 one kind make different numbers of eigenvalue calls inside
-``lti_sd_certificate`` or ``max_index_bisection``.  This installs the same
-tracer (``perfbench/spans.py``, loaded read-only from its file) on three
-seeded n = 32 systems, one unit each, so a search whose work depends on the
-system fails here, not only in the benchmark's smoke run.
+``lti_sd_certificate`` or ``max_index_bisection``, and when a name it
+wraps is never called.  These tests install the same tracer
+(``perfbench/spans.py``, loaded read-only from its file): on three seeded
+n = 32 systems, one unit each, so a search whose work depends on the
+system fails here; and around short loop runs, so a loop that binds past
+a wrapped name fails here, not only in the benchmark's smoke run.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 import passquant
-from passquant import LtiModel, discretize_exact
+from passquant import LtiModel, discretize_exact, load_config
+from passquant.cli import _loop_config
+from passquant.config import bundled_config_path
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -61,3 +67,31 @@ def test_certificate_counts_agree_across_systems():
     assert all(-10.0 < nu < 10.0 and theta > 1e-9 for nu, theta in results)
     counts = spans.unit_counts(tracer.spans)
     assert counts[0] and counts[0] == counts[1] == counts[2]
+
+
+# the names a loop run looks up, per bundled config: every entry of the
+# benchmark's EXPECTED that sim.simulate reaches
+SIMULATE_NAMES = {
+    "loop_a": {("sim", "simulate"), ("sim", "quantize"), ("sim", "SampledModel"),
+               ("systems", "discretize_exact"), ("linalg", "expm")},
+    "example5": {("sim", "simulate"), ("sim", "quantize"), ("sim", "SampledModel"),
+                 ("systems", "discretize_exact"), ("linalg", "expm"), ("systems", "flow"),
+                 ("abstraction", "quantize_nearest"), ("abstraction", "SymbolicController.step"),
+                 ("abstraction", "SymbolicController.output")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_NAMES))
+def test_loop_run_looks_up_every_traced_name(name):
+    spans = load_spans()
+    expected = set().union(*spans.EXPECTED.values())
+    assert SIMULATE_NAMES[name] <= expected
+    loop = _loop_config(replace(load_config(bundled_config_path(name)), horizon=20))
+    tracer = spans.Tracer()
+    tracer.install("passquant")
+    try:
+        # looked up on the module, where the tracer wraps it
+        passquant.sim.simulate(loop)
+    finally:
+        tracer.uninstall()
+    assert sorted(key for key in SIMULATE_NAMES[name] if tracer.hits[key] == 0) == []
