@@ -19,7 +19,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    ContractViolationError, ParameterError, _array, _finite, _instance, _nonnegative, _positive)
+    ContractViolationError, ParameterError, _array, _finite, _instance, _nonnegative, _overflow,
+    _positive)
 from .passivity import Verdict
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize_nearest
 
@@ -116,7 +117,14 @@ class SymbolicController:
     def step(self, u):
         """Advance one sampling period; returns the new grid state."""
         u = _array(u, "u", (self.model.m,))
-        if not np.array_equal(np.round(u / self.mu) * self.mu, u):
+        mu = self.mu
+        try:
+            # Python's round halves to even, as np.round does
+            on_grid = all([round(v / mu) * mu == v for v in u.tolist()])
+        except OverflowError:  # round refuses the inf of an overflowed ratio
+            with _overflow("u/mu"):
+                raise
+        if not on_grid:
             raise ContractViolationError(
                 f"input must lie on the {self.mu} grid; quantize it first"
             )

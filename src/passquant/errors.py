@@ -3,6 +3,7 @@
 import contextlib
 import numbers
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -22,6 +23,11 @@ class ParameterError(ToolkitError, ValueError):
 # the largest finite float, read once: the quantizer checks its step on
 # every call
 _FLOAT_MAX = sys.float_info.max
+
+# the most entries of a vector the array rule tests as Python floats: on the
+# short vectors of a loop step that is cheaper than a numpy reduction, which
+# wins from about 40 entries on (CPython 3.11, numpy 2.4, x86-64)
+_SHORT = 32
 
 
 # The scalar rule: each check takes its values by name, fails NaN and both
@@ -65,7 +71,10 @@ def _array(value, name, shape):
         len(a.shape) != len(shape) or any(w not in (None, h) for w, h in zip(shape, a.shape))
     ):
         raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
+    if not (
+        all(map(isfinite, a.tolist())) if a.ndim == 1 and a.size <= _SHORT
+        else np.isfinite(a).all()
+    ):
         raise ParameterError(f"{name} must be finite")
     return a
 

@@ -354,8 +354,11 @@ class SweepPoint:
         """Sup of ``|x|_inf`` over the final third of a symbolic run.
 
         The first two thirds are treated as transient; this is a reporting
-        convention, not a certified entry time.
+        convention, not a certified entry time.  A run in another mode has no
+        twin state and is a :class:`ParameterError`.
         """
+        if traj.x2s is None:
+            raise ParameterError("a sweep point needs a symbolic run (x2s)")
         cut = (traj.x1.shape[0] * 2) // 3
         sup1 = float(np.max(np.abs(traj.x1[cut:])))
         sup2 = float(np.max(np.abs(traj.x2s[cut:])))

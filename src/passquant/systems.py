@@ -1,7 +1,7 @@
 """System models, uniform quantizers, ZOH discretization and flow maps."""
 
 import functools
-import math
+from math import ceil, copysign, floor, isfinite, trunc
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -10,7 +10,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionError, DivergenceError, ParameterError, _array, _instance, _nonnegative,
-    _positive)
+    _overflow, _positive)
 
 __all__ = [
     "LtiModel",
@@ -115,6 +115,17 @@ class NonlinearModel:
         return self.h2 is None
 
 
+def _non_finite(v, r, name):
+    """``r``, the ratio of the entry ``v`` to a grid pitch (shifted by a half
+    to round to nearest), which ``math``'s integer rounding refused as ±inf
+    or NaN: it passes through for an infinite or NaN entry, and is an
+    overflow of the float range (ParameterError) for a finite one."""
+    if isfinite(v):
+        with _overflow(name) as finite:
+            finite(r)
+    return r
+
+
 def quantize(s, mu):
     """Uniform quantization toward zero onto the grid ``mu * Z``.
 
@@ -123,16 +134,22 @@ def quantize(s, mu):
     one-cell snap away from zero absorbs floating-point noise when ``s``
     already sits on the grid.  The entries are worked as Python floats,
     cheaper than numpy on the short vectors of a loop step: ``v / mu`` is
-    truncated by ``math.modf``, which keeps the sign of zero and passes ±inf
-    and NaN through, then snapped; these are the IEEE operations of the
-    ``np.trunc``/``np.where`` form in the same order, so the bits agree.
+    truncated by ``math.trunc``, whose integer ``copysign`` turns back into
+    a float with the sign of zero, then snapped; these are the IEEE
+    operations of the ``np.trunc``/``np.where`` form in the same order, so
+    the bits agree.  ±inf and NaN entries pass through; a finite entry whose
+    ratio ``s/mu`` overflows the float range is a :class:`ParameterError`.
     """
     _positive(mu=mu)
     s = np.asarray(s, dtype=float)
     q = []
     for v in s.ravel().tolist():
-        k = math.modf(v / mu)[1]
-        away = k + math.copysign(1.0, v)
+        r = v / mu
+        try:
+            k = copysign(trunc(r), r)
+        except (OverflowError, ValueError):
+            k = _non_finite(v, r, "s/mu")
+        away = k + copysign(1.0, v)
         q.append((away if abs(away * mu) <= abs(v) else k) * mu)
     q = np.array(q)
     q.shape = s.shape  # in place: a reshaped view would keep a second array object alive
@@ -140,12 +157,33 @@ def quantize(s, mu):
 
 
 def quantize_nearest(s, eta):
-    """Round entrywise to the nearest point of ``eta * Z``, ties toward zero."""
+    """Round entrywise to the nearest point of ``eta * Z``, ties toward zero.
+
+    Entrywise ``ceil(s/eta - 1/2) * eta`` for nonnegative entries and
+    ``floor(s/eta + 1/2) * eta`` for negative ones, worked as Python floats
+    like :func:`quantize`: ``copysign`` gives the integer of ``math.ceil``
+    or ``math.floor`` back the sign of zero that ``np.ceil``/``np.floor``
+    keep, so the bits are those of the ``np.where`` form.  ±inf and NaN
+    entries pass through; a finite entry whose ratio ``s/eta`` overflows the
+    float range is a :class:`ParameterError`.
+    """
     _positive(eta=eta)
     s = np.asarray(s, dtype=float)
-    r = s / eta
-    k = np.where(s >= 0, np.ceil(r - 0.5), np.floor(r + 0.5))
-    return k * eta
+    q = []
+    for v in s.ravel().tolist():
+        try:
+            if v >= 0:
+                t = v / eta - 0.5
+                k = copysign(ceil(t), t)
+            else:
+                t = v / eta + 0.5
+                k = copysign(floor(t), t)
+        except (OverflowError, ValueError):
+            k = _non_finite(v, t, "s/eta")
+        q.append(k * eta)
+    q = np.array(q)
+    q.shape = s.shape
+    return q
 
 
 @dataclass(frozen=True)
@@ -223,7 +261,10 @@ def _rk4_kernel(n: int):
 
     The state and the four stages live in scalar locals, so no substep
     builds a list or walks a ``zip``; each entry is combined exactly as in
-    the array form.  Built on the first flow of an ``n``-state model.
+    the array form.  Per stage the hot path tests only that the rhs returned
+    a tuple; a tuple of the wrong size fails where it is unpacked, and the
+    size check of :func:`_values` then reports it.  Built on the first flow
+    of an ``n``-state model.
     """
     x = [f"x{j}" for j in range(n)]
     k1, k2, k3, k4 = ([f"{s}{j}" for j in range(n)] for s in "abcd")
@@ -237,9 +278,12 @@ def _rk4_kernel(n: int):
     ):
         stages += [
             f"k = f(({', '.join(arg)},), u)",
-            f"if type(k) is not tuple or len(k) != {n}:",
+            "if type(k) is not tuple:",
             f"    k = tuple(values(k, {n}, 'rhs').tolist())",
-            f"{', '.join(k)}, = k",
+            "try:",
+            f"    {', '.join(k)}, = k",
+            "except ValueError:",  # only a tuple of the wrong size gets here
+            f"    {', '.join(k)}, = values(k, {n}, 'rhs')",
         ]
     src = _RK4_TEMPLATE.format(
         x=", ".join(x),
@@ -250,7 +294,7 @@ def _rk4_kernel(n: int):
         ),
         finite=" and ".join(f"isfinite({xj})" for xj in x),
     )
-    namespace = {"values": _values, "isfinite": math.isfinite, "DivergenceError": DivergenceError}
+    namespace = {"values": _values, "isfinite": isfinite, "DivergenceError": DivergenceError}
     exec(compile(src, f"<rk4 kernel, n={n}>", "exec"), namespace)
     return namespace["kernel"]
 

@@ -131,6 +131,30 @@ class TestSymbolicController:
             state = ctrl.step(u)
             assert np.array_equal(np.round(state / 0.1) * 0.1, state)
 
+    @pytest.mark.parametrize("mu", [0.01, 0.1, 0.37, 1.0 / 64.0, 2.5])
+    def test_grid_verdict_matches_np_round_form(self, mu):
+        # on-grid inputs, their one-ulp neighbours, and half-way points, where
+        # rounding half to even picks the grid point the test compares with
+        k = np.arange(-300.0, 301.0)
+        big = 2.0**53 * mu * np.array([1.0, 1.5, 3.0])
+        values = np.concatenate([
+            k * mu, np.nextafter(k * mu, np.inf), np.nextafter(k * mu, -np.inf),
+            (k + 0.5) * mu, big, -big, np.nextafter(big, 0.0), [0.0, -0.0, 5e-324],
+        ])
+        scalar = LtiModel(-np.eye(1), np.eye(1), np.eye(1), np.zeros((1, 1)))
+        ctrl = self.make(scalar, mu=mu, x0=(0.0,))
+        verdicts = set()
+        for v in values:
+            u = np.array([v])
+            on_grid = np.array_equal(np.round(u / mu) * mu, u)
+            verdicts.add(on_grid)
+            if on_grid:
+                ctrl.step(u)
+            else:
+                with pytest.raises(ContractViolationError, match=r"^input must lie on the "):
+                    ctrl.step(u)
+        assert verdicts == {True, False}
+
     def test_determinism_and_clone(self, bench_model):
         rng = np.random.default_rng(32)
         inputs = [quantize(rng.uniform(-1, 1, 2), 0.01) for _ in range(50)]

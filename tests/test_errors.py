@@ -14,6 +14,7 @@ package source keeps every such test inside the three rules.
 import ast
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,7 @@ from passquant.bounds import _split
 from passquant.cli import main
 from passquant.config import bundled_config_path
 from passquant.detectability import observability_stack
+from passquant.errors import _SHORT, _array
 from passquant.linalg import expm, lyap, max_eig, min_eig, quad_sublevel_max, sym_eig
 
 I1 = np.eye(1)
@@ -432,6 +434,14 @@ OVERFLOWS = {
     "simulate.eps": ("twin radius", lambda: simulate(loop(
         controller=LtiModel(-I1, I1, 1e10 * I1, np.zeros((1, 1))),
         mode="disturbance-injected", eta=None, eps=HUGE))),
+    # a finite entry whose ratio to a grid pitch overflows, through ``/``
+    "quantize.mu": ("s/mu", lambda: quantize(np.array([1.0, -0.5]), 1e-310)),
+    "quantize.mu.negative": ("s/mu", lambda: quantize(np.array([0.0, -0.5]), 1e-310)),
+    "quantize_nearest.eta": ("s/eta", lambda: quantize_nearest(np.array([1.0, -0.5]), 1e-310)),
+    "quantize_nearest.eta.negative": (
+        "s/eta", lambda: quantize_nearest(np.array([0.0, -0.5]), 1e-310)),
+    "SymbolicController.step.mu": ("u/mu", lambda: SymbolicController(
+        SampledModel(LTI, 0.3), 0.1, 1e-310, [0.0]).step([1.0])),
 }
 
 
@@ -453,6 +463,49 @@ def test_cli_reports_an_overflow(capsys, tmp_path):
     assert code == 1
     assert report["error"] == "delta~ overflows the float range"
     assert report["failures"] == [report["error"]]
+
+
+@pytest.mark.parametrize("name, section, key, command, quantity", [
+    ("loop_a", "quantization", "mu1", "bound", "s/mu"),
+    ("loop_a", "quantization", "mu1", "simulate", "s/mu"),
+    ("example5", "symbolic", "eta", "simulate", "s/eta"),
+])
+def test_cli_reports_a_grid_ratio_overflow(capsys, tmp_path, name, section, key, command,
+                                           quantity):
+    # a tiny pitch passes the scalar rule, and the first quantized sample overflows
+    with open(bundled_config_path(name)) as fh:
+        doc = json.load(fh)
+    doc[section][key] = 1e-310
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(path), "--format", "json", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 1
+    assert set(report) == {"command", "error", "failures"}
+    assert report["error"] == f"{quantity} overflows the float range"
+    assert report["failures"] == [report["error"]]
+    assert "Traceback" not in err
+
+
+# sizes on both sides of the cutoff up to which the array rule tests a
+# vector's entries as Python floats, and arrays of more than one dimension
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (_SHORT,), (_SHORT + 1,), (64,), (2, 2),
+                                   (3, 17)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_array_rule_finds_a_non_finite_entry_anywhere(shape, value):
+    valid = np.arange(-1.0, np.prod(shape) - 1.0).reshape(shape)
+    valid.flat[0], valid.flat[-1] = -np.finfo(float).max, np.finfo(float).max  # these pass
+    assert np.array_equal(_array(valid, "a", shape), valid)
+    for i in range(valid.size):
+        array = valid.copy()
+        array.flat[i] = value
+        with pytest.raises(ParameterError, match=r"^a must be finite$"):
+            _array(array, "a", shape)
+        with pytest.raises(ParameterError, match=r"^a must be finite$"):
+            _array(array.tolist(), "a", shape)
 
 
 # the hand-written tests the three rules replace: a sign test of a scalar, a

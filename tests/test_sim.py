@@ -537,3 +537,8 @@ class TestEtaSweep:
         assert point.sup_x1 == pytest.approx(np.max(np.abs(traj.x1[cut:])))
         assert point.sup_x2s == pytest.approx(np.max(np.abs(traj.x2s[cut:])))
         assert point.sup_combined == max(point.sup_x1, point.sup_x2s)
+
+    def test_rejects_a_run_without_twin(self, bench_model):
+        traj = simulate(base_config(bench_model, horizon=10))
+        with pytest.raises(ParameterError, match=r"^a sweep point needs a symbolic run \(x2s\)$"):
+            SweepPoint.from_trajectory(0.1, traj)

@@ -44,9 +44,25 @@ def three_pass_quantize(s, mu):
     return k * mu
 
 
+def where_nearest(s, eta):
+    """Reference: round to nearest with ties toward zero, one ``np.where``."""
+    s = np.asarray(s, dtype=float)
+    r = s / eta
+    k = np.where(s >= 0, np.ceil(r - 0.5), np.floor(r + 0.5))
+    return k * eta
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def same_bits_or_nan(a, b):
+    """``same_bits``, with a NaN matching any NaN at the same place."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and same_bits(a[~nan], b[~nan]))
 
 
 def sized_at_origin(n, value):
@@ -142,6 +158,38 @@ class TestQuantizeNearest:
             q = quantize_nearest(s, eta)
             assert np.max(np.abs(q - s)) <= eta / 2 + 1e-12
             assert np.array_equal(quantize_nearest(q, eta), q)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.05, 0.01, 0.37, 1.0 / 64.0, 2.5, 1e3])
+    def test_bit_identical_to_where_form(self, eta):
+        rng = np.random.default_rng(17)
+        grid = np.arange(-2000, 2001)
+        ties = (grid + 0.5) * eta
+        big = 2.0**53 * eta * np.array([1.0, 1.5, 3.0, 1e3])
+        tiny = np.finfo(float).tiny
+        s = np.concatenate([
+            rng.uniform(-50.0, 50.0, 20000),
+            rng.normal(0.0, 10.0 * eta, 20000),
+            grid * eta,
+            ties,
+            np.nextafter(ties, np.inf),
+            np.nextafter(ties, -np.inf),
+            big, -big, np.nextafter(big, 0.0), np.nextafter(-big, 0.0),
+            [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, tiny / 3.0, -tiny / 3.0],
+            [np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan],
+        ])
+        # finite entries whose ratio overflows raise; see test_errors
+        with np.errstate(over="ignore"):
+            s = s[~np.isfinite(s) | np.isfinite(s / eta)]
+        assert same_bits_or_nan(quantize_nearest(s, eta), where_nearest(s, eta))
+        for v in (0.0, -0.0, 0.5 * eta, -0.5 * eta, np.inf, np.nan):
+            assert same_bits_or_nan(quantize_nearest(v, eta), where_nearest(v, eta))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_keeps_shape_and_float_dtype(self, shape):
+        s = (np.arange(np.prod(shape, dtype=int)) - 2).reshape(shape)  # integer entries
+        q = quantize_nearest(s, 0.37)
+        assert q.shape == shape and q.dtype == np.float64
+        assert same_bits(q, where_nearest(s, 0.37))
 
 
 class TestDiscretizeExact:
@@ -361,6 +409,61 @@ class TestFlow:
         model = NonlinearModel(2, 1, rhs=sized_at_origin(2, (0.0,)), h1=lambda x: x[:1])
         with pytest.raises(DimensionError, match=r"got shape \(1,\)"):
             flow(model, np.array([1.0, -2.0]), np.zeros(1), 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("size", [-1, 1])
+    @pytest.mark.parametrize("call", [2, 3, 4, 22])
+    def test_rejects_wrongly_sized_tuple_at_any_stage(self, n, size, call):
+        # calls 2-4 are the later stages of substep 0, call 22 the second of substep 5
+        calls = []
+
+        def rhs(x, u):
+            if any(x):  # not the model's own check at the origin
+                calls.append(x)
+            return (0.0,) * (n + size if len(calls) == call else n)
+
+        model = NonlinearModel(n, 1, rhs=rhs, h1=lambda x: x[:1])
+        message = rf"^rhs must return {n} values, got shape \({n + size},\)$"
+        with pytest.raises(DimensionError, match=message):
+            flow(model, np.ones(n), np.zeros(1), 0.5)
+        assert len(calls) == call
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    @pytest.mark.parametrize("call", [1, 2, 4, 22])
+    def test_rhs_errors_propagate_unchanged(self, error, call):
+        raised = error("raised by the rhs")
+        calls = []
+
+        def rhs(x, u):
+            if any(x):  # not the model's own check at the origin
+                calls.append(x)
+            if len(calls) == call:
+                raise raised
+            return (0.0, 0.0)
+
+        model = NonlinearModel(2, 1, rhs=rhs, h1=lambda x: x[:1])
+        with pytest.raises(error) as err:
+            flow(model, np.ones(2), np.zeros(1), 0.5)
+        assert err.value is raised
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [1, 4, 22])
+    def test_non_finite_stage_is_divergence_at_its_substep(self, value, call):
+        calls = []
+
+        def rhs(x, u):
+            if any(x):  # not the model's own check at the origin
+                calls.append(x)
+            return (value if len(calls) >= call else 0.0, 0.0)
+
+        model = NonlinearModel(2, 1, rhs=rhs, h1=lambda x: x[:1])
+        with pytest.raises(DivergenceError) as want:
+            array_rk4(model, np.ones(2), np.zeros(1), 0.5)
+        calls.clear()
+        with pytest.raises(DivergenceError) as err:
+            flow(model, np.ones(2), np.zeros(1), 0.5)
+        assert err.value.step == want.value.step == (call - 1) // 4
+        assert str(err.value) == str(want.value)
 
     def test_overflow_in_rhs_is_divergence(self, example5_plant):
         # float ** raises OverflowError where the array form yields inf
