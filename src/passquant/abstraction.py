@@ -19,8 +19,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    ContractViolationError, ParameterError, _array, _finite, _instance, _nonnegative, _overflow,
-    _positive)
+    ContractViolationError, ParameterError, _array, _finite, _instance, _nonnegative, _positive,
+    _ratio)
 from .passivity import Verdict
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize_nearest
 
@@ -118,16 +118,15 @@ class SymbolicController:
         """Advance one sampling period; returns the new grid state."""
         u = _array(u, "u", (self.model.m,))
         mu = self.mu
-        try:
-            # Python's round halves to even, as np.round does
-            on_grid = all([round(v / mu) * mu == v for v in u.tolist()])
-        except OverflowError:  # round refuses the inf of an overflowed ratio
-            with _overflow("u/mu"):
-                raise
-        if not on_grid:
-            raise ContractViolationError(
-                f"input must lie on the {self.mu} grid; quantize it first"
-            )
+        for v in u.tolist():
+            try:
+                k = round(v / mu)  # halves to even, as np.round does
+            except OverflowError:  # round refuses the inf of an overflowed ratio
+                k = _ratio(v, v / mu, "u/mu")
+            if k * mu != v:
+                raise ContractViolationError(
+                    f"input must lie on the {self.mu} grid; quantize it first"
+                )
         self.state = quantize_nearest(self.model.step(self.state, u), self.eta) + 0.0
         return self.state
 

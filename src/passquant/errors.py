@@ -24,7 +24,7 @@ class ParameterError(ToolkitError, ValueError):
 # every call
 _FLOAT_MAX = sys.float_info.max
 
-# the most entries of a vector the array rule tests as Python floats: on the
+# the most entries of an array the array rule tests as Python floats: on the
 # short vectors of a loop step that is cheaper than a numpy reduction, which
 # wins from about 40 entries on (CPython 3.11, numpy 2.4, x86-64)
 _SHORT = 32
@@ -72,8 +72,7 @@ def _array(value, name, shape):
     ):
         raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
     if not (
-        all(map(isfinite, a.tolist())) if a.ndim == 1 and a.size <= _SHORT
-        else np.isfinite(a).all()
+        all(map(isfinite, a.ravel().tolist())) if a.size <= _SHORT else np.isfinite(a).all()
     ):
         raise ParameterError(f"{name} must be finite")
     return a
@@ -103,6 +102,16 @@ def _overflow(name):
         yield finite
     except OverflowError as exc:
         raise ParameterError(f"{name} overflows the float range") from exc
+
+
+# A grid ratio ``r``, an entry ``v`` over a grid pitch, that ``math``'s
+# integer rounding refused as ±inf or NaN goes through ``_ratio(v, r, name)``:
+# it passes through for an infinite or NaN entry, and for a finite one, whose
+# ratio overflowed, fails as the overflow rule's ParameterError.
+def _ratio(v, r, name):
+    if isfinite(v):
+        raise ParameterError(f"{name} overflows the float range")
+    return r
 
 
 class CertificateError(ToolkitError):

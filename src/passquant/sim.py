@@ -252,7 +252,9 @@ def simulate(config: LoopConfig) -> Trajectory:
     drawn disturbance in disturbance mode), then the plant advances by its
     flow over ``tau`` and the controller by its exact discrete step (and
     the symbolic twin by its grid step).  Raises :class:`DivergenceError`
-    if a state leaves the finite range.
+    if a state leaves the finite range, or grows so large after step 0 that
+    its ratio to a grid pitch overflows; at step 0 such an overflow is the
+    :class:`ParameterError` of the quantizer.
     """
     plant = SampledModel(config.plant, config.tau)
     ctrl_exact = SampledModel(config.controller, config.tau)
@@ -284,24 +286,33 @@ def simulate(config: LoopConfig) -> Trajectory:
     x1, x2 = config.x1_0, config.x2_0
     states = [(x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.state)]
     steps = []
-    for k in range(config.horizon):
-        y1 = plant_output(x1)
-        u2_tilde = r2 + y1
-        u2 = quantize(u2_tilde, mu1)
-        y2 = ctrl_output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
-        y2_tilde = applied = quantize(y2, mu2)
-        if radius is not None:
-            direction = rng.normal(size=m)
-            direction = direction / np.linalg.norm(direction)
-            applied = y2_tilde + rng.uniform(0.0, radius) * direction
-        u1 = r1 - applied
-        x1 = plant_step(x1, u1)
-        x2 = ctrl_step(x2, u2)
-        # Python floats test faster than a numpy reduction on short vectors
-        if not all(map(isfinite, x1.tolist() + x2.tolist())):
-            raise DivergenceError(f"loop state diverged at step {k}", step=k)
-        states.append((x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.step(u2)))
-        steps.append((u1, u2_tilde, u2, y1, y2, y2_tilde))
+    try:
+        for k in range(config.horizon):
+            y1 = plant_output(x1)
+            u2_tilde = r2 + y1
+            u2 = quantize(u2_tilde, mu1)
+            y2 = ctrl_output(x2, u2) if ctrl_sym is None else ctrl_sym.output(u2)
+            y2_tilde = applied = quantize(y2, mu2)
+            if radius is not None:
+                direction = rng.normal(size=m)
+                direction = direction / np.linalg.norm(direction)
+                applied = y2_tilde + rng.uniform(0.0, radius) * direction
+            u1 = r1 - applied
+            x1 = plant_step(x1, u1)
+            x2 = ctrl_step(x2, u2)
+            # Python floats test faster than a numpy reduction on short vectors
+            if not all(map(isfinite, x1.tolist() + x2.tolist())):
+                raise DivergenceError(f"loop state diverged at step {k}", step=k)
+            states.append((x1, x2) if ctrl_sym is None else (x1, x2, ctrl_sym.step(u2)))
+            steps.append((u1, u2_tilde, u2, y1, y2, y2_tilde))
+    except ParameterError as exc:
+        if not k:
+            raise
+        # the config is checked before the loop, so a ParameterError after
+        # step 0 comes from a signal the loop grew: a finite entry so large
+        # that its ratio to a grid pitch overflows, one operation before the
+        # state would turn infinite; at step 0 it is the start or the pitch
+        raise DivergenceError(f"loop state diverged at step {k}", step=k) from exc
 
     return Trajectory(**{
         name: np.array(column)

@@ -10,7 +10,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionError, DivergenceError, ParameterError, _array, _instance, _nonnegative,
-    _overflow, _positive)
+    _positive, _ratio)
 
 __all__ = [
     "LtiModel",
@@ -115,17 +115,6 @@ class NonlinearModel:
         return self.h2 is None
 
 
-def _non_finite(v, r, name):
-    """``r``, the ratio of the entry ``v`` to a grid pitch (shifted by a half
-    to round to nearest), which ``math``'s integer rounding refused as ±inf
-    or NaN: it passes through for an infinite or NaN entry, and is an
-    overflow of the float range (ParameterError) for a finite one."""
-    if isfinite(v):
-        with _overflow(name) as finite:
-            finite(r)
-    return r
-
-
 def quantize(s, mu):
     """Uniform quantization toward zero onto the grid ``mu * Z``.
 
@@ -148,7 +137,7 @@ def quantize(s, mu):
         try:
             k = copysign(trunc(r), r)
         except (OverflowError, ValueError):
-            k = _non_finite(v, r, "s/mu")
+            k = _ratio(v, r, "s/mu")
         away = k + copysign(1.0, v)
         q.append((away if abs(away * mu) <= abs(v) else k) * mu)
     q = np.array(q)
@@ -179,7 +168,7 @@ def quantize_nearest(s, eta):
                 t = v / eta + 0.5
                 k = copysign(floor(t), t)
         except (OverflowError, ValueError):
-            k = _non_finite(v, t, "s/eta")
+            k = _ratio(v, t, "s/eta")
         q.append(k * eta)
     q = np.array(q)
     q.shape = s.shape

@@ -490,10 +490,10 @@ def test_cli_reports_a_grid_ratio_overflow(capsys, tmp_path, name, section, key,
     assert "Traceback" not in err
 
 
-# sizes on both sides of the cutoff up to which the array rule tests a
-# vector's entries as Python floats, and arrays of more than one dimension
+# sizes on both sides of the cutoff up to which the array rule tests an
+# array's entries as Python floats, in 0, 1 and 2 dimensions
 @pytest.mark.parametrize("shape", [(), (1,), (2,), (_SHORT,), (_SHORT + 1,), (64,), (2, 2),
-                                   (3, 17)])
+                                   (4, _SHORT // 4), (3, 11), (3, 17)])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_array_rule_finds_a_non_finite_entry_anywhere(shape, value):
     valid = np.arange(-1.0, np.prod(shape) - 1.0).reshape(shape)

@@ -189,6 +189,38 @@ class TestSimulate:
         assert info.value.step == 78
 
     @pytest.mark.parametrize("mode", ["sampled-quantized", "symbolic", "disturbance-injected"])
+    @pytest.mark.parametrize("side, step", [("plant", 491), ("controller", 474)])
+    def test_slow_divergence_reported(self, bench_model, mode, side, step):
+        # about 4.5x per step, less than 1/mu1 = 100x: the state passes
+        # through [mu * FLOAT_MAX, FLOAT_MAX], where its ratio to the pitch
+        # overflows although it is still finite, and that is divergence
+        unstable = LtiModel(5.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        cfg = base_config(bench_model, mode=mode, eta=0.1, eps=0.25, horizon=500,
+                          **{side: unstable})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match=f"^loop state diverged at step {step}$"
+        ) as info:
+            simulate(cfg)
+        assert info.value.step == step
+        assert isinstance(info.value.__cause__, ParameterError)
+
+    def test_twin_overflow_is_divergence_at_its_step(self, bench_model):
+        # the twin's successor x2s[14], past 1e-300 * FLOAT_MAX, overflows its
+        # ratio to eta in step 13, long before the exact states do
+        unstable = LtiModel(5.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        cfg = base_config(bench_model, mode="symbolic", eta=1e-300, eps=0.25, horizon=500,
+                          controller=unstable)
+        with pytest.raises(DivergenceError, match="^loop state diverged at step 13$") as info:
+            simulate(cfg)
+        assert info.value.step == 13
+        assert str(info.value.__cause__) == "s/eta overflows the float range"
+
+    def test_overflowing_ratio_at_the_start_is_the_pitch(self, bench_model):
+        cfg = base_config(bench_model, mu1=1e-310)
+        with pytest.raises(ParameterError, match=r"^s/mu overflows the float range$"):
+            simulate(cfg)
+
+    @pytest.mark.parametrize("mode", ["sampled-quantized", "symbolic", "disturbance-injected"])
     @pytest.mark.parametrize("side", ["x1", "x2"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_raises_at_its_step(self, monkeypatch, bench_model, mode, side, bad):
