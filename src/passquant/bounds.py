@@ -15,8 +15,8 @@ import numpy as np
 
 from . import linalg
 from .detectability import SdCertificate, compose_sd
-from .errors import ParameterError, _array, _count, _finite, _nonnegative, _overflow, _positive
-from .passivity import ComposedIndices, IndexSet, Verdict, _storage_matrix, _twin_radius
+from .errors import ParameterError, _array, _finite, _nonnegative, _overflow, _positive
+from .passivity import ComposedIndices, IndexSet, Verdict, _ChannelErrors, _storage_matrix
 
 __all__ = [
     "BoundReport",
@@ -141,32 +141,6 @@ def loop_detectability_matrix(cert1: SdCertificate, cert2: SdCertificate):
     return loop.window, loop.theta, loop.mp
 
 
-def _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, **extra):
-    _nonnegative(r_norm=r_norm, mu1=mu1, mu2=mu2)
-    _count(m=m)
-    lam, eta1, eta2 = _split(idx.nu, idx.rho, lam)
-    n_win, theta, mp = loop
-    with _overflow("d1"):
-        d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
-    if d3 is None:
-        d3 = 1e-3 * (d1 + d2 + 1.0)
-    _positive(d3=d3)
-    v = _storage_matrix(storage)
-    d4 = linalg.quad_sublevel_max(v, mp, d1 + d2 + d3)
-    level_d2 = d1 + d2 + d4
-    level_d1 = level_d2 if v_first is None else max(level_d2, max(v_first))
-    constants = {"lam": lam, "theta": theta, "d1": d1, "d2": d2, "d3": d3, "d4": d4,
-                 "mu1": mu1, "mu2": mu2, "m": m, **extra}
-    return BoundReport(
-        eta1=eta1,
-        eta2=eta2,
-        level_d1=float(level_d1),
-        level_d2=float(level_d2),
-        mp=mp,
-        constants=constants,
-    )
-
-
 def loop_bounds(
     idx: ComposedIndices,
     cert1: SdCertificate,
@@ -179,6 +153,7 @@ def loop_bounds(
     lam=None,
     d3=None,
     v_first=None,
+    twin=None,
 ) -> BoundReport:
     """Storage levels for the loop closed on a quantized controller.
 
@@ -189,47 +164,53 @@ def loop_bounds(
     sup norm of the stacked reference.  The levels are::
 
         d1 = (N+1) [(eta1 + theta*eta2) r_norm^2 + delta]
-        d2 = m (1 - theta) (N2+1) (theta2 mu1^2 + mu2^2)
+        d2 = (1 - theta) (N2+1) (theta2 m mu1^2 + m mu2^2)
         level_d2 = d1 + d2 + max{V : p <= d1 + d2 + d3}
 
     with the global level covering the observed prefix values ``v_first``.
+    With ``twin = (lip, eps)`` the loop runs on the symbolic controller:
+    ``idx.delta`` should be the bias of :func:`passivity.degrade_quantization`
+    with the same ``twin``, ``m mu2^2`` grows to ``(lip*eps + 3 sqrt(m)
+    mu2)^2`` and d2 drops the factor ``1 - theta``.
     """
-    loop = loop_detectability_matrix(cert1, cert2)
-    theta = loop[1]
+    channels = _ChannelErrors.of(m, mu1, mu2, twin)
+    _nonnegative(r_norm=r_norm)
+    lam, eta1, eta2 = _split(idx.nu, idx.rho, lam)
+    n_win, theta, mp = loop_detectability_matrix(cert1, cert2)
+    # only the quantized loop's d2 carries 1 - theta; whether the twin's
+    # should too is open
+    shrink = 1.0 - theta if twin is None else 1.0
     with _overflow("d2"):
-        d2 = m * (1.0 - theta) * (cert2.window + 1) * (cert2.theta * mu1**2 + mu2**2)
-    return _loop_report(idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first)
+        d2 = shrink * (cert2.window + 1) * channels.weighted(cert2.theta, 1.0)
+    with _overflow("d1"):
+        d1 = (n_win + 1) * ((eta1 + theta * eta2) * r_norm**2 + idx.delta)
+    if d3 is None:
+        d3 = 1e-3 * (d1 + d2 + 1.0)
+    _positive(d3=d3)
+    v = _storage_matrix(storage)
+    d4 = linalg.quad_sublevel_max(v, mp, d1 + d2 + d3)
+    level_d2 = d1 + d2 + d4
+    level_d1 = level_d2 if v_first is None else max(level_d2, max(v_first))
+    constants = {"lam": lam, "theta": theta, "d1": d1, "d2": d2, "d3": d3, "d4": d4,
+                 "mu1": mu1, "mu2": mu2, "m": m}
+    if twin is not None:
+        constants["lip"], constants["eps"] = twin
+    return BoundReport(
+        eta1=eta1,
+        eta2=eta2,
+        level_d1=float(level_d1),
+        level_d2=float(level_d2),
+        mp=mp,
+        constants=constants,
+    )
 
 
 def symbolic_loop_bounds(
-    idx: ComposedIndices,
-    cert1: SdCertificate,
-    cert2: SdCertificate,
-    storage,
-    r_norm,
-    lip,
-    eps,
-    mu1,
-    mu2,
-    m,
-    lam=None,
-    d3=None,
-    v_first=None,
+    idx, cert1, cert2, storage, r_norm, lip, eps, mu1, mu2, m, lam=None, d3=None, v_first=None
 ) -> BoundReport:
-    """Storage levels for the loop closed on the symbolic controller.
-
-    Mirrors :func:`loop_bounds` with the controller's output error radius
-    inflated by the state-quantization mismatch: ``idx.delta`` should be the
-    bias from :func:`passivity.symbolic_quant_bias`, and the detectability
-    adjustment becomes ``d2 = (N2+1) [theta2 m mu1^2 +
-    (lip*eps + 3 sqrt(m) mu2)^2]``.
-    """
-    radius = _twin_radius(lip, eps, m, mu2, 3)
-    with _overflow("d2"):
-        d2 = (cert2.window + 1) * (cert2.theta * m * mu1**2 + radius**2)
-    loop = loop_detectability_matrix(cert1, cert2)
-    return _loop_report(
-        idx, loop, d2, storage, r_norm, mu1, mu2, m, lam, d3, v_first, lip=lip, eps=eps)
+    """:func:`loop_bounds` with ``twin = (lip, eps)``."""
+    return loop_bounds(idx, cert1, cert2, storage, r_norm, mu1, mu2, m, lam=lam, d3=d3,
+                       v_first=v_first, twin=(lip, eps))
 
 
 def _bias_matrix(w1, mbeta1, w2, mbeta2):

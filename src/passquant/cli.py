@@ -67,17 +67,10 @@ def _controller_quantized_indices(cfg: AnalysisConfig, twin):
     if cfg.mu1 is None:
         raise ToolkitError("quantization section required")
     lam = cfg.lambdas
-    lambdas = (lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5)
-    m = cfg.controller.model.m
-    base = passivity.degrade_quantization(
-        stage.nu, stage.rho, cfg.mu1, cfg.mu2, m, *lambdas, w=stage.w
+    return passivity.degrade_quantization(
+        stage.nu, stage.rho, cfg.mu1, cfg.mu2, cfg.controller.model.m,
+        lam.lambda2, lam.lambda3, lam.lambda4, lam.lambda5, w=stage.w, twin=twin,
     )
-    if twin is None:
-        return base
-    delta = passivity.symbolic_quant_bias(
-        stage.nu, stage.rho, *twin, cfg.mu1, cfg.mu2, m, *lambdas
-    )
-    return replace(base, delta=delta)
 
 
 def _sd_certificate(spec: SystemSpec, cfg: AnalysisConfig):
@@ -176,19 +169,11 @@ def _compute_bounds(cfg: AnalysisConfig, traj=None):
     storage = _loop_storage(cfg)
     n_window = max(cert1.window, cert2.window)
     v_first = _v_first(cfg, storage, n_window, traj)
-    r_norm = _reference_norm(cfg)
-    m = cfg.controller.model.m
-    twin = _twin(cfg)
-    if twin is not None:
-        report = bounds.symbolic_loop_bounds(
-            composed, cert1, cert2, storage, r_norm, *twin,
-            cfg.mu1, cfg.mu2, m, lam=cfg.lam, d3=cfg.d3, v_first=v_first,
-        )
-    else:
-        report = bounds.loop_bounds(
-            composed, cert1, cert2, storage, r_norm,
-            cfg.mu1, cfg.mu2, m, lam=cfg.lam, d3=cfg.d3, v_first=v_first,
-        )
+    # looked up on the module in every mode, where the benchmark's tracer wraps it
+    report = bounds.loop_bounds(
+        composed, cert1, cert2, storage, _reference_norm(cfg), cfg.mu1, cfg.mu2,
+        cfg.controller.model.m, lam=cfg.lam, d3=cfg.d3, v_first=v_first, twin=_twin(cfg),
+    )
     margin = bounds.margin_check(
         report.eta2, report.mp,
         composed.w1, _beta_matrix(cfg.plant), composed.w2, _beta_matrix(cfg.controller),

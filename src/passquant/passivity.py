@@ -10,6 +10,7 @@ feedback interconnection.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -288,17 +289,51 @@ def degrade_sampling(nu, rho, gamma, tau, lambda1=10.0) -> IndexSet:
     return IndexSet(nu=nu_s, rho=rho_s, delta=0.0, w=w)
 
 
-def _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5):
-    """Bias weights ``(|rho|(1+lambda2) + lambda4, |nu|(1+lambda3) + lambda5)``
-    of the squared output and input errors, once the inputs are checked."""
-    _positive(lambda2=lambda2, lambda3=lambda3, lambda4=lambda4, lambda5=lambda5)
-    _nonnegative(mu1=mu1, mu2=mu2)
-    _count(m=m)
-    return abs(rho) * (1.0 + lambda2) + lambda4, abs(nu) * (1.0 + lambda3) + lambda5
+@dataclass(frozen=True)
+class _ChannelErrors:
+    """Squared 2-norm radii of the errors the controller's two channels add.
+
+    The input channel's error is at most ``m * mu1**2`` (an input quantizer
+    of pitch ``mu1`` on ``m`` signals), the output channel's ``out_count *
+    out_pitch**2``: ``m * mu2**2`` through the output quantizer.  Once the
+    controller is replaced by its eps-bisimilar symbolic twin, the output
+    radius is ``1 * (lip*eps + 3 sqrt(m) mu2)**2`` and ``gap`` is the twin's
+    disturbance gap ``lip*eps + 2 sqrt(m) mu2``: the twin's state lies within
+    ``eps`` of the exact controller's in the inf-norm, which moves the output
+    by at most ``lip*eps``, and each quantizer of pitch ``mu2`` on the way
+    moves it by at most ``sqrt(m) mu2``.  Build it with :meth:`of`.
+    """
+
+    m: int
+    mu1: float
+    out_count: int
+    out_pitch: float
+    gap: Optional[float] = None
+
+    @classmethod
+    def of(cls, m, mu1, mu2, twin=None):
+        """The quantized controller's channels, or with ``twin = (lip, eps)``
+        its symbolic twin's; a radius that overflows the float range raises
+        :class:`ParameterError`."""
+        _nonnegative(mu1=mu1, mu2=mu2)
+        _count(m=m)
+        if twin is None:
+            return cls(m, mu1, m, mu2)
+        lip, eps = twin
+        _nonnegative(lip=lip, eps=eps)
+        with _overflow("twin radius") as finite:
+            return cls(m, mu1, 1, finite(lip * eps + 3 * math.sqrt(m) * mu2),
+                       finite(lip * eps + 2 * math.sqrt(m) * mu2))
+
+    def weighted(self, in_w, out_w):
+        """``in_w`` times the squared input radius plus ``out_w`` times the
+        squared output radius; inside the caller's overflow rule."""
+        return in_w * self.m * self.mu1**2 + out_w * self.out_count * self.out_pitch**2
 
 
 def degrade_quantization(
-    nu, rho, mu1, mu2, m, lambda2=20.0, lambda3=20.0, lambda4=20.0, lambda5=20.0, w=0.0
+    nu, rho, mu1, mu2, m, lambda2=20.0, lambda3=20.0, lambda4=20.0, lambda5=20.0, w=0.0,
+    twin=None,
 ) -> IndexSet:
     """Indices after uniform input/output quantization of a sampled system.
 
@@ -310,50 +345,28 @@ def degrade_quantization(
         delta~ = [|rho|(1+lambda2) + lambda4] m mu2^2
                + [|nu|(1+lambda3) + lambda5] m mu1^2
 
-    A state-bias weight ``w`` from a previous sampling stage passes through.
+    With ``twin = (lip, eps)`` the controller is replaced by its symbolic
+    twin: the indices stay, and ``m mu2^2`` grows to ``(lip*eps + 3 sqrt(m)
+    mu2)^2`` (see :class:`_ChannelErrors`).  A state-bias weight ``w`` from
+    a previous sampling stage passes through.
     """
-    out_w, in_w = _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5)
+    _positive(lambda2=lambda2, lambda3=lambda3, lambda4=lambda4, lambda5=lambda5)
+    channels = _ChannelErrors.of(m, mu1, mu2, twin)
+    out_w = abs(rho) * (1.0 + lambda2) + lambda4
+    in_w = abs(nu) * (1.0 + lambda3) + lambda5
     nu_q = nu - abs(nu) / lambda3 - 1.0 / (4.0 * lambda4)
     rho_q = rho - abs(rho) / lambda2 - 1.0 / (4.0 * lambda5)
     with _overflow("delta~"):
-        delta_q = out_w * m * mu2**2 + in_w * m * mu1**2
+        delta_q = channels.weighted(in_w, out_w)
     return IndexSet(nu=nu_q, rho=rho_q, delta=delta_q, w=w)
-
-
-def _twin_radius(lip, eps, m, mu2, cells):
-    """2-norm radius of the output error the symbolic twin can add.
-
-    By the triangle inequality: the twin's state lies within ``eps`` of the
-    exact controller's in the inf-norm, which moves the output by at most
-    ``lip*eps``, and a quantizer of pitch ``mu2`` moves it by at most
-    ``sqrt(m) mu2``.  The gap between the twin's and the exact controller's
-    quantized outputs is thus at most ``lip*eps + 2 sqrt(m) mu2`` (``cells
-    = 2``, the disturbance-injected radius); the twin's own output quantizer
-    raises it to ``lip*eps + 3 sqrt(m) mu2`` (``cells = 3``).  A radius
-    that overflows the float range raises :class:`ParameterError`.
-    """
-    _nonnegative(lip=lip, eps=eps)
-    _count(m=m)
-    with _overflow("twin radius") as finite:
-        return finite(lip * eps + cells * math.sqrt(m) * mu2)
 
 
 def symbolic_quant_bias(
     nu, rho, lip, eps, mu1, mu2, m, lambda2=20.0, lambda3=20.0, lambda4=20.0, lambda5=20.0
 ):
-    """Constant bias when the quantized controller is replaced by its
-    state-quantized symbolic twin.
-
-    The output error radius grows from ``sqrt(m) mu2`` to
-    ``lip*eps + 3 sqrt(m) mu2`` (state mismatch up to ``eps`` through the
-    output Lipschitz bound, plus quantizer effects on both sides)::
-
-        delta~ = [|rho|(1+lambda2) + lambda4] (lip*eps + 3 sqrt(m) mu2)^2
-               + [|nu|(1+lambda3) + lambda5] m mu1^2
-    """
-    out_w, in_w = _quant_weights(nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5)
-    with _overflow("delta~"):
-        return out_w * _twin_radius(lip, eps, m, mu2, 3) ** 2 + in_w * m * mu1**2
+    """The bias of :func:`degrade_quantization` with ``twin = (lip, eps)``."""
+    return degrade_quantization(
+        nu, rho, mu1, mu2, m, lambda2, lambda3, lambda4, lambda5, twin=(lip, eps)).delta
 
 
 def _loop_rho(idx1, idx2, nu_hat):

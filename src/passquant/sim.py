@@ -22,7 +22,7 @@ from .bounds import BoundReport
 from .errors import (
     DivergenceError, ParameterError, ToolkitError, WellPosednessError, _array, _count,
     _instance, _nonnegative_integer, _positive)
-from .passivity import _quad_values, _storage_matrix, _twin_radius
+from .passivity import _ChannelErrors, _quad_values, _storage_matrix
 from .systems import LtiModel, NonlinearModel, SampledModel, quantize, quantize_nearest
 
 __all__ = [
@@ -278,8 +278,8 @@ def simulate(config: LoopConfig) -> Trajectory:
         ctrl_sym = SymbolicController(ctrl_exact, config.eta, config.mu1, x2s0)
     radius = None
     if config.mode == "disturbance-injected":
-        lip = lipschitz_output_bound(config.controller)
-        radius = _twin_radius(lip, config.eps, m, config.mu2, 2)
+        twin = lipschitz_output_bound(config.controller), config.eps
+        radius = _ChannelErrors.of(m, mu1, mu2, twin).gap
     rng = np.random.default_rng(config.seed)
 
     # per state (x1, x2[, x2s]) and per step the signals in _SIGNALS order

@@ -18,6 +18,8 @@ SETTABLE = {
         for i in (2, 3, 4, 5)
     },
     ("degrade_quantization", "w"): (0.0, "cli, the sampling stage's bias weight"),
+    ("degrade_quantization", "twin"): (None, "cli, (lip, eps) of the symbolic twin"),
+    ("loop_bounds", "twin"): (None, "cli, (lip, eps) of the symbolic twin"),
     ("dissipation_audit", "bias"): (None, "cli audit, the loop's stacked bias matrix"),
     **{
         (function, "lam"): (None, "cli, from config lambdas.lam")

@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from passquant import (
 )
 from passquant import sim
 from passquant.config import bundled_config_path
-from passquant.passivity import _twin_radius
 from passquant.sim import MODES, AuditResult, SweepPoint, Trajectory, read_csv
 from tests.test_systems import same_bits
 
@@ -284,7 +284,8 @@ def matmul_reference_loop(cfg, plant_mats, ctrl_mats):
     rng = np.random.default_rng(cfg.seed)
     radius = None
     if cfg.mode == "disturbance-injected":
-        radius = _twin_radius(lipschitz_output_bound(cfg.controller), cfg.eps, m, cfg.mu2, 2)
+        lip, eps, mu2 = lipschitz_output_bound(cfg.controller), cfg.eps, cfg.mu2
+        radius = lip * eps + 2 * math.sqrt(m) * mu2
     x1, x2, xs = cfg.x1_0, cfg.x2_0, None
     if cfg.mode == "symbolic":
         xs = quantize_nearest(cfg.x2_0 if cfg.x2s_0 is None else cfg.x2s_0, cfg.eta) + 0.0
