@@ -90,6 +90,24 @@ def check_bisim_params(bound: DeltaIssBound, eps, tau, mu, eta) -> Verdict:
     return Verdict(passed=bool(slack >= 0.0), margin=float(slack))
 
 
+def _inf_bisim_check(disc, eps, mu, eta) -> Verdict:
+    """The bisimulation parameter inequality in the inf-norm, on the exact
+    sampled matrices ``Ad`` and ``Bd`` of ``disc``.
+
+    The margin is the slack ``eps - (|Ad|_inf eps + |Bd|_inf mu + eta/2)``.
+    One step maps a state mismatch within ``eps`` and an input mismatch
+    within ``mu`` to one within ``|Ad|_inf eps + |Bd|_inf mu``, and the
+    twin's rounding adds at most ``eta/2``; so nonnegative slack keeps the
+    sampled system and its twin within ``eps`` of each other in the
+    inf-norm, by induction over the steps (Pola, Girard and Tabuada,
+    Automatica 44(10), 2008).
+    """
+    _positive(eps=eps, mu=mu, eta=eta)
+    gain_a, gain_b = (float(np.linalg.norm(mat, np.inf)) for mat in (disc.ad, disc.bd))
+    slack = eps - (gain_a * eps + gain_b * mu + eta / 2.0)
+    return Verdict(passed=bool(slack >= 0.0), margin=float(slack))
+
+
 class SymbolicController:
     """State-quantized executable twin of a sampled controller.
 

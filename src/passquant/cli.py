@@ -301,17 +301,24 @@ def cmd_abstract_check(cfg: AnalysisConfig):
         raise ToolkitError("incremental-stability bounds are derived for LTI controllers only")
     if cfg.eta is None or cfg.eps is None or cfg.mu1 is None:
         raise ToolkitError("abstract-check needs the symbolic and quantization sections")
-    bound = abstraction.lti_delta_iss(cfg.controller.model.a, cfg.controller.model.b)
+    model = cfg.controller.model
+    bound = abstraction.lti_delta_iss(model.a, model.b)
     verdict = abstraction.check_bisim_params(bound, cfg.eps, cfg.tau, cfg.mu1, cfg.eta)
+    inf_verdict = abstraction._inf_bisim_check(
+        discretize_exact(model, cfg.tau), cfg.eps, cfg.mu1, cfg.eta)
     report = {
         "scale": bound.scale,
         "rate": bound.rate,
         "input_gain": bound.input_gain,
         "slack": verdict.margin,
-        "passed": verdict.passed,
+        "inf_slack": inf_verdict.margin,
+        "passed": verdict.passed and inf_verdict.passed,
     }
     if not verdict.passed:
         failures.append(f"bisimulation parameter inequality fails (slack {verdict.margin:.3e})")
+    if not inf_verdict.passed:
+        failures.append(
+            f"inf-norm bisimulation inequality fails (slack {inf_verdict.margin:.3e})")
     return report, failures
 
 
@@ -337,6 +344,12 @@ def cmd_simulate(cfg: AnalysisConfig, out_dir):
         "csv": str(csv_path),
         "final_state_sup": float(np.max(np.abs(traj.loop_states[-1]))),
     }
+    if traj.x2s is not None:
+        # the runtime witness of the twin: the largest |x2 - x2s|_inf of the run
+        gap = report["twin_gap"] = float(np.max(np.abs(traj.x2 - traj.x2s)))
+        if gap > cfg.eps:
+            failures.append(
+                f"symbolic twin left its eps tube (max |x2 - x2s|_inf {gap:.3e} > {cfg.eps})")
 
     if storage is None:
         report["audit"] = {"skipped": skipped}

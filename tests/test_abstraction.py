@@ -16,6 +16,7 @@ from passquant import (
     quantize,
     quantize_nearest,
 )
+from passquant.abstraction import _inf_bisim_check
 from tests.conftest import make_cubic_plant
 
 
@@ -77,6 +78,36 @@ class TestBisimParams:
     def test_benchmark_parameter_sets(self, bench_model, eps, mu, eta, passed):
         bound = lti_delta_iss(bench_model.a, bench_model.b)
         assert check_bisim_params(bound, eps=eps, tau=0.3, mu=mu, eta=eta).passed == passed
+
+
+class TestInfNormBisimCheck:
+    """The parameter inequality in the inf-norm, the norm of eps everywhere
+    else (the twin's start check and the ``lip*eps`` output radius)."""
+
+    # a lightly damped rotation: contracting in the 2-norm, expanding in the
+    # inf-norm over one period tau
+    A = np.array([[-1.0, 3.93], [-3.93, -1.0]])
+    B = 0.01 * np.eye(2)
+    TAU, EPS, MU, ETA = 0.2, 0.1, 0.01, 0.01
+
+    def test_mixed_norm_pass_is_falsified_in_one_step(self):
+        disc = discretize_exact(LtiModel(self.A, self.B, np.eye(2), np.zeros((2, 2))), self.TAU)
+        mixed = check_bisim_params(lti_delta_iss(self.A, self.B), self.EPS, self.TAU, self.MU,
+                                   self.ETA)
+        assert mixed.passed and mixed.margin == pytest.approx(0.0130, abs=1e-4)
+        # a start mismatch within eps, signed along Ad's largest row, leaves
+        # the eps tube after one step with equal inputs
+        row = int(np.argmax(np.abs(disc.ad).sum(axis=1)))
+        gap = np.max(np.abs(disc.ad @ (self.EPS * np.sign(disc.ad[row]))))
+        assert gap == pytest.approx(1.1579 * self.EPS, rel=1e-4) and gap > self.EPS
+        verdict = _inf_bisim_check(disc, self.EPS, self.MU, self.ETA)
+        assert not verdict.passed
+        assert verdict.margin == pytest.approx(-0.0208, abs=1e-4)
+
+    def test_benchmark_parameters_feasible(self, bench_model):
+        verdict = _inf_bisim_check(discretize_exact(bench_model, 0.3), 0.25, 0.01, 0.1)
+        assert verdict.passed
+        assert verdict.margin == pytest.approx(0.01300, abs=1e-5)
 
 
 class TestSymbolicController:

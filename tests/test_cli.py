@@ -388,13 +388,32 @@ class TestAbstractCheckCommand:
         assert code == 0
         assert rep["passed"]
         assert rep["slack"] == pytest.approx(0.0322, abs=1e-3)
+        assert rep["inf_slack"] == pytest.approx(0.01300, abs=1e-5)
 
     def test_small_eps_fails_the_inequality(self, capsys, tmp_path):
         doc = bundled_doc("example5", "symbolic.epsilon", 0.06)
         code, rep = run_doc(capsys, tmp_path, "abstract-check", doc)
         assert code == 1
         assert not rep["passed"]
-        assert rep["failures"] == ["bisimulation parameter inequality fails (slack -3.169e-02)"]
+        assert rep["failures"] == [
+            "bisimulation parameter inequality fails (slack -3.169e-02)",
+            "inf-norm bisimulation inequality fails (slack -3.540e-02)",
+        ]
+
+    def test_inf_norm_check_fails_where_the_mixed_one_passes(self, capsys, tmp_path):
+        # a lightly damped rotation: |Ad|_inf = 1.1579 at tau = 0.2, so one
+        # step can carry an eps mismatch out of the eps tube
+        doc = bundled_doc("example5", "sampling.tau", 0.2)
+        doc["controller"].update(
+            A=square2([-1.0, 3.93, -3.93, -1.0]), B=square2([0.01, 0.0, 0.0, 0.01]),
+            C=square2([1.0, 0.0, 0.0, 1.0]), D=square2([0.0, 0.0, 0.0, 0.0]))
+        doc["symbolic"].update(eta=0.01, epsilon=0.1)
+        code, rep = run_doc(capsys, tmp_path, "abstract-check", doc)
+        assert code == 1
+        assert rep["slack"] == pytest.approx(0.0130, abs=1e-4)
+        assert rep["inf_slack"] == pytest.approx(-0.0208, abs=1e-4)
+        assert not rep["passed"]
+        assert rep["failures"] == ["inf-norm bisimulation inequality fails (slack -2.081e-02)"]
 
 
 class TestSimulateCommand:
@@ -405,6 +424,26 @@ class TestSimulateCommand:
         assert code == 0
         assert rep["audit"]["global_ok"] and rep["audit"]["post_entry_ok"]
         assert (tmp_path / "trajectory.csv").exists()
+        assert "twin_gap" not in rep  # no twin runs outside symbolic mode
+
+    def test_twin_gap_witnesses_the_eps_tube(self, capsys, tmp_path):
+        doc = bundled_doc("example5", "simulation.horizon", 20)
+        del doc["symbolic"]["eta_sweep"]
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
+        assert code == 0
+        assert rep["twin_gap"] == pytest.approx(0.0918, abs=1e-4)
+        # eps = 0.06 fails both parameter checks, and the twin of the same
+        # run leaves that tube
+        doc["symbolic"]["epsilon"] = 0.06
+        code, rep = run_doc(capsys, tmp_path, "simulate", doc, "--out", str(tmp_path))
+        assert code == 1
+        assert rep["twin_gap"] > 0.06
+        assert rep["failures"] == [
+            "symbolic twin left its eps tube (max |x2 - x2s|_inf 9.185e-02 > 0.06)"]
+        loop = passquant.cli._loop_config(load_config(tmp_path / "cfg.json"))
+        traj = passquant.sim.simulate(loop)
+        gaps = [max(abs(a - b) for a, b in zip(x2, x2s)) for x2, x2s in zip(traj.x2, traj.x2s)]
+        assert rep["twin_gap"] == max(gaps)
 
     def test_output_path_that_is_a_file_is_reported(self, capsys, tmp_path):
         taken = tmp_path / "taken"
@@ -456,6 +495,7 @@ class TestSimulateCommand:
             capsys, "simulate", bundled_config_path("example5"), "--out", str(tmp_path)
         )
         assert code == 0
+        assert rep["twin_gap"] == pytest.approx(0.0994, abs=1e-4)
         sweep = rep["eta_sweep"]
         assert [p["eta"] for p in sweep] == [0.1, 0.05, 0.01]
         sups = [p["sup_combined"] for p in sweep]

@@ -1,4 +1,10 @@
+import ast
+import io
 import math
+import re
+import tokenize
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +331,38 @@ class TestQuantizationBiasRule:
     def test_rejected_inputs(self, bias, mu1, mu2, m, lam, fault):
         with pytest.raises(ParameterError, match=self.MESSAGES[fault]):
             bias(mu1, mu2, m, lam)
+
+
+# a squared quantizer pitch or the sqrt(m) of a radius: the channel errors,
+# which passivity._ChannelErrors alone writes
+CHANNEL_FORMULA = re.compile(r"mu[12] *\*\* *2|math\.sqrt\(")
+# passivity's golden-section ratio takes the square root of 5
+PASSIVITY_FORMULA = re.compile(r"mu[12] *\*\* *2|sqrt\(m\)")
+
+
+def code_lines(source):
+    """Line number -> the code of that line, its strings and comments left out."""
+    lines = defaultdict(str)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in (tokenize.STRING, tokenize.COMMENT):
+            lines[token.start[0]] += token.string
+    return lines
+
+
+def test_channel_errors_are_written_in_the_record_only():
+    offending = []
+    package = Path(passquant.__file__).parent
+    for name, pattern in {"bounds.py": CHANNEL_FORMULA, "sim.py": CHANNEL_FORMULA,
+                          "cli.py": CHANNEL_FORMULA, "passivity.py": PASSIVITY_FORMULA}.items():
+        source = (package / name).read_text(encoding="utf-8")
+        record = [
+            (node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name == "_ChannelErrors"
+        ]
+        for number, code in code_lines(source).items():
+            if pattern.search(code) and not any(a <= number <= b for a, b in record):
+                offending.append(f"{name}:{number}: {code}")
+    assert not offending, "channel-error formulas outside the record:\n" + "\n".join(offending)
 
 
 class TestComposeFeedback:

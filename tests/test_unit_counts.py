@@ -6,8 +6,9 @@ one kind make different numbers of eigenvalue calls inside
 wraps is never called.  These tests install the same tracer
 (``perfbench/spans.py``, loaded read-only from its file): on three seeded
 n = 32 systems, one unit each, so a search whose work depends on the
-system fails here; and around short loop runs, so a loop that binds past
-a wrapped name fails here, not only in the benchmark's smoke run.
+system fails here; and around short loop runs and the CLI's ``bound``, so a
+loop or a bound pipeline that binds past a wrapped name fails here, not
+only in the benchmark's smoke run.
 """
 
 import importlib.util
@@ -81,17 +82,26 @@ SIMULATE_NAMES = {
 }
 
 
+# the names the CLI's bound pipeline looks up in every loop mode
+BOUND_NAMES = {("bounds", "loop_bounds"), ("bounds", "margin_check")}
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_NAMES))
-def test_loop_run_looks_up_every_traced_name(name):
+def test_loop_run_looks_up_every_traced_name(name, capsys):
     spans = load_spans()
     expected = set().union(*spans.EXPECTED.values())
-    assert SIMULATE_NAMES[name] <= expected
-    loop = _loop_config(replace(load_config(bundled_config_path(name)), horizon=20))
+    assert SIMULATE_NAMES[name] | BOUND_NAMES <= expected
+    path = bundled_config_path(name)
+    loop = _loop_config(replace(load_config(path), horizon=20))
     tracer = spans.Tracer()
     tracer.install("passquant")
     try:
-        # looked up on the module, where the tracer wraps it
+        # looked up on the modules, where the tracer wraps them
         passquant.sim.simulate(loop)
+        simulate_hits = dict(tracer.hits)
+        passquant.cli.main(["bound", "--config", path, "--format", "json"])
     finally:
         tracer.uninstall()
-    assert sorted(key for key in SIMULATE_NAMES[name] if tracer.hits[key] == 0) == []
+    capsys.readouterr()
+    assert sorted(key for key in SIMULATE_NAMES[name] if key not in simulate_hits) == []
+    assert sorted(key for key in BOUND_NAMES if tracer.hits[key] == 0) == []
