@@ -44,21 +44,15 @@ def bundled_config_path(name):
 
 
 def _example5_plant() -> NonlinearModel:
-    def rhs(x, u):
-        # flow passes tuples of Python floats, which give the numpy-scalar
-        # results bit for bit; their ``**`` raises OverflowError where numpy
-        # returns inf, and flow reports that as divergence
-        x0, x1 = x
-        u0, u1 = u
-        return (
-            -0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0,
-            0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1,
-        )
-
     def h1(x):
         return np.array([0.4 * x[0], 0.5 * x[1]])
 
-    # h1 is linear diagonal, so the (inf -> 2) bound is exact
+    # flow evaluates the expressions on Python floats, which give the
+    # numpy-scalar results bit for bit; their ``**`` raises OverflowError
+    # where numpy returns inf, and flow reports that as divergence.  h1 is
+    # linear diagonal, so the (inf -> 2) bound is exact
+    rhs = ("-0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0",
+           "0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1")
     return NonlinearModel(n=2, m=2, rhs=rhs, h1=h1, h1_lipschitz=float(np.hypot(0.4, 0.5)))
 
 

@@ -47,7 +47,7 @@ class SdCertificate:
         object.__setattr__(self, "mp", _quadratic_form(self.mp, "Mp", definite=True))
 
     def p(self, x):
-        x = np.asarray(x, float)
+        x = _array(x, "x", (len(self.mp),))
         return float(x @ self.mp @ x)
 
 

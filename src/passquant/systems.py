@@ -1,9 +1,14 @@
 """System models, uniform quantizers, ZOH discretization and flow maps."""
 
+import ast
 import functools
+import itertools
+import linecache
+import weakref
+from collections.abc import Callable
 from math import ceil, copysign, floor, isfinite, trunc
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,8 +77,15 @@ class LtiModel:
 class NonlinearModel:
     """Nonlinear system ``dx = f(x, u)`` with additive output ``h1(x) + h2(u)``.
 
-    ``rhs(x, u)`` receives the state and the input as tuples of Python
-    floats and returns ``n`` numbers (a tuple, a list or a 1-D array);
+    ``rhs`` is either a callable or a tuple of ``n`` expression strings.  A
+    callable ``rhs(x, u)`` receives the state and the input as tuples of
+    Python floats and returns ``n`` numbers (a tuple, a list or a 1-D array).
+    An expression ``rhs[i]`` gives ``dx_i`` in the names ``x0..x{n-1}`` and
+    ``u0..u{m-1}`` and int or float literals, combined by arithmetic
+    operators only (``"-x0 ** 3 + 0.5 * u0"``); :func:`flow` evaluates the
+    expressions inside its generated RK4 kernel, with no call per stage, and
+    ``model.rhs`` is then a callable compiled from the same strings.  Only
+    code supplies expressions: configuration files name registered models.
     ``h1`` and ``h2`` receive float arrays and return ``m`` numbers.  Sizes,
     ``rhs(0, 0) = 0`` and ``h1(0) + h2(0) = 0`` are checked at construction.
     ``h1_lipschitz`` is an optional user-supplied bound ``|h1(z1) - h1(z2)| <=
@@ -82,18 +94,32 @@ class NonlinearModel:
 
     n: int
     m: int
-    rhs: Callable[[Tuple[float, ...], Tuple[float, ...]], Sequence[float]]
+    rhs: Union[Callable[[Tuple[float, ...], Tuple[float, ...]], Sequence[float]], Tuple[str, ...]]
     h1: Callable[[np.ndarray], np.ndarray]
     h2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h1_lipschitz: Optional[float] = None
+    # the RK4 substep loop flow runs: shared per n for a callable rhs, the
+    # model's own with its expressions inlined
+    _kernel: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "m"):
             size = getattr(self, name)
             if isinstance(size, bool) or not (isinstance(size, (int, np.integer)) and size > 0):
                 raise DimensionError(f"{name} must be a positive integer, got {size!r}")
+        _instance(self.rhs, "rhs", Callable, tuple)
+        _instance(self.h1, "h1", Callable)
+        if self.h2 is not None:
+            _instance(self.h2, "h2", Callable)
         if self.h1_lipschitz is not None:
             _nonnegative(h1_lipschitz=self.h1_lipschitz)
+        if callable(self.rhs):
+            object.__setattr__(self, "_kernel", _call_kernel(self.n))
+        else:
+            _check_expressions(self.rhs, self.n, self.m)
+            serial = next(_serials)
+            object.__setattr__(self, "_kernel", _rk4_kernel(self.n, self.m, self.rhs, serial))
+            object.__setattr__(self, "rhs", _expression_rhs(self.n, self.m, self.rhs, serial))
         # NaN fails the vanishing tests too
         f0 = _values(self.rhs((0.0,) * self.n, (0.0,) * self.m), self.n, "rhs")
         if not np.max(np.abs(f0)) <= 1e-9:
@@ -227,10 +253,67 @@ def _values(v, n, name):
     return v
 
 
+# the nodes an rhs expression may hold: the names x0.. and u0.., int and
+# float literals, and arithmetic, so it also evaluates on arrays or intervals
+_ARITHMETIC = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load)
+
+
+def _check_expressions(expressions, n, m):
+    """Accept only what :func:`_rk4_kernel` may inline: ``n`` strings (else
+    :class:`DimensionError`), each one expression in the allowed names,
+    literals and operators (else :class:`ParameterError` naming the entry)."""
+    if len(expressions) != n:
+        raise DimensionError(f"rhs must have {n} expressions, got {len(expressions)}")
+    names = {f"x{j}" for j in range(n)} | {f"u{j}" for j in range(m)}
+    for i, text in enumerate(expressions):
+        entry = f"rhs[{i}]"
+        _instance(text, entry, str)
+        try:
+            tree = compile(text, entry, "eval", ast.PyCF_ONLY_AST)
+        except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
+            raise ParameterError(f"{entry} is not an expression: {text!r}") from exc
+        for node in ast.walk(tree):
+            allowed = (
+                node.id in names if isinstance(node, ast.Name)
+                else type(node.value) in (int, float) if isinstance(node, ast.Constant)
+                else isinstance(node, _ARITHMETIC)
+            )
+            if not allowed:
+                raise ParameterError(
+                    f"{entry} may use only x0..x{n - 1}, u0..u{m - 1}, numbers and arithmetic,"
+                    f" got {ast.get_source_segment(text, node) or type(node).__name__!r}")
+
+
+def _assign(names, expressions):
+    """Lines binding each expression to its name.  The text goes in as
+    written, between parentheses on lines of their own, so its line breaks
+    and comments cannot reach the code around it."""
+    lines = []
+    for name, text in zip(names, expressions):
+        lines += [f"{name} = (", text, ")"]
+    return lines
+
+
+def _define(src, filename, name, namespace):
+    """Run the generated ``src`` and return its function ``name``.  The source
+    stays registered with linecache for as long as the function lives, so a
+    traceback through it shows its lines."""
+    exec(compile(src, filename, "exec"), namespace)
+    function = namespace[name]
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    weakref.finalize(function, linecache.cache.pop, filename, None)
+    return function
+
+
+# numbers the models built from expressions, whose kernel and rhs each get a
+# filename of their own
+_serials = itertools.count(1)
+
+
 _RK4_TEMPLATE = """\
 def kernel(f, x, u, h):
     half, sixth = 0.5 * h, h / 6.0
-    {x}, = x
+    {s}, = x{inputs}
     for i in range(64):
         try:
 {stages}
@@ -240,52 +323,79 @@ def kernel(f, x, u, h):
 {update}
         if not ({finite}):
             raise DivergenceError(f"state diverged at substep {{i}}", step=i)
-    return ({x},)
+    return ({s},)
 """
 
 
-@functools.cache
-def _rk4_kernel(n: int):
+def _rk4_kernel(n, m=0, expressions=None, serial=None):
     """The RK4 substep loop of :func:`flow`, unrolled over ``n`` state entries.
 
     The state and the four stages live in scalar locals, so no substep
     builds a list or walks a ``zip``; each entry is combined exactly as in
-    the array form.  Per stage the hot path tests only that the rhs returned
-    a tuple; a tuple of the wrong size fails where it is unpacked, and the
-    size check of :func:`_values` then reports it.  Built on the first flow
-    of an ``n``-state model.
+    the array form.  With a callable rhs ``f`` each stage calls it on the
+    stage point, and the hot path tests only that it returned a tuple; a
+    tuple of the wrong size fails where it is unpacked, and the size check
+    of :func:`_values` then reports it.  With the ``expressions`` of model
+    number ``serial`` (``m`` inputs) ``f`` goes unused: the input is bound
+    to ``u0..`` once, and each stage binds its point to ``x0..`` and
+    evaluates the expressions as written, with no call.
     """
-    x = [f"x{j}" for j in range(n)]
-    k1, k2, k3, k4 = ([f"{s}{j}" for j in range(n)] for s in "abcd")
+    s = [f"s{j}" for j in range(n)]
+    k1, k2, k3, k4 = ([f"{c}{j}" for j in range(n)] for c in "abcd")
 
     def shifted(step, k):
-        return [f"{xj} + {step} * {kj}" for xj, kj in zip(x, k)]
+        return [f"{sj} + {step} * {kj}" for sj, kj in zip(s, k)]
 
     stages = []
-    for k, arg in (
-        (k1, x), (k2, shifted("half", k1)), (k3, shifted("half", k2)), (k4, shifted("h", k3))
+    for k, point in (
+        (k1, s), (k2, shifted("half", k1)), (k3, shifted("half", k2)), (k4, shifted("h", k3))
     ):
-        stages += [
-            f"k = f(({', '.join(arg)},), u)",
-            "if type(k) is not tuple:",
-            f"    k = tuple(values(k, {n}, 'rhs').tolist())",
-            "try:",
-            f"    {', '.join(k)}, = k",
-            "except ValueError:",  # only a tuple of the wrong size gets here
-            f"    {', '.join(k)}, = values(k, {n}, 'rhs')",
-        ]
+        if expressions is None:
+            stages += [
+                f"k = f(({', '.join(point)},), u)",
+                "if type(k) is not tuple:",
+                f"    k = tuple(values(k, {n}, 'rhs').tolist())",
+                "try:",
+                f"    {', '.join(k)}, = k",
+                "except ValueError:",  # only a tuple of the wrong size gets here
+                f"    {', '.join(k)}, = values(k, {n}, 'rhs')",
+            ]
+        else:
+            stages += [f"x{j} = {p}" for j, p in enumerate(point)] + _assign(k, expressions)
     src = _RK4_TEMPLATE.format(
-        x=", ".join(x),
+        s=", ".join(s),
+        inputs="" if expressions is None else f"\n    {', '.join(f'u{j}' for j in range(m))}, = u",
         stages="\n".join(" " * 12 + line for line in stages),
         update="\n".join(
-            f"        {xj} = {xj} + sixth * ((({aj} + 2.0 * {bj}) + 2.0 * {cj}) + {dj})"
-            for xj, aj, bj, cj, dj in zip(x, k1, k2, k3, k4)
+            f"        {sj} = {sj} + sixth * ((({aj} + 2.0 * {bj}) + 2.0 * {cj}) + {dj})"
+            for sj, aj, bj, cj, dj in zip(s, k1, k2, k3, k4)
         ),
-        finite=" and ".join(f"isfinite({xj})" for xj in x),
+        finite=" and ".join(f"isfinite({sj})" for sj in s),
     )
+    filename = f"<rk4 kernel, n={n}>" if serial is None else f"<rk4 kernel, n={n}, rhs {serial}>"
     namespace = {"values": _values, "isfinite": isfinite, "DivergenceError": DivergenceError}
-    exec(compile(src, f"<rk4 kernel, n={n}>", "exec"), namespace)
-    return namespace["kernel"]
+    return _define(src, filename, "kernel", namespace)
+
+
+@functools.cache
+def _call_kernel(n: int):
+    """The kernel of every ``n``-state model with a callable rhs, built once."""
+    return _rk4_kernel(n)
+
+
+def _expression_rhs(n, m, expressions, serial):
+    """``rhs(x, u)`` of model number ``serial``: its ``expressions`` in the
+    entries of ``x`` and ``u``, as a tuple."""
+    k = [f"a{j}" for j in range(n)]
+    src = "\n".join([
+        "def rhs(x, u):",
+        f"    {', '.join(f'x{j}' for j in range(n))}, = x",
+        f"    {', '.join(f'u{j}' for j in range(m))}, = u",
+        *("    " + line for line in _assign(k, expressions)),
+        f"    return ({', '.join(k)},)",
+        "",
+    ])
+    return _define(src, f"<rhs {serial}, n={n}>", "rhs", {})
 
 
 def flow(model: NonlinearModel, x0, u, tau: float):
@@ -293,20 +403,22 @@ def flow(model: NonlinearModel, x0, u, tau: float):
 
     Classical fourth-order Runge-Kutta with 64 fixed substeps of ``tau/64``
     for determinism.  ``x0`` (shape ``(n,)``) and ``u`` (shape ``(m,)``) go
-    through the array rule.  The substep loop is generated
-    once per state dimension ``n``, unrolled over the entries: the state and
-    the stages are Python floats, combined entrywise in the order of the
-    array form ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is
-    bit-identical to it.  ``model.rhs`` receives the stage and the input as
+    through the array rule.  The substep loop is the model's generated
+    kernel, unrolled over the entries: the state and the stages are Python
+    floats, combined entrywise in the order of the array form
+    ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit-identical
+    to it.  A callable ``model.rhs`` receives the stage and the input as
     float tuples and must return ``n`` numbers (a tuple, a list or a 1-D
-    array).  Raises :class:`DivergenceError` (with the substep index) if the
-    state becomes non-finite or the rhs overflows.
+    array); a model built from expressions evaluates them in the kernel, on
+    the same floats.  Raises :class:`DivergenceError` (with the substep
+    index) if the state becomes non-finite or the rhs overflows; any other
+    error of the rhs propagates unchanged.
     """
     _positive(tau=tau)
     n = model.n
     x = _array(x0, "initial state", (n,))
     v = _array(u, "input", (model.m,))
-    kernel = _rk4_kernel(n)
+    kernel = model._kernel
     return np.array(kernel(model.rhs, tuple(x.tolist()), tuple(v.tolist()), tau / 64))
 
 

@@ -380,7 +380,7 @@ def test_nonnegative_integer_takes_python_and_numpy_integers(case, value):
     NONNEGATIVE_INTEGERS[case][1](value)
 
 
-# case id -> (argument name, call with the value in its place, a model of a
+# case id -> (argument name, call with the value in its place, a value of a
 # kind the call does not take)
 TYPES = {
     "LoopConfig.plant": ("plant", lambda v: loop(plant=v), DISC),
@@ -396,6 +396,12 @@ TYPES = {
         "model", lambda v: verify_gain_assumption(v, GainCertificate(0.2, I1)), DISC),
     "SampledModel": ("source", lambda v: SampledModel(v, 0.3), object()),
     "SymbolicController": ("model", lambda v: SymbolicController(v, 0.1, 0.01, [0.0]), LTI),
+    "NonlinearModel.rhs": ("rhs", lambda v: NonlinearModel(1, 1, rhs=v, h1=lambda x: x), None),
+    "NonlinearModel.rhs list": (
+        "rhs", lambda v: NonlinearModel(1, 1, rhs=v, h1=lambda x: x), ["-x0"]),
+    "NonlinearModel.h1": ("h1", lambda v: NonlinearModel(1, 1, rhs=("-x0",), h1=v), None),
+    "NonlinearModel.h2": (
+        "h2", lambda v: NonlinearModel(1, 1, rhs=("-x0",), h1=lambda x: x, h2=v), 0.5),
 }
 
 

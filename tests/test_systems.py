@@ -1,3 +1,7 @@
+import gc
+import linecache
+import traceback
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,20 @@ from passquant import (
     quantize_nearest,
 )
 from passquant import linalg
+from passquant.systems import _call_kernel
 from tests.test_linalg import series_expm
+
+# the registered example5 plant's right-hand side, as expressions and as the
+# callable that evaluates them in the same order
+EXAMPLE5_EXPRESSIONS = ("-0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0",
+                        "0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1")
+
+
+def example5_rhs(x, u):
+    x0, x1 = x
+    u0, u1 = u
+    return (-0.7 * x0 - 0.2 * x0 ** 3 - 0.5 * x1 + 0.4 * u0,
+            0.5 * x0 - 0.3 * x1 ** 3 + 0.5 * u1)
 
 
 def array_rk4(model, x0, u, tau, substeps=64):
@@ -289,6 +306,130 @@ class TestNonlinearModel:
     def test_rejects_nonvanishing_output(self):
         with pytest.raises(ParameterError):
             NonlinearModel(1, 1, rhs=lambda x, u: (-x[0],), h1=lambda x: x + 1.0)
+
+
+class TestExpressionRhs:
+    @pytest.mark.parametrize(
+        "rhs, error, message",
+        [
+            (("-x0",), DimensionError, r"^rhs must have 2 expressions, got 1$"),
+            (("-x0", "-x1", "0.0"), DimensionError, r"^rhs must have 2 expressions, got 3$"),
+            (("-x0", "-x2"), ParameterError,
+             r"^rhs\[1\] may use only x0\.\.x1, u0\.\.u0, numbers and arithmetic, got 'x2'$"),
+            (("-x0 + u1", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'u1'$"),
+            (("-x0", "-y"), ParameterError, r"^rhs\[1\] may use .*, got 'y'$"),
+            (("-abs(x0)", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'abs\(x0\)'$"),
+            (("-x0.real", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'x0\.real'$"),
+            (("-x0", "x1 if x1 < 0 else -x1"), ParameterError, r"^rhs\[1\] may use .*, got 'x1 if"),
+            (("-x0 * True", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'True'$"),
+            (("-x0", "-x1 * 'a'"), ParameterError, r"^rhs\[1\] may use .*, got \"'a'\"$"),
+            (("x0 = 0", "-x1"), ParameterError, r"^rhs\[0\] is not an expression: 'x0 = 0'$"),
+            (("-x0", "import os"), ParameterError, r"^rhs\[1\] is not an expression"),
+            (("-x0; -x1", "-x1"), ParameterError, r"^rhs\[0\] is not an expression"),
+            (("-x0", "-x1\0"), ParameterError, r"^rhs\[1\] is not an expression"),
+            (("-x0", ""), ParameterError, r"^rhs\[1\] is not an expression"),
+            (("-x0", 1.0), ParameterError, r"^rhs\[1\] must be str, got float$"),
+            (("1.0 - x0", "-x1"), ParameterError, r"^rhs\(0, 0\) must vanish$"),
+        ],
+        ids=["one of two", "three of two", "x beyond n", "u beyond m", "unknown name", "call",
+             "attribute", "conditional", "bool literal", "string literal", "assignment",
+             "import", "two statements", "null byte", "empty", "not a string", "non-vanishing"],
+    )
+    def test_rejected_at_construction(self, rhs, error, message):
+        with pytest.raises(error, match=message):
+            NonlinearModel(2, 1, rhs=rhs, h1=lambda x: x[:1])
+
+    def test_bit_identical_to_the_callable(self):
+        # the registered plant's expressions against the same arithmetic
+        # written as a callable, on 10 000 draws from [-3, 3]
+        inline = NonlinearModel(2, 2, rhs=EXAMPLE5_EXPRESSIONS, h1=lambda x: x)
+        called = NonlinearModel(2, 2, rhs=example5_rhs, h1=lambda x: x)
+        draws = np.random.default_rng(27).uniform(-3.0, 3.0, (10_000, 4))
+        got = np.array([flow(inline, d[:2], d[2:], 0.3) for d in draws])
+        want = np.array([flow(called, d[:2], d[2:], 0.3) for d in draws])
+        assert same_bits(got, want)
+
+    def test_diverges_at_the_callables_substep(self):
+        # starts of about 25 to 100 leave RK4's stability region, and the cube
+        # overflows a few substeps later; starts near 1e100 overflow at once
+        inline = NonlinearModel(2, 2, rhs=EXAMPLE5_EXPRESSIONS, h1=lambda x: x)
+        called = NonlinearModel(2, 2, rhs=example5_rhs, h1=lambda x: x)
+
+        def outcome(model, x, u):
+            try:
+                return flow(model, x, u, 0.3).tolist()
+            except DivergenceError as err:
+                return err.step, str(err), type(err.__cause__)
+
+        rng = np.random.default_rng(28)
+        steps = []
+        for exponents in ((1.4, 2.0),) * 300 + ((100.0, 103.0),) * 20:
+            x = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(*exponents, 2)
+            u = rng.uniform(-3.0, 3.0, 2)
+            got = outcome(inline, x, u)
+            assert got == outcome(called, x, u)
+            steps.append(got[0])
+        assert {0, 1, 2, 3} <= set(steps) and steps.count(0) >= 20
+
+    def test_rhs_is_a_callable_of_the_same_expressions(self):
+        model = NonlinearModel(2, 2, rhs=EXAMPLE5_EXPRESSIONS, h1=lambda x: x)
+        assert callable(model.rhs)
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            x, u = rng.uniform(-3.0, 3.0, 2), rng.uniform(-3.0, 3.0, 2)
+            assert same_bits(model.rhs(tuple(x), tuple(u)), example5_rhs(tuple(x), tuple(u)))
+            # on arrays the entries are numpy scalars, as for the callable
+            assert same_bits(model.rhs(x, u), example5_rhs(x, u))
+
+    def test_layout_of_the_text_does_not_matter(self):
+        # line breaks, comments and a leading blank line, inlined as written
+        rhs = ("\n(-0.7 * x0 - 0.2 * x0 ** 3  # cubic damping\n - 0.5 * x1 + 0.4 * u0)",
+               "0.5 * x0 - 0.3 * x1 ** 3 \\\n + 0.5 * u1  # a comment ends the text")
+        model = NonlinearModel(2, 2, rhs=rhs, h1=lambda x: x)
+        called = NonlinearModel(2, 2, rhs=example5_rhs, h1=lambda x: x)
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            x, u = rng.uniform(-3.0, 3.0, 2), rng.uniform(-3.0, 3.0, 2)
+            assert same_bits(flow(model, x, u, 0.3), flow(called, x, u, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bit_identical_at_other_dimensions(self, n):
+        # a linear chain with a cubic first entry, as expressions and as a callable
+        rhs = ("-x0 ** 3 - x0 + u0",) + tuple(f"x{j - 1} - 2.0 * x{j}" for j in range(1, n))
+
+        def called_rhs(x, u):
+            return (-x[0] ** 3 - x[0] + u[0],) + tuple(x[j - 1] - 2.0 * x[j] for j in range(1, n))
+
+        inline = NonlinearModel(n, 1, rhs=rhs, h1=lambda x: x[:1])
+        called = NonlinearModel(n, 1, rhs=called_rhs, h1=lambda x: x[:1])
+        rng = np.random.default_rng(31 + n)
+        for _ in range(50):
+            x, u = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, 1)
+            assert same_bits(flow(inline, x, u, 0.3), flow(called, x, u, 0.3))
+
+    def test_zero_division_propagates_with_its_source_line(self):
+        model = NonlinearModel(1, 1, rhs=("1.0 / (x0 - 1.0) + 1.0",), h1=lambda x: x)
+        with pytest.raises(ZeroDivisionError) as err:
+            flow(model, [1.0], [0.0], 0.3)
+        assert err.value.__cause__ is None
+        # the kernel's source is registered, so the traceback shows the expression
+        text = "".join(traceback.format_exception(err.value))
+        assert "<rk4 kernel, n=1, rhs " in text
+        assert "1.0 / (x0 - 1.0) + 1.0" in text
+
+    def test_each_model_owns_its_kernel_for_as_long_as_it_lives(self):
+        a, b = (NonlinearModel(2, 2, rhs=EXAMPLE5_EXPRESSIONS, h1=lambda x: x) for _ in "ab")
+        assert a._kernel is not b._kernel
+        filenames = [m._kernel.__code__.co_filename for m in (a, b)]
+        filenames += [m.rhs.__code__.co_filename for m in (a, b)]
+        assert len(set(filenames)) == 4 and all(f in linecache.cache for f in filenames)
+        del a, b
+        gc.collect()
+        assert not any(f in linecache.cache for f in filenames)
+        # a callable rhs runs the kernel shared by every model of its size
+        model = NonlinearModel(2, 2, rhs=example5_rhs, h1=lambda x: x)
+        assert model._kernel is _call_kernel(2)
+        assert model._kernel.__code__.co_filename in linecache.cache
 
 
 class TestSampledModel:
