@@ -108,15 +108,30 @@ def _inf_bisim_check(disc, eps, mu, eta) -> Verdict:
     return Verdict(passed=bool(slack >= 0.0), margin=float(slack))
 
 
+# the most entries a twin keeps in each of its tables: a run visits a few
+# dozen (grid state, input) pairs, and a long-lived twin stays bounded
+_TRANSITIONS = 4096
+
+
 class SymbolicController:
     """State-quantized executable twin of a sampled controller.
 
-    ``state`` is a float array on the grid ``eta * Z^n``: each step applies
-    the exact sampled transition from the grid state and rounds the
-    successor to the nearest grid point, which is the tightest admissible
-    choice under the half-pitch transition rule.  ``step`` rebinds
-    ``state`` and never writes into it.  Transition inputs must already lie
-    on the ``mu`` grid (quantize with the input quantizer first).
+    ``state`` is a read-only float array on the grid ``eta * Z^n``: each
+    step applies the exact sampled transition from the grid state and
+    rounds the successor to the nearest grid point, which is the tightest
+    admissible choice under the half-pitch transition rule.  ``step``
+    rebinds ``state`` and never writes into it.  Inputs must already lie on
+    the ``mu`` grid (quantize with the input quantizer first).
+
+    The twin is a finite transition system, and a run revisits few of its
+    transitions, so each successor and each output is computed once and
+    kept in a table keyed by the bit patterns of the grid state and the
+    input (``-0.0`` and ``0.0`` are different inputs, whose outputs may
+    differ in the sign of a zero).  A pair found there skips the grid test,
+    the model and the rounding; the returned arrays are read-only, so no
+    caller can change an entry.  Each table stops growing at 4 096 entries.
+    The model's maps are taken as pure functions, and ``model``, ``eta``
+    and ``mu`` as fixed once the twin is built.
 
     Construction does not certify the twin: :func:`check_bisim_params`
     decides whether ``(eps, mu, eta)`` make it approximately bisimilar to
@@ -131,26 +146,45 @@ class SymbolicController:
         x0 = _array(x0, "x0", (self.model.n,))
         # + 0.0 turns a -0.0 grid value into 0.0
         self.state = quantize_nearest(x0, self.eta) + 0.0
+        self.state.flags.writeable = False
+        self._successors = {}
+        self._outputs = {}
+
+    def _entry(self, table, u, compute):
+        """The table's entry for the grid state and the input ``u``, made by
+        ``compute(state, u)`` on a miss after the input's grid test."""
+        u = _array(u, "u", (self.model.m,))
+        key = self.state.tobytes() + u.tobytes()
+        value = table.get(key)
+        if value is None:
+            mu = self.mu
+            for v in u.tolist():
+                try:
+                    k = round(v / mu)  # halves to even, as np.round does
+                except OverflowError:  # round refuses the inf of an overflowed ratio
+                    k = _ratio(v, v / mu, "u/mu")
+                if k * mu != v:
+                    raise ContractViolationError(
+                        f"input must lie on the {self.mu} grid; quantize it first"
+                    )
+            value = np.array(compute(self.state, u), float)
+            value.flags.writeable = False
+            if len(table) < _TRANSITIONS:
+                table[key] = value
+        return value
+
+    def _successor(self, state, u):
+        # + 0.0 turns a -0.0 grid value into 0.0
+        return quantize_nearest(self.model.step(state, u), self.eta) + 0.0
 
     def step(self, u):
         """Advance one sampling period; returns the new grid state."""
-        u = _array(u, "u", (self.model.m,))
-        mu = self.mu
-        for v in u.tolist():
-            try:
-                k = round(v / mu)  # halves to even, as np.round does
-            except OverflowError:  # round refuses the inf of an overflowed ratio
-                k = _ratio(v, v / mu, "u/mu")
-            if k * mu != v:
-                raise ContractViolationError(
-                    f"input must lie on the {self.mu} grid; quantize it first"
-                )
-        self.state = quantize_nearest(self.model.step(self.state, u), self.eta) + 0.0
+        self.state = self._entry(self._successors, u, self._successor)
         return self.state
 
     def output(self, u):
         """Output map of ``model`` at the grid state."""
-        return self.model.output(self.state, u)
+        return self._entry(self._outputs, u, self.model.output)
 
 
 def lipschitz_output_bound(model):

@@ -304,21 +304,30 @@ def cmd_abstract_check(cfg: AnalysisConfig):
     model = cfg.controller.model
     bound = abstraction.lti_delta_iss(model.a, model.b)
     verdict = abstraction.check_bisim_params(bound, cfg.eps, cfg.tau, cfg.mu1, cfg.eta)
-    inf_verdict = abstraction._inf_bisim_check(
-        discretize_exact(model, cfg.tau), cfg.eps, cfg.mu1, cfg.eta)
+    disc = discretize_exact(model, cfg.tau)
+    inf_verdict = abstraction._inf_bisim_check(disc, cfg.eps, cfg.mu1, cfg.eta)
+    # simulate runs a twin at every swept pitch too
+    sweep = [(eta, abstraction._inf_bisim_check(disc, cfg.eps, cfg.mu1, eta))
+             for eta in cfg.eta_sweep or ()]
     report = {
         "scale": bound.scale,
         "rate": bound.rate,
         "input_gain": bound.input_gain,
         "slack": verdict.margin,
         "inf_slack": inf_verdict.margin,
-        "passed": verdict.passed and inf_verdict.passed,
+        # [eta, slack] pairs: perfbench's cli-sweep compares the floats of a
+        # list to a tolerance, but a dict inside a list exactly
+        **({"sweep_inf_slack": [[eta, v.margin] for eta, v in sweep]} if sweep else {}),
+        "passed": all(v.passed for v in (verdict, inf_verdict, *(v for _, v in sweep))),
     }
     if not verdict.passed:
         failures.append(f"bisimulation parameter inequality fails (slack {verdict.margin:.3e})")
     if not inf_verdict.passed:
         failures.append(
             f"inf-norm bisimulation inequality fails (slack {inf_verdict.margin:.3e})")
+    # the configured pitch has its line above
+    failures += [f"inf-norm bisimulation inequality fails at swept eta = {eta:g}"
+                 f" (slack {v.margin:.3e})" for eta, v in sweep if not v.passed and eta != cfg.eta]
     return report, failures
 
 

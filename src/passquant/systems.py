@@ -81,11 +81,14 @@ class NonlinearModel:
     callable ``rhs(x, u)`` receives the state and the input as tuples of
     Python floats and returns ``n`` numbers (a tuple, a list or a 1-D array).
     An expression ``rhs[i]`` gives ``dx_i`` in the names ``x0..x{n-1}`` and
-    ``u0..u{m-1}`` and int or float literals, combined by arithmetic
+    ``u0..u{m-1}`` and finite int or float literals, combined by arithmetic
     operators only (``"-x0 ** 3 + 0.5 * u0"``); :func:`flow` evaluates the
-    expressions inside its generated RK4 kernel, with no call per stage, and
-    ``model.rhs`` is then a callable compiled from the same strings.  Only
-    code supplies expressions: configuration files name registered models.
+    checked expressions inside the model's generated RK4 kernel, with no
+    call per stage, each input term bound once per call and each int
+    exponent written as a float (see :func:`_specialize`), and
+    ``model.rhs`` is then a callable compiled from the strings as written.
+    Only code supplies expressions: configuration files name registered
+    models.
     ``h1`` and ``h2`` receive float arrays and return ``m`` numbers.  Sizes,
     ``rhs(0, 0) = 0`` and ``h1(0) + h2(0) = 0`` are checked at construction.
     ``h1_lipschitz`` is an optional user-supplied bound ``|h1(z1) - h1(z2)| <=
@@ -116,9 +119,9 @@ class NonlinearModel:
         if callable(self.rhs):
             object.__setattr__(self, "_kernel", _call_kernel(self.n))
         else:
-            _check_expressions(self.rhs, self.n, self.m)
+            trees = _check_expressions(self.rhs, self.n, self.m)
             serial = next(_serials)
-            object.__setattr__(self, "_kernel", _rk4_kernel(self.n, self.m, self.rhs, serial))
+            object.__setattr__(self, "_kernel", _rk4_kernel(self.n, self.m, trees, serial))
             object.__setattr__(self, "rhs", _expression_rhs(self.n, self.m, self.rhs, serial))
         # NaN fails the vanishing tests too
         f0 = _values(self.rhs((0.0,) * self.n, (0.0,) * self.m), self.n, "rhs")
@@ -258,13 +261,23 @@ def _values(v, n, name):
 _ARITHMETIC = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load)
 
 
+def _finite_literal(value):
+    """Whether the literal ``value`` converts to a finite float."""
+    try:
+        return isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_expressions(expressions, n, m):
     """Accept only what :func:`_rk4_kernel` may inline: ``n`` strings (else
     :class:`DimensionError`), each one expression in the allowed names,
-    literals and operators (else :class:`ParameterError` naming the entry)."""
+    finite literals and operators (else :class:`ParameterError` naming the
+    entry).  Returns the body of each parsed expression."""
     if len(expressions) != n:
         raise DimensionError(f"rhs must have {n} expressions, got {len(expressions)}")
     names = {f"x{j}" for j in range(n)} | {f"u{j}" for j in range(m)}
+    trees = []
     for i, text in enumerate(expressions):
         entry = f"rhs[{i}]"
         _instance(text, entry, str)
@@ -282,16 +295,78 @@ def _check_expressions(expressions, n, m):
                 raise ParameterError(
                     f"{entry} may use only x0..x{n - 1}, u0..u{m - 1}, numbers and arithmetic,"
                     f" got {ast.get_source_segment(text, node) or type(node).__name__!r}")
+            # 1e400 reads as inf, and a huge int fails where it meets a float
+            if isinstance(node, ast.Constant) and not _finite_literal(node.value):
+                raise ParameterError(f"{entry} has a literal beyond the float range:"
+                                     f" {ast.get_source_segment(text, node)!r}")
+        trees.append(tree.body)
+    return trees
 
 
-def _assign(names, expressions):
-    """Lines binding each expression to its name.  The text goes in as
-    written, between parentheses on lines of their own, so its line breaks
-    and comments cannot reach the code around it."""
-    lines = []
-    for name, text in zip(names, expressions):
-        lines += [f"{name} = (", text, ")"]
-    return lines
+# the operators of an input term: on floats none of them raises
+_TERM_OPERATORS = (ast.Add, ast.Sub, ast.Mult)
+# the operators whose result is a float when one operand is a float and the
+# other a float or a literal
+_FLOAT_OPERATORS = _TERM_OPERATORS + (ast.Div, ast.FloorDiv, ast.Mod)
+_SIGNS = (ast.UAdd, ast.USub)
+
+
+def _literal(node):
+    """The value of an int or float literal under its unary signs, else None."""
+    sign = 1
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+        sign = -sign if isinstance(node.op, ast.USub) else sign
+        node = node.operand
+    return sign * node.value if isinstance(node, ast.Constant) else None
+
+
+def _specialize(node, terms):
+    """``node`` of a checked expression, rewritten for the kernel, as
+    ``(node, term, is_float)``.
+
+    ``term`` says that ``node`` is an input term: it names ``u0..`` only,
+    with literals, ``+``, ``-``, ``*`` and unary signs, and no operator
+    joins two literals (two ints could multiply past the float range).
+    Such a term cannot raise on floats, and the input is constant over a
+    flow, so each largest one is bound once before the substep loop: it
+    is replaced by the local ``w<j>`` that ``terms`` (text -> local) maps
+    it to.  ``is_float`` says that ``node`` names a variable and evaluates
+    to a float whatever the floats in its names; an int-literal exponent
+    |n| <= 2**53 of such a base is written as the equal float, which
+    ``float ** float`` raises to on the same doubles, with the same errors,
+    as ``float ** int``.  Nothing is reordered."""
+    if isinstance(node, ast.Name):
+        return node, node.id[0] == "u", True
+    if isinstance(node, ast.Constant):
+        return node, False, False
+    if isinstance(node, ast.UnaryOp):
+        operand, term, is_float = _specialize(node.operand, terms)
+        if isinstance(node.op, _SIGNS):
+            return ast.UnaryOp(node.op, operand), term, is_float
+        return ast.UnaryOp(node.op, _bound(operand, term, terms)), False, False
+    left, left_term, left_float = _specialize(node.left, terms)
+    right, right_term, right_float = _specialize(node.right, terms)
+    left_literal, right_literal = _literal(left) is not None, _literal(right) is not None
+    op = node.op
+    term = (isinstance(op, _TERM_OPERATORS) and (left_term or right_term)
+            and (left_term or left_literal) and (right_term or right_literal))
+    is_float = isinstance(op, _FLOAT_OPERATORS) and (
+        left_float and (right_float or right_literal) or right_float and left_literal)
+    if isinstance(op, ast.Pow) and left_float:
+        exponent = _literal(right)
+        is_float = type(exponent) is int and abs(exponent) <= 2**53
+        if is_float:
+            right = ast.Constant(float(exponent))
+    if not term:
+        left, right = _bound(left, left_term, terms), _bound(right, right_term, terms)
+    return ast.BinOp(left, op, right), term, is_float
+
+
+def _bound(node, term, terms):
+    """``node``, or the local its input term is bound to (a bare name stays)."""
+    if not term or isinstance(node, ast.Name):
+        return node
+    return ast.Name(terms.setdefault(ast.unparse(node), f"w{len(terms)}"), ast.Load())
 
 
 def _define(src, filename, name, namespace):
@@ -327,7 +402,7 @@ def kernel(f, x, u, h):
 """
 
 
-def _rk4_kernel(n, m=0, expressions=None, serial=None):
+def _rk4_kernel(n, m=0, trees=None, serial=None):
     """The RK4 substep loop of :func:`flow`, unrolled over ``n`` state entries.
 
     The state and the four stages live in scalar locals, so no substep
@@ -335,10 +410,13 @@ def _rk4_kernel(n, m=0, expressions=None, serial=None):
     the array form.  With a callable rhs ``f`` each stage calls it on the
     stage point, and the hot path tests only that it returned a tuple; a
     tuple of the wrong size fails where it is unpacked, and the size check
-    of :func:`_values` then reports it.  With the ``expressions`` of model
-    number ``serial`` (``m`` inputs) ``f`` goes unused: the input is bound
-    to ``u0..`` once, and each stage binds its point to ``x0..`` and
-    evaluates the expressions as written, with no call.
+    of :func:`_values` then reports it.  With the checked expression
+    ``trees`` of model number ``serial`` (``m`` inputs) ``f`` goes unused:
+    the input is bound to ``u0..`` and each input term to its ``w0..``
+    once (see :func:`_specialize`), and each stage binds its point to
+    ``x0..`` and evaluates the specialized expressions, one line each
+    (followed by the checked expression as a comment where they differ),
+    with no call.
     """
     s = [f"s{j}" for j in range(n)]
     k1, k2, k3, k4 = ([f"{c}{j}" for j in range(n)] for c in "abcd")
@@ -346,11 +424,21 @@ def _rk4_kernel(n, m=0, expressions=None, serial=None):
     def shifted(step, k):
         return [f"{sj} + {step} * {kj}" for sj, kj in zip(s, k)]
 
+    inputs = []
+    if trees is not None:
+        terms, texts = {}, []
+        for tree in trees:
+            node, term, _ = _specialize(tree, terms)
+            text, checked = ast.unparse(_bound(node, term, terms)), ast.unparse(tree)
+            # a traceback through the line shows the expression as checked too
+            texts.append(text if text == checked else f"{text}  # {checked}")
+        inputs = [f"{', '.join(f'u{j}' for j in range(m))}, = u"]
+        inputs += [f"{local} = {text}" for text, local in terms.items()]
     stages = []
     for k, point in (
         (k1, s), (k2, shifted("half", k1)), (k3, shifted("half", k2)), (k4, shifted("h", k3))
     ):
-        if expressions is None:
+        if trees is None:
             stages += [
                 f"k = f(({', '.join(point)},), u)",
                 "if type(k) is not tuple:",
@@ -361,10 +449,11 @@ def _rk4_kernel(n, m=0, expressions=None, serial=None):
                 f"    {', '.join(k)}, = values(k, {n}, 'rhs')",
             ]
         else:
-            stages += [f"x{j} = {p}" for j, p in enumerate(point)] + _assign(k, expressions)
+            stages += [f"x{j} = {p}" for j, p in enumerate(point)]
+            stages += [f"{kj} = {text}" for kj, text in zip(k, texts)]
     src = _RK4_TEMPLATE.format(
         s=", ".join(s),
-        inputs="" if expressions is None else f"\n    {', '.join(f'u{j}' for j in range(m))}, = u",
+        inputs="".join(f"\n    {line}" for line in inputs),
         stages="\n".join(" " * 12 + line for line in stages),
         update="\n".join(
             f"        {sj} = {sj} + sixth * ((({aj} + 2.0 * {bj}) + 2.0 * {cj}) + {dj})"
@@ -385,13 +474,15 @@ def _call_kernel(n: int):
 
 def _expression_rhs(n, m, expressions, serial):
     """``rhs(x, u)`` of model number ``serial``: its ``expressions`` in the
-    entries of ``x`` and ``u``, as a tuple."""
+    entries of ``x`` and ``u``, as a tuple.  The text goes in as written,
+    between parentheses on lines of their own, so its line breaks and
+    comments cannot reach the code around it."""
     k = [f"a{j}" for j in range(n)]
     src = "\n".join([
         "def rhs(x, u):",
         f"    {', '.join(f'x{j}' for j in range(n))}, = x",
         f"    {', '.join(f'u{j}' for j in range(m))}, = u",
-        *("    " + line for line in _assign(k, expressions)),
+        *(f"    {line}" for kj, text in zip(k, expressions) for line in (f"{kj} = (", text, ")")),
         f"    return ({', '.join(k)},)",
         "",
     ])
@@ -410,9 +501,11 @@ def flow(model: NonlinearModel, x0, u, tau: float):
     to it.  A callable ``model.rhs`` receives the stage and the input as
     float tuples and must return ``n`` numbers (a tuple, a list or a 1-D
     array); a model built from expressions evaluates them in the kernel, on
-    the same floats.  Raises :class:`DivergenceError` (with the substep
-    index) if the state becomes non-finite or the rhs overflows; any other
-    error of the rhs propagates unchanged.
+    the same floats, with its input terms evaluated once before the
+    substeps and its int exponents written as floats, bit for bit the
+    expressions as written.  Raises :class:`DivergenceError` (with the
+    substep index) if the state becomes non-finite or the rhs overflows;
+    any other error of the rhs propagates unchanged.
     """
     _positive(tau=tau)
     n = model.n

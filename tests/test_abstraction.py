@@ -5,7 +5,9 @@ from passquant import (
     CertificateError,
     ContractViolationError,
     DeltaIssBound,
+    DimensionError,
     LtiModel,
+    NonlinearModel,
     ParameterError,
     SampledModel,
     SymbolicController,
@@ -16,7 +18,12 @@ from passquant import (
     quantize,
     quantize_nearest,
 )
+from dataclasses import replace
+
+from passquant import abstraction, load_config, simulate
 from passquant.abstraction import _inf_bisim_check
+from passquant.cli import _loop_config
+from passquant.config import bundled_config_path
 from tests.conftest import make_cubic_plant
 
 
@@ -135,10 +142,15 @@ class TestSymbolicController:
         expected = bench_model.c @ ctrl.state + bench_model.d @ u
         assert np.allclose(ctrl.output(u), expected)
 
-    def test_output_does_not_check_the_input_grid(self, bench_model):
-        # the mu-grid contract belongs to the transition, checked in step only
+    def test_output_checks_its_input_as_step_does(self, bench_model):
         ctrl = self.make(bench_model, x0=(1.5, -1.6))
-        u = np.array([0.013, -0.2071])
+        with pytest.raises(ContractViolationError, match=r"^input must lie on the 0.01 grid"):
+            ctrl.output(np.array([0.005, 0.0]))
+        with pytest.raises(DimensionError, match=r"^u must have shape \(2,\), got \(3,\)$"):
+            ctrl.output([1.0, 2.0, 3.0])
+        with pytest.raises(ParameterError, match=r"^u must be finite$"):
+            ctrl.output([np.nan, 0.0])
+        u = np.array([0.01, -0.2])
         assert np.array_equal(ctrl.output(u), ctrl.model.output(ctrl.state, u))
 
     def test_far_states_do_not_wrap(self):
@@ -213,6 +225,87 @@ class TestSymbolicController:
         )
         state = ctrl.step(np.zeros(2))
         assert np.array_equal(np.round(state / 0.05) * 0.05, state)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestTransitionTable:
+    """The twin computes each (grid state, input) transition and output once;
+    every other visit reads the table, with the same bits."""
+
+    def replay(self, ctrl, inputs):
+        """(outputs, states) of ``ctrl`` driven by ``inputs``, output first,
+        as :func:`simulate` drives it."""
+        outputs, states = [], [ctrl.state]
+        for u in inputs:
+            outputs.append(ctrl.output(u))
+            states.append(ctrl.step(u))
+        return outputs, states
+
+    @pytest.mark.parametrize("eta", [0.1, 0.05, 0.01])
+    def test_loop_runs_match_a_twin_without_the_table(self, eta, monkeypatch):
+        # example5's 400-step symbolic loop from 30 seeded starts at each swept
+        # pitch, replayed through a twin whose table stays empty
+        loop = _loop_config(load_config(bundled_config_path("example5")))
+        rng = np.random.default_rng(int(eta * 1000))
+        for _ in range(30):
+            run = replace(loop, eta=eta, x1_0=rng.uniform(-2.0, 2.0, 2),
+                          x2_0=rng.uniform(-2.0, 2.0, 2))
+            traj = simulate(run)
+            with monkeypatch.context() as patch:
+                patch.setattr(abstraction, "_TRANSITIONS", 0)
+                bare = SymbolicController(SampledModel(run.controller, run.tau), eta, run.mu1,
+                                          run.x2_0)
+                outputs, states = self.replay(bare, traj.u2)
+                assert not bare._successors and not bare._outputs
+            assert same_bits(states, traj.x2s)
+            assert same_bits(outputs, traj.y2)
+            assert same_bits([quantize(y, run.mu2) for y in outputs], traj.y2_tilde)
+
+    def test_signed_zero_inputs_get_their_own_entries(self):
+        # output -x + u, a C = -I state map: at the zero state it is
+        # -0.0 + u, a zero with the sign of the input's zero
+        model = NonlinearModel(2, 2, rhs=("-x0 + u0", "-x1 + u1"), h1=lambda x: -x,
+                               h2=lambda u: u)
+        ctrl = SymbolicController(SampledModel(model, 0.3), eta=0.1, mu=0.01, x0=np.zeros(2))
+        for _ in range(2):  # computed, then read from the table
+            plus, minus = ctrl.output(np.zeros(2)), ctrl.output(np.array([-0.0, -0.0]))
+            assert not np.signbit(plus).any() and np.signbit(minus).all()
+        assert len(ctrl._outputs) == 2
+
+    def test_returned_arrays_are_read_only(self, bench_model):
+        ctrl = SymbolicController(SampledModel(bench_model, 0.3), eta=0.1, mu=0.01,
+                                  x0=np.array([1.5, -1.6]))
+        start = ctrl.state
+        u = np.array([0.01, -0.02])
+        y, state = ctrl.output(u), ctrl.step(u)
+        for array in (start, y, state, ctrl.output(u), ctrl.step(u)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # an entry outlives a caller's write into its own input
+        u[0] = 0.5
+        ctrl.state = start
+        assert same_bits(ctrl.output(np.array([0.01, -0.02])), y)
+
+    def test_table_stops_growing_at_its_limit(self, bench_model, monkeypatch):
+        monkeypatch.setattr(abstraction, "_TRANSITIONS", 5)
+        rng = np.random.default_rng(36)
+        inputs = [quantize(rng.uniform(-1.0, 1.0, 2), 0.01) for _ in range(40)]
+        inputs += inputs[:10]  # revisits, past the limit
+
+        def make():
+            return SymbolicController(SampledModel(bench_model, 0.3), eta=0.1, mu=0.01,
+                                      x0=np.array([1.5, -1.6]))
+
+        ctrl = make()
+        outputs, states = self.replay(ctrl, inputs)
+        assert len(ctrl._successors) == len(ctrl._outputs) == 5
+        monkeypatch.setattr(abstraction, "_TRANSITIONS", 0)
+        want_outputs, want_states = self.replay(make(), inputs)
+        assert same_bits(outputs, want_outputs) and same_bits(states, want_states)
 
 
 class TestBisimTracking:

@@ -398,6 +398,7 @@ class TestAbstractCheckCommand:
         assert rep["failures"] == [
             "bisimulation parameter inequality fails (slack -3.169e-02)",
             "inf-norm bisimulation inequality fails (slack -3.540e-02)",
+            "inf-norm bisimulation inequality fails at swept eta = 0.05 (slack -1.040e-02)",
         ]
 
     def test_inf_norm_check_fails_where_the_mixed_one_passes(self, capsys, tmp_path):
@@ -413,7 +414,32 @@ class TestAbstractCheckCommand:
         assert rep["slack"] == pytest.approx(0.0130, abs=1e-4)
         assert rep["inf_slack"] == pytest.approx(-0.0208, abs=1e-4)
         assert not rep["passed"]
-        assert rep["failures"] == ["inf-norm bisimulation inequality fails (slack -2.081e-02)"]
+        assert rep["failures"] == [
+            "inf-norm bisimulation inequality fails (slack -2.081e-02)",
+            "inf-norm bisimulation inequality fails at swept eta = 0.1 (slack -6.581e-02)",
+            "inf-norm bisimulation inequality fails at swept eta = 0.05 (slack -4.081e-02)",
+        ]
+
+    def test_every_swept_pitch_is_checked(self, capsys, tmp_path):
+        # example5's sweep, where simulate runs a twin at each pitch
+        code, rep = run_json(capsys, "abstract-check", bundled_config_path("example5"))
+        assert [eta for eta, _ in rep["sweep_inf_slack"]] == [0.1, 0.05, 0.01]
+        slacks = [slack for _, slack in rep["sweep_inf_slack"]]
+        assert slacks == pytest.approx([0.0130, 0.0380, 0.0580], abs=1e-4)
+        assert slacks[0] == rep["inf_slack"]
+        # a swept pitch coarser than the configured one fails on its own
+        doc = bundled_doc("example5", "symbolic.eta_sweep", [0.1, 0.3])
+        code, rep = run_doc(capsys, tmp_path, "abstract-check", doc)
+        assert code == 1 and not rep["passed"]
+        assert rep["inf_slack"] == pytest.approx(0.0130, abs=1e-4)
+        assert rep["failures"] == [
+            "inf-norm bisimulation inequality fails at swept eta = 0.3 (slack -8.700e-02)"]
+
+    def test_no_sweep_no_key(self, capsys, tmp_path):
+        doc = bundled_doc("example5")
+        del doc["symbolic"]["eta_sweep"]
+        code, rep = run_doc(capsys, tmp_path, "abstract-check", doc)
+        assert code == 0 and "sweep_inf_slack" not in rep
 
 
 class TestSimulateCommand:

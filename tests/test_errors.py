@@ -293,6 +293,7 @@ ARRAYS = {
     "lti_delta_iss.b": ("b", lambda v: lti_delta_iss(-I1, v), I1, np.ones((2, 1))),
     "SymbolicController.x0": ("x0", lambda v: controller(v), [0.0], [0.0, 0.0]),
     "SymbolicController.step": ("u", lambda v: controller().step(v), [0.0], [0.0, 0.0]),
+    "SymbolicController.output": ("u", lambda v: controller().output(v), [0.0], [0.0, 0.0]),
     "verify_lti_passivity.storage": (
         "storage matrix", lambda v: verify_lti_passivity(LTI, v, 0.1, 0.1), I1, np.eye(2)),
     "max_index_bisection.storage": (

@@ -1,5 +1,7 @@
+import functools
 import gc
 import linecache
+import re
 import traceback
 
 import numpy as np
@@ -18,7 +20,8 @@ from passquant import (
     quantize_nearest,
 )
 from passquant import linalg
-from passquant.systems import _call_kernel
+from passquant.systems import (
+    _call_kernel, _check_expressions, _expression_rhs, _rk4_kernel, _serials)
 from tests.test_linalg import series_expm
 
 # the registered example5 plant's right-hand side, as expressions and as the
@@ -330,10 +333,16 @@ class TestExpressionRhs:
             (("-x0", ""), ParameterError, r"^rhs\[1\] is not an expression"),
             (("-x0", 1.0), ParameterError, r"^rhs\[1\] must be str, got float$"),
             (("1.0 - x0", "-x1"), ParameterError, r"^rhs\(0, 0\) must vanish$"),
+            # an int no float holds, and a float literal read as inf
+            (("x0 * " + "9" * 400, "-x1"), ParameterError,
+             r"^rhs\[0\] has a literal beyond the float range: '9{400}'$"),
+            (("-x0", "1e400 * u0"), ParameterError,
+             r"^rhs\[1\] has a literal beyond the float range: '1e400'$"),
         ],
         ids=["one of two", "three of two", "x beyond n", "u beyond m", "unknown name", "call",
              "attribute", "conditional", "bool literal", "string literal", "assignment",
-             "import", "two statements", "null byte", "empty", "not a string", "non-vanishing"],
+             "import", "two statements", "null byte", "empty", "not a string", "non-vanishing",
+             "huge int", "inf literal"],
     )
     def test_rejected_at_construction(self, rhs, error, message):
         with pytest.raises(error, match=message):
@@ -348,6 +357,100 @@ class TestExpressionRhs:
         got = np.array([flow(inline, d[:2], d[2:], 0.3) for d in draws])
         want = np.array([flow(called, d[:2], d[2:], 0.3) for d in draws])
         assert same_bits(got, want)
+
+    # expressions whose kernel binds input terms at several depths (a whole
+    # expression, a negated sum, a factor, a nested sum), keeps in the loop
+    # the terms that mix in a state or divide or raise, and writes the int
+    # exponents 2, 3 and -1 as floats but 2**53 + 1 (no float) as an int;
+    # a model's origin test would divide by u0 = 0, so these are kernels
+    SPECIALIZED = {
+        "input terms": (
+            "-x0 - (u0 - 2.0 * u1) + 0.5 * -(u0 - 2.0 * u1) * x1"
+            " - 0.25 * (x0 - (3 * u1 + -u0 * u1))",
+            "-(u0 - 2.0 * u1) + u0 * u1"),
+        "mixed terms": (
+            "-x0 + x0 * u0 + 0.1 / u0 - x1 * 0.4 * u0 + 0.2 * u0 ** 2",
+            "-x1 + 0.5 * x0 // 1.0 * u1 - x0 % 2.0 * u0 + u1 / (u0 - 4.0)"),
+        "exponents": (
+            "-x0 ** 3 - x0 + 0.1 * (x1 + 4.0) ** -1 + 0.2 * u0 ** 2 - 0.3 * x1 ** 2",
+            "-x1 ** 3 + 0.1 * x0 ** 2 + (x0 / (1.0 + x0 * x0)) ** 9007199254740993 + u1"),
+    }
+
+    @staticmethod
+    def kernels(rhs, n=2, m=2):
+        """The specialized kernel of the expressions ``rhs``, and the kernel
+        of a callable rhs running the same text as written, each as
+        ``kernel(x, u, h)``."""
+        serial = next(_serials)
+        inline = _rk4_kernel(n, m, _check_expressions(rhs, n, m), serial)
+        called = functools.partial(_call_kernel(n), _expression_rhs(n, m, rhs, serial))
+        return functools.partial(inline, None), called
+
+    def test_specialized_kernels_are_bit_identical(self):
+        # 10 000 draws from [-3, 3], spread over the three kernels
+        pairs = [self.kernels(rhs) for rhs in self.SPECIALIZED.values()]
+        draws = np.random.default_rng(127).uniform(-3.0, 3.0, (10_000, 4)).tolist()
+        got, want = [], []
+        for i, d in enumerate(draws):
+            inline, called = pairs[i % 3]
+            x, u = tuple(d[:2]), tuple(d[2:])
+            got.append(inline(x, u, 0.3 / 64))
+            want.append(called(x, u, 0.3 / 64))
+        assert same_bits(got, want)
+
+    def test_kernel_binds_input_terms_once_and_raises_to_float_exponents(self):
+        inline, _ = self.kernels(self.SPECIALIZED["input terms"])
+        src = "".join(linecache.cache[inline.func.__code__.co_filename][2])
+        head, loop = src.split("for i in range(64):")
+        assert head.split("u0, u1, = u\n")[1].splitlines() == [
+            "    w0 = u0 - 2.0 * u1", "    w1 = 0.5 * -(u0 - 2.0 * u1)",
+            "    w2 = 3 * u1 + -u0 * u1", "    w3 = -(u0 - 2.0 * u1) + u0 * u1", "    "]
+        # the stage lines read the locals, and each one's comment keeps the
+        # expression as checked
+        assert not any(re.search(r"\bu\d", line.split("#")[0]) for line in loop.splitlines())
+        assert "a1 = w3  # -(u0 - 2.0 * u1) + u0 * u1" in loop
+        assert "a0 = -x0 - w0 + w1 * x1 - 0.25 * (x0 - w2)  # " in loop
+        inline, _ = self.kernels(self.SPECIALIZED["exponents"])
+        src = "".join(linecache.cache[inline.func.__code__.co_filename][2])
+        assert "x0 ** 3.0" in src and "u0 ** 2.0" in src and "** -1.0" in src
+        assert "** 9007199254740993" in src and "** 9007199254740993.0" not in src
+        inline, _ = self.kernels(self.SPECIALIZED["mixed terms"])
+        head = "".join(linecache.cache[inline.func.__code__.co_filename][2]).split("for i")[0]
+        # only the divisor: a product with a state, a quotient or a power stays
+        assert head.split("u0, u1, = u\n")[1] == "    w0 = u0 - 4.0\n    "
+
+    def test_specialized_kernels_diverge_at_the_callables_substep(self):
+        def outcome(kernel, x, u):
+            try:
+                return kernel(x, u, 0.3 / 64)
+            except DivergenceError as err:
+                return err.step, str(err), type(err.__cause__)
+
+        rng = np.random.default_rng(128)
+        steps = []
+        for rhs in (self.SPECIALIZED["input terms"], self.SPECIALIZED["exponents"]):
+            inline, called = self.kernels(rhs)
+            for exponents in ((1.4, 2.0),) * 100 + ((100.0, 103.0),) * 10:
+                x = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(*exponents, 2)
+                x = tuple(x.tolist())
+                u = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+                got = outcome(inline, x, u)
+                assert got == outcome(called, x, u)
+                steps.append(got[0])
+        assert {0, 1, 2} <= set(steps)
+
+    def test_division_by_a_zero_input_raises_in_the_loop(self):
+        inline, _ = self.kernels(("-x0 + 1.0 / u0",), 1, 1)
+        with pytest.raises(ZeroDivisionError) as err:
+            inline((0.5,), (0.0,), 0.3 / 64)
+        assert err.value.__cause__ is None
+        tb = err.value.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        # raised at substep 0's first stage, on the expression's own line
+        assert tb.tb_frame.f_locals["i"] == 0
+        text = "".join(traceback.format_exception(err.value))
+        assert "<rk4 kernel, n=1, rhs " in text and "a0 = -x0 + 1.0 / u0" in text
 
     def test_diverges_at_the_callables_substep(self):
         # starts of about 25 to 100 leave RK4's stability region, and the cube

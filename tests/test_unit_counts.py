@@ -104,4 +104,9 @@ def test_loop_run_looks_up_every_traced_name(name, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert sorted(key for key in SIMULATE_NAMES[name] if key not in simulate_hits) == []
+    if name == "example5":
+        # the twin's table answers behind the traced methods: one call each
+        # per step, so the benchmark's per-layer twin counters keep their unit
+        twin = [("abstraction", f"SymbolicController.{method}") for method in ("step", "output")]
+        assert [simulate_hits[key] for key in twin] == [loop.horizon] * 2
     assert sorted(key for key in BOUND_NAMES if tracer.hits[key] == 0) == []
