@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,17 +16,18 @@ from passquant import (
     check_bisim_params,
     discretize_exact,
     lipschitz_output_bound,
+    load_config,
     lti_delta_iss,
     quantize,
     quantize_nearest,
+    simulate,
 )
-from dataclasses import replace
-
-from passquant import abstraction, load_config, simulate
+from passquant import abstraction
 from passquant.abstraction import _inf_bisim_check
 from passquant.cli import _loop_config
 from passquant.config import bundled_config_path
 from tests.conftest import make_cubic_plant
+from tests.test_systems import same_bits
 
 
 class TestDeltaIss:
@@ -225,11 +228,6 @@ class TestSymbolicController:
         )
         state = ctrl.step(np.zeros(2))
         assert np.array_equal(np.round(state / 0.05) * 0.05, state)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestTransitionTable:
