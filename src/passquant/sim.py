@@ -227,22 +227,6 @@ def read_csv(path, n1, n2, m):
     return states, signals
 
 
-def _affine(p, q):
-    """``(x, u) -> p x + q u`` for float-array arguments: the ``ndarray.dot``
-    products of :meth:`DiscreteLti.step` and :meth:`LtiModel.output`, bit
-    for bit, without their argument conversion."""
-    px, qu = p.dot, q.dot
-    return lambda x, u: px(x) + qu(u)
-
-
-def _step_of(sampled):
-    """The one-period step of a :class:`SampledModel`: the products of its
-    cached exact discretization for an LTI source, its own (the flow)
-    otherwise."""
-    disc = sampled._disc
-    return sampled.step if disc is None else _affine(disc.ad, disc.bd)
-
-
 def simulate(config: LoopConfig) -> Trajectory:
     """Run the closed loop and record the signals it runs on.
 
@@ -258,13 +242,10 @@ def simulate(config: LoopConfig) -> Trajectory:
     """
     plant = SampledModel(config.plant, config.tau)
     ctrl_exact = SampledModel(config.controller, config.tau)
-    # the per-step callables, bound once: the config is already checked and
-    # every vector in the loop is a float array, so each LTI side steps by
-    # the discretization its SampledModel caches and outputs by its own
-    # matrices, through ndarray.dot with no per-step method frame
-    plant_step, ctrl_step = _step_of(plant), _step_of(ctrl_exact)
-    ctrl = config.controller
-    ctrl_output = _affine(ctrl.c, ctrl.d) if isinstance(ctrl, LtiModel) else ctrl.output
+    # the one-period maps each SampledModel binds, looked up once
+    plant_step, ctrl_step, ctrl_output = plant.step, ctrl_exact.step, ctrl_exact.output
+    # the plant is strictly proper, so its output is h1(x) or C x alone: a
+    # D u term would add +0.0 and turn a -0.0 output into +0.0
     if isinstance(config.plant, NonlinearModel):
         h1 = config.plant.h1
         plant_output = lambda x: np.asarray(h1(x), float)

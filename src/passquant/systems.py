@@ -66,7 +66,8 @@ class LtiModel:
         return self.b.shape[1]
 
     def output(self, x, u):
-        return self.c.dot(np.asarray(x, float)) + self.d.dot(np.asarray(u, float))
+        """``C x + D u``; ``ndarray.dot`` converts a list or an int array."""
+        return self.c.dot(x) + self.d.dot(u)
 
     @property
     def strictly_proper(self) -> bool:
@@ -81,12 +82,13 @@ class NonlinearModel:
     callable ``rhs(x, u)`` receives the state and the input as tuples of
     Python floats and returns ``n`` numbers (a tuple, a list or a 1-D array).
     An expression ``rhs[i]`` gives ``dx_i`` in the names ``x0..x{n-1}`` and
-    ``u0..u{m-1}`` and finite int or float literals, combined by arithmetic
-    operators only (``"-x0 ** 3 + 0.5 * u0"``); :func:`flow` evaluates the
-    checked expressions inside the model's generated RK4 kernel, with no
-    call per stage, each input term bound once per call and each int
-    exponent written as a float (see :func:`_specialize`), and
-    ``model.rhs`` is then a callable compiled from the strings as written.
+    ``u0..u{m-1}`` and finite int or float literals, combined by
+    ``+ - * / // % **`` and unary signs only (``"-x0 ** 3 + 0.5 * u0"``);
+    :func:`flow` evaluates the checked expressions inside the model's
+    generated RK4 kernel, with no call per stage, each input term bound once
+    per call and each int exponent written as a float (see
+    :func:`_specialize`), and ``model.rhs`` is then a callable compiled from
+    the strings as written.
     Only code supplies expressions: configuration files name registered
     models.
     ``h1`` and ``h2`` receive float arrays and return ``m`` numbers.  Sizes,
@@ -225,10 +227,12 @@ class DiscreteLti:
         return self.bd.shape[1]
 
     def step(self, x, u):
-        return self.ad.dot(np.asarray(x, float)) + self.bd.dot(np.asarray(u, float))
+        """``Ad x + Bd u``; ``ndarray.dot`` converts a list or an int array."""
+        return self.ad.dot(x) + self.bd.dot(u)
 
     def output(self, x, u):
-        return self.c.dot(np.asarray(x, float)) + self.d.dot(np.asarray(u, float))
+        """``C x + D u``; ``ndarray.dot`` converts a list or an int array."""
+        return self.c.dot(x) + self.d.dot(u)
 
 
 def discretize_exact(model: LtiModel, tau: float) -> DiscreteLti:
@@ -256,9 +260,10 @@ def _values(v, n, name):
     return v
 
 
-# the nodes an rhs expression may hold: the names x0.. and u0.., int and
-# float literals, and arithmetic, so it also evaluates on arrays or intervals
-_ARITHMETIC = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load)
+# the nodes an rhs expression may hold besides x0.., u0.. and int and float
+# literals: arithmetic alone, so it also evaluates on arrays or intervals
+_ARITHMETIC = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub, ast.Mult,
+               ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.UAdd, ast.USub)
 
 
 def _finite_literal(value):
@@ -308,13 +313,12 @@ _TERM_OPERATORS = (ast.Add, ast.Sub, ast.Mult)
 # the operators whose result is a float when one operand is a float and the
 # other a float or a literal
 _FLOAT_OPERATORS = _TERM_OPERATORS + (ast.Div, ast.FloorDiv, ast.Mod)
-_SIGNS = (ast.UAdd, ast.USub)
 
 
 def _literal(node):
     """The value of an int or float literal under its unary signs, else None."""
     sign = 1
-    while isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+    while isinstance(node, ast.UnaryOp):  # a checked expression's only unary ops are signs
         sign = -sign if isinstance(node.op, ast.USub) else sign
         node = node.operand
     return sign * node.value if isinstance(node, ast.Constant) else None
@@ -339,11 +343,9 @@ def _specialize(node, terms):
         return node, node.id[0] == "u", True
     if isinstance(node, ast.Constant):
         return node, False, False
-    if isinstance(node, ast.UnaryOp):
+    if isinstance(node, ast.UnaryOp):  # a sign
         operand, term, is_float = _specialize(node.operand, terms)
-        if isinstance(node.op, _SIGNS):
-            return ast.UnaryOp(node.op, operand), term, is_float
-        return ast.UnaryOp(node.op, _bound(operand, term, terms)), False, False
+        return ast.UnaryOp(node.op, operand), term, is_float
     left, left_term, left_float = _specialize(node.left, terms)
     right, right_term, right_float = _specialize(node.right, terms)
     left_literal, right_literal = _literal(left) is not None, _literal(right) is not None
@@ -515,24 +517,35 @@ def flow(model: NonlinearModel, x0, u, tau: float):
     return np.array(kernel(model.rhs, tuple(x.tolist()), tuple(v.tolist()), tau / 64))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledModel:
     """A system behind a zero-order hold and uniform sampler of period ``tau``.
 
-    Provides a uniform discrete ``step``/``output`` interface for LTI and
-    nonlinear sources; the LTI case caches its exact discretization, the
-    nonlinear case steps by :func:`flow`.
+    ``step(x, u)`` and ``output(x, u)`` are its one-period maps, bound once
+    at construction and called by the loop, the symbolic twin and the
+    falsifier alike.  For an LTI source ``step`` is the
+    :meth:`DiscreteLti.step` of its exact discretization; for a nonlinear
+    source it is :func:`flow` over ``tau``, looked up on every call, so a
+    wrapper installed on ``systems.flow`` sees each step.  ``output`` is
+    the source's own.  The model is frozen, so the maps stay those of its
+    ``source`` and ``tau``.
     """
 
     source: Union[LtiModel, NonlinearModel]
     tau: float
-    _disc: Optional[DiscreteLti] = field(init=False, default=None, repr=False)
+    step: Callable = field(init=False, repr=False, compare=False)
+    output: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _instance(self.source, "source", LtiModel, NonlinearModel)
         _positive(tau=self.tau)
-        if isinstance(self.source, LtiModel):
-            self._disc = discretize_exact(self.source, self.tau)
+        source, tau = self.source, self.tau
+        if isinstance(source, LtiModel):
+            step = discretize_exact(source, tau).step
+        else:
+            step = lambda x, u: flow(source, x, u, tau)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "output", source.output)
 
     @property
     def n(self) -> int:
@@ -541,11 +554,3 @@ class SampledModel:
     @property
     def m(self) -> int:
         return self.source.m
-
-    def step(self, x, u):
-        if self._disc is not None:
-            return self._disc.step(x, u)
-        return flow(self.source, x, u, self.tau)
-
-    def output(self, x, u):
-        return self.source.output(x, u)

@@ -230,23 +230,30 @@ class TestSimulate:
         cfg = base_config(bench_model, plant=plant, mode=mode, eta=0.1, eps=0.25, horizon=12,
                           x1_0=np.array([1.0, -1.5, 0.5]))
         target_n = 3 if side == "x1" else 2
-        # the loop binds each side's exact step once, through sim._step_of
-        exact_step_of, calls = sim._step_of, []
+        # the loop binds each side's step off the SampledModel it builds; the
+        # twin gets a SampledModel of its own, so the fault and the count
+        # reach the loop's step alone
+        sampled_model, twin, calls = sim.SampledModel, sim.SymbolicController, []
 
-        def step_of(sampled):
-            exact_step = exact_step_of(sampled)
+        def faulty(source, tau):
+            sampled = sampled_model(source, tau)
+            if sampled.n == target_n:
+                exact_step = sampled.step
 
-            def step(x, u):
-                out = exact_step(x, u)
-                if len(calls) == 5:
-                    out = out.copy()
-                    out[1] = bad
-                calls.append(out)
-                return out
+                def step(x, u):
+                    out = exact_step(x, u)
+                    if len(calls) == 5:
+                        out = out.copy()
+                        out[1] = bad
+                    calls.append(out)
+                    return out
 
-            return step if sampled.n == target_n else exact_step
+                object.__setattr__(sampled, "step", step)  # the model is frozen
+            return sampled
 
-        monkeypatch.setattr(sim, "_step_of", step_of)
+        monkeypatch.setattr(sim, "SampledModel", faulty)
+        monkeypatch.setattr(sim, "SymbolicController", lambda model, *args: twin(
+            sampled_model(model.source, model.tau), *args))
         with np.errstate(invalid="ignore"), pytest.raises(
             DivergenceError, match="^loop state diverged at step 5$"
         ) as info:

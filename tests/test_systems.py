@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import linecache
@@ -276,6 +277,22 @@ class TestProductLayout:
         for y in (rng.normal(size=n), rng.normal(size=(n, 2))[:, 0]):
             assert same_bits(y.dot(y), y @ y)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_lists_and_int_arrays_give_the_bits_of_float_arrays(self, n):
+        # the maps leave the conversion to ndarray.dot
+        rng = np.random.default_rng(100 + n)
+        m = min(n, 4)
+        model = LtiModel(rng.normal(size=(n, n)) - 2.0 * np.eye(n), rng.normal(size=(n, m)),
+                         rng.normal(size=(m, n)), rng.normal(size=(m, m)))
+        disc = discretize_exact(model, 0.3)
+        for _ in range(20):
+            x, u = rng.integers(-5, 6, n), rng.integers(-5, 6, m)
+            fx, fu = x.astype(float), u.astype(float)
+            for f in (disc.step, disc.output, model.output):
+                want = f(fx, fu)
+                for args in ((x, u), (x.tolist(), u.tolist()), (fx.tolist(), fu.tolist())):
+                    assert same_bits(f(*args), want)
+
 
 class TestNonlinearModel:
     @pytest.mark.parametrize(
@@ -338,11 +355,20 @@ class TestExpressionRhs:
              r"^rhs\[0\] has a literal beyond the float range: '9{400}'$"),
             (("-x0", "1e400 * u0"), ParameterError,
              r"^rhs\[1\] has a literal beyond the float range: '1e400'$"),
+            # operators that are not arithmetic, whether or not floats take them
+            (("x0 @ u0", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'MatMult'$"),
+            (("-x0", "-x0 + (x0 & 1)"), ParameterError, r"^rhs\[1\] may use .*, got 'BitAnd'$"),
+            (("~x0", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'Invert'$"),
+            (("-x0 << 1", "-x1"), ParameterError, r"^rhs\[0\] may use .*, got 'LShift'$"),
+            (("-x0", "-x0 | 0"), ParameterError, r"^rhs\[1\] may use .*, got 'BitOr'$"),
+            (("-x0 + (not x0) * 0.0 - (not u0) * 0.0", "-x1"), ParameterError,
+             r"^rhs\[0\] may use .*, got 'Not'$"),
         ],
         ids=["one of two", "three of two", "x beyond n", "u beyond m", "unknown name", "call",
              "attribute", "conditional", "bool literal", "string literal", "assignment",
              "import", "two statements", "null byte", "empty", "not a string", "non-vanishing",
-             "huge int", "inf literal"],
+             "huge int", "inf literal", "matmul", "bitwise and", "invert", "shift", "bitwise or",
+             "not"],
     )
     def test_rejected_at_construction(self, rhs, error, message):
         with pytest.raises(error, match=message):
@@ -536,20 +562,29 @@ class TestExpressionRhs:
 
 
 class TestSampledModel:
+    """The maps a SampledModel binds are its source's, bit for bit, on
+    seeded draws from [-3, 3]."""
+
     def test_lti_caches_discretization(self, bench_model):
         sampled = SampledModel(bench_model, 0.3)
         disc = discretize_exact(bench_model, 0.3)
-        x = np.array([0.4, -0.9])
-        u = np.array([0.1, 0.2])
-        assert np.array_equal(sampled.step(x, u), disc.step(x, u))
-        assert np.array_equal(sampled.output(x, u), bench_model.output(x, u))
+        for x, u in np.random.default_rng(8).uniform(-3.0, 3.0, (200, 2, 2)):
+            assert same_bits(sampled.step(x, u), disc.step(x, u))
+            assert same_bits(sampled.output(x, u), bench_model.output(x, u))
 
-    def test_nonlinear_steps_by_flow(self, cubic_plant):
-        sampled = SampledModel(cubic_plant, 0.3)
-        x = np.array([-0.7, -2.0])
-        u = np.zeros(2)
-        assert np.array_equal(sampled.step(x, u), flow(cubic_plant, x, u, 0.3))
-        assert (sampled.n, sampled.m) == (2, 2)
+    def test_nonlinear_steps_by_flow(self, cubic_plant, example5_plant):
+        draws = np.random.default_rng(9).uniform(-3.0, 3.0, (100, 2, 2))
+        for plant in (cubic_plant, example5_plant):
+            sampled = SampledModel(plant, 0.3)
+            for x, u in draws:
+                assert same_bits(sampled.step(x, u), flow(plant, x, u, 0.3))
+                assert same_bits(sampled.output(x, u), plant.output(x, u))
+            assert (sampled.n, sampled.m) == (2, 2)
+
+    def test_frozen_so_the_maps_keep_their_tau(self, example5_plant):
+        sampled = SampledModel(example5_plant, 0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sampled.tau = 0.6
 
 
 class TestFlow:

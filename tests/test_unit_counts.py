@@ -110,3 +110,19 @@ def test_loop_run_looks_up_every_traced_name(name, capsys):
         twin = [("abstraction", f"SymbolicController.{method}") for method in ("step", "output")]
         assert [simulate_hits[key] for key in twin] == [loop.horizon] * 2
     assert sorted(key for key in BOUND_NAMES if tracer.hits[key] == 0) == []
+
+
+def test_sampled_model_built_before_the_tracer_steps_through_its_flow():
+    # a SampledModel looks flow up on every step, so one built before the
+    # tracer is installed still feeds the benchmark's flow counters
+    cfg = load_config(bundled_config_path("example5"))
+    sampled = passquant.SampledModel(cfg.plant.model, cfg.tau)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install("passquant")
+    try:
+        for hits, (x, u) in enumerate(np.random.default_rng(3).uniform(-1, 1, (5, 2, 2)), 1):
+            sampled.step(x, u)
+            assert tracer.hits[("systems", "flow")] == hits
+    finally:
+        tracer.uninstall()
