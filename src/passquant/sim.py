@@ -200,17 +200,24 @@ def read_csv(path, n1, n2, m):
     and a dict mapping each signal's :class:`Trajectory` field name (``u1``,
     ``u2_tilde``, ``u2``, ``y1``, ``y2``, ``y2_tilde``) to its ``(K, m)``
     array.  Raises :class:`ToolkitError` naming the file, the first missing
-    column, the unparsable entry, or the absence of any step.
+    column, the unparsable entry, the absence of any step, or a truncated
+    file: a row that lacks a cell, or a last row that carries signal values
+    and so is a step row, not the terminal one.
     """
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            # an empty file has no header: fieldnames reads it while open
+            header = reader.fieldnames or []
             rows = list(reader)
     except OSError as exc:
         raise ToolkitError(f"cannot read trajectory {path}: {exc.strerror}") from exc
-    header = reader.fieldnames or []
     if len(rows) < 2:
         raise ToolkitError(f"trajectory {path}: no steps recorded")
+    for line, row in enumerate(rows, start=2):
+        # DictReader fills the cells a short row lacks with None
+        if None in row.values():
+            raise ToolkitError(f"trajectory {path}: line {line} lacks a cell; truncated file")
 
     def table(stem, width, records):
         names = _columns(stem, width)
@@ -224,6 +231,11 @@ def read_csv(path, n1, n2, m):
 
     states = np.hstack([table("x1", n1, rows), table("x2", n2, rows)])
     signals = {name: table(stem, m, rows[:-1]) for stem, name in _SIGNALS.items()}
+    last = rows[-1]
+    if any(last[name] for stem in _SIGNALS for name in _columns(stem, m)):
+        raise ToolkitError(
+            f"trajectory {path}: the last row carries signal values; truncated file"
+        )
     return states, signals
 
 

@@ -1,6 +1,14 @@
+import ast
+import gc
+import hashlib
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +21,12 @@ from passquant import (
     load_config,
     parse_config,
 )
+from passquant import cli
 from passquant.cli import main
 from passquant.config import bundled_config_path
+from tests.test_golden import GOLDEN, OUT, golden_path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -690,6 +702,37 @@ class TestAuditCommand:
         assert str(path) in rep["error"]
         assert rep["failures"] == [rep["error"]]
 
+    def test_empty_trajectory_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, rep = run_json(
+            capsys, "audit", bundled_config_path("loop_a"), "--trajectory", str(path)
+        )
+        assert code == 1
+        assert rep["error"] == f"trajectory {path}: no steps recorded"
+        assert rep["failures"] == [rep["error"]]
+
+    def test_truncated_trajectory_is_reported(self, capsys, tmp_path):
+        code, _ = run_json(
+            capsys, "simulate", bundled_config_path("loop_a"), "--out", str(tmp_path)
+        )
+        assert code == 0
+        data = (tmp_path / "trajectory.csv").read_bytes()
+        cuts = {
+            "rows.csv": b"".join(data.splitlines(keepends=True)[:3]),
+            "bytes.csv": data[:3000],
+        }
+        for name, cut in cuts.items():
+            path = tmp_path / name
+            path.write_bytes(cut)
+            code, rep = run_json(
+                capsys, "audit", bundled_config_path("loop_a"), "--trajectory", str(path)
+            )
+            assert code == 1, name
+            assert rep["error"].startswith(f"trajectory {path}: ")
+            assert rep["error"].endswith("; truncated file")
+            assert rep["failures"] == [rep["error"]]
+
     def test_missing_trajectory_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["audit", "--config", bundled_config_path("loop_a")])
@@ -709,3 +752,60 @@ class TestExitCodes:
         code, rep = run_json(capsys, "degrade", str(bad))
         assert code == 1
         assert rep["failures"]
+
+
+class TestProcessEntry:
+    """``python -m passquant.cli`` as a user runs it: a fresh process whose
+    entry freezes the collector before exiting, which must change no byte,
+    exit code or CSV of the golden runs."""
+
+    @staticmethod
+    def run_process(tmp_path, config, command, fmt, *extra):
+        # under -X dev the child reports unclosed resources on the exit path too
+        flags = ["-X", "dev", "-W", "error::ResourceWarning"] if sys.flags.dev_mode else []
+        config_path = str(Path(bundled_config_path(config)).resolve())
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "passquant.cli", command,
+             "--config", config_path, "--format", fmt, *extra],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, timeout=300,
+        )
+        assert proc.stderr == b""
+        index = json.loads((GOLDEN / "index.json").read_text())
+        assert proc.returncode == index["exit_codes"][f"{config}.{command}"]
+        stdout = proc.stdout.replace(str(tmp_path).encode(), OUT.encode())
+        assert stdout == golden_path(config, command, fmt).read_bytes()
+
+    def test_loop_a_matches_golden(self, tmp_path):
+        trajectory = str(tmp_path / "trajectory.csv")
+        self.run_process(tmp_path, "loop_a", "degrade", "text")
+        self.run_process(tmp_path, "loop_a", "simulate", "text", "--out", str(tmp_path))
+        self.run_process(tmp_path, "loop_a", "audit", "text", "--trajectory", trajectory)
+        index = json.loads((GOLDEN / "index.json").read_text())
+        hashes = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.glob("*.csv"))
+        }
+        assert hashes == index["csv_sha256"]["loop_a"]
+
+    def test_failed_check_exits_1(self, tmp_path):
+        self.run_process(tmp_path, "example5", "bound", "json")
+
+    def test_in_process_main_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["degrade", "--config", bundled_config_path("loop_a")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_runs_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["passquant"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        blocks = [
+            node for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(blocks) == 1
+        assert [ast.unparse(stmt) for stmt in blocks[0].body] == [f"{name}()"]
+        assert getattr(cli, name) is entry

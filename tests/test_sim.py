@@ -542,6 +542,29 @@ class TestCsv:
         with pytest.raises(ToolkitError, match="column x1"):
             read_csv(path, 2, 2, 2)
 
+    def test_empty_file_is_reported(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(ToolkitError, match="no steps recorded"):
+            read_csv(path, 2, 2, 2)
+
+    def test_file_cut_after_a_step_row_is_reported(self, bench_model, tmp_path):
+        # the header and two step rows: the second would pass for the terminal row
+        path = tmp_path / "t.csv"
+        simulate(base_config(bench_model, horizon=5)).to_csv(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3]))
+        with pytest.raises(ToolkitError, match="last row carries signal values"):
+            read_csv(path, 2, 2, 2)
+
+    def test_file_cut_mid_row_is_reported(self, bench_model, tmp_path):
+        path = tmp_path / "t.csv"
+        simulate(base_config(bench_model, horizon=5)).to_csv(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+        with pytest.raises(ToolkitError, match="line 4 lacks a cell"):
+            read_csv(path, 2, 2, 2)
+
 
 class TestUltimateBoundAudit:
     def test_zero_trajectory_enters_immediately(self, bench_model):
