@@ -66,9 +66,7 @@ def _quadratic_form(matrix, name, definite=False, size=None):
     """Symmetric part of ``matrix`` (``size x size`` when given), checked positive
     semidefinite (minimum eigenvalue >= -1e-10) or, with ``definite``, definite."""
     q = linalg._as_symmetric(np.atleast_2d(matrix), name, size)
-    # q is its own symmetric part, so min_eig's second pass is skipped; the
-    # kernel overwrites what it is given
-    lam = linalg._eig_at(q.copy(), 1)
+    lam = np.linalg.eigvalsh(q)[0]
     if not ((lam > 0) if definite else (lam >= -1e-10)):  # NaN fails too
         kind = "definite" if definite else "semidefinite"
         raise ParameterError(f"{name} must be positive {kind}")

@@ -72,8 +72,6 @@ class TestSymEig:
         for fn in (linalg.min_eig, linalg.max_eig):
             with pytest.raises(ToolkitError, match="dsyevr"):
                 fn(np.eye(3))
-        with pytest.raises(ToolkitError, match="dsyevr"):
-            passquant.passivity._quadratic_form(np.eye(3), "storage")
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
