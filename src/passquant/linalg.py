@@ -5,7 +5,9 @@ A quadratic form ``x' A x`` depends only on the symmetric part
 ``(A + A')/2``: the eigenvalue routines, ``quad_sublevel_max`` and ``lyap``
 take any square matrix and use its symmetric part, which only
 :func:`_as_symmetric` forms (an exactly symmetric matrix is its own
-symmetric part, bit for bit).  This is the only module that imports scipy.
+symmetric part, bit for bit).  This is the only module that imports scipy,
+and it imports ``scipy.linalg`` inside the four functions that call it, so
+importing the package, or a command that never reaches them, loads no scipy.
 
 Each eigen routine names its LAPACK driver: :func:`sym_eig` takes every
 eigenvalue and eigenvector (numpy's ``eigh``, ``dsyevd``); :func:`min_eig`
@@ -16,7 +18,6 @@ eigenvalues of a symmetric pencil (scipy's ``eigh``, ``dsygvd``).
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CertificateError, ToolkitError, _array, _nonnegative
 
@@ -62,6 +63,8 @@ def _eig_at(s, i):
     tridiagonal form and computes that one eigenvalue; a nonzero ``info``
     raises :class:`ToolkitError`.
     """
+    import scipy.linalg
+
     # s.T is s, in the column order LAPACK works in without a copy
     w, _, _, _, info = scipy.linalg.lapack.dsyevr(
         s.T, compute_v=0, range="I", il=i, iu=i, overwrite_a=1)
@@ -83,6 +86,8 @@ def min_eig(a):
 
 def expm(a):
     """Matrix exponential of a square matrix."""
+    import scipy.linalg
+
     return scipy.linalg.expm(_as_square(a))
 
 
@@ -102,6 +107,8 @@ def quad_sublevel_max(m_form, p_form, xi):
             f"P is not positive definite (min eigenvalue {lam_min:.3e})",
             min_eigenvalue=lam_min,
         )
+    import scipy.linalg
+
     lam = scipy.linalg.eigh(m_form, p_form, eigvals_only=True)[-1]
     return float(xi) * max(float(lam), 0.0)
 
@@ -134,4 +141,6 @@ def lyap(a, q):
         raise CertificateError(
             f"A is not Hurwitz (eigenvalue {worst:.6g})", eigenvalue=worst
         )
+    import scipy.linalg
+
     return _as_symmetric(scipy.linalg.solve_continuous_lyapunov(a.T, -q))

@@ -68,7 +68,7 @@ class TestSymEig:
         def failing(a, **kwargs):
             return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 3
 
-        monkeypatch.setattr(linalg.scipy.linalg.lapack, "dsyevr", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
         for fn in (linalg.min_eig, linalg.max_eig):
             with pytest.raises(ToolkitError, match="dsyevr"):
                 fn(np.eye(3))
