@@ -12,6 +12,7 @@ where both sides have feedthrough are rejected rather than iterated.
 
 import csv
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import isfinite
 from typing import Optional, Union
 
@@ -46,6 +47,13 @@ _SIGNALS = {"u1": "u1", "u2tilde": "u2_tilde", "u2": "u2", "y1": "y1", "y2": "y2
 
 def _columns(stem, width):
     return [f"{stem}_{i+1}" for i in range(width)]
+
+
+def _header(n1, n2, m):
+    """The columns of a trajectory CSV: ``k``, plant state, controller (grid)
+    state, the signals in :data:`_SIGNALS` order, then ``V``."""
+    return ["k", *_columns("x1", n1), *_columns("x2", n2),
+            *(name for stem in _SIGNALS for name in _columns(stem, m)), "V"]
 
 
 @dataclass
@@ -166,10 +174,7 @@ class Trajectory:
         m, n1 = self.u1.shape[1], self.x1.shape[1]
         states = self.loop_states
         signals = np.hstack([getattr(self, name) for name in _SIGNALS.values()])
-        header = [
-            "k", *_columns("x1", n1), *_columns("x2", states.shape[1] - n1),
-            *(name for stem in _SIGNALS for name in _columns(stem, m)), "V",
-        ]
+        header = _header(n1, states.shape[1] - n1, m)
         # the bytes of csv.writer's default dialect, one "%.17g" per value:
         # empty signal fields on the final row, an empty V field without a
         # storage (v[k:k + 1] is then empty too)
@@ -199,40 +204,52 @@ def read_csv(path, n1, n2, m):
     Returns ``(states, signals)``: the stacked ``(K+1, n1+n2)`` loop states
     and a dict mapping each signal's :class:`Trajectory` field name (``u1``,
     ``u2_tilde``, ``u2``, ``y1``, ``y2``, ``y2_tilde``) to its ``(K, m)``
-    array.  Raises :class:`ToolkitError` naming the file, the first missing
-    column, the unparsable entry, the absence of any step, or a truncated
-    file: a row that lacks a cell, or a last row that carries signal values
-    and so is a step row, not the terminal one.
+    array.  The file must have exactly the layout ``to_csv`` writes for
+    ``n1``, ``n2`` and ``m``.  Raises :class:`ToolkitError` naming the file
+    and the absence of any step, the first header column that differs
+    (expected and found), the first line whose ``k`` is not its step, the
+    unparsable entry, or a truncated file: a row that lacks a cell, or a
+    last row that carries signal values and so is a step row, not the
+    terminal one.
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            # an empty file has no header: fieldnames reads it while open
-            header = reader.fieldnames or []
-            rows = list(reader)
+            header, *rows = list(csv.reader(fh)) or [[]]
     except OSError as exc:
         raise ToolkitError(f"cannot read trajectory {path}: {exc.strerror}") from exc
     if len(rows) < 2:
         raise ToolkitError(f"trajectory {path}: no steps recorded")
-    for line, row in enumerate(rows, start=2):
-        # DictReader fills the cells a short row lacks with None
-        if None in row.values():
+    expected = _header(n1, n2, m)
+    if header != expected:
+        column, want, found = next(
+            (i + 1, want, found) for i, (want, found) in enumerate(zip_longest(expected, header))
+            if want != found)
+        raise ToolkitError(
+            f"trajectory {path}: header column {column} expected {want!r}, found {found!r}")
+    for k, row in enumerate(rows):
+        line = k + 2
+        if len(row) < len(expected):
             raise ToolkitError(f"trajectory {path}: line {line} lacks a cell; truncated file")
+        if len(row) > len(expected):
+            raise ToolkitError(f"trajectory {path}: line {line} has more cells than the header")
+        if row[0] != str(k):
+            raise ToolkitError(
+                f"trajectory {path}: line {line} records k = {row[0]!r}, expected {k}; "
+                "steps missing or out of order")
 
-    def table(stem, width, records):
-        names = _columns(stem, width)
-        for name in names:
-            if name not in header:
-                raise ToolkitError(f"trajectory {path}: missing column {name!r}")
-        try:
-            return np.array([[float(row[name]) for name in names] for row in records])
-        except (TypeError, ValueError) as exc:
-            raise ToolkitError(f"trajectory {path}: column {stem}: {exc}") from exc
+    def table(first, width, records):
+        columns = []
+        for j in range(first, first + width):
+            try:
+                columns.append([float(row[j]) for row in records])
+            except ValueError as exc:
+                raise ToolkitError(f"trajectory {path}: column {header[j]}: {exc}") from exc
+        return np.column_stack(columns)
 
-    states = np.hstack([table("x1", n1, rows), table("x2", n2, rows)])
-    signals = {name: table(stem, m, rows[:-1]) for stem, name in _SIGNALS.items()}
-    last = rows[-1]
-    if any(last[name] for stem in _SIGNALS for name in _columns(stem, m)):
+    n = n1 + n2
+    states = table(1, n, rows)
+    signals = {name: table(1 + n + i * m, m, rows[:-1]) for i, name in enumerate(_SIGNALS.values())}
+    if any(rows[-1][1 + n:1 + n + len(_SIGNALS) * m]):
         raise ToolkitError(
             f"trajectory {path}: the last row carries signal values; truncated file"
         )

@@ -733,6 +733,35 @@ class TestAuditCommand:
             assert rep["error"].endswith("; truncated file")
             assert rep["failures"] == [rep["error"]]
 
+    @pytest.mark.parametrize(
+        "edit, config, error",
+        [
+            # row k = 250 deleted: the next line records 251
+            ("delete", "loop_a", "line 252 records k = '251', expected 250"),
+            ("swap", "loop_a", "line 101 records k = '299', expected 99"),
+            # a 2-entry trajectory read with loop_c's single-entry signals
+            (None, "loop_c", "header column 3 expected 'x2_1', found 'x1_2'"),
+        ],
+    )
+    def test_other_layouts_are_reported(self, capsys, tmp_path, edit, config, error):
+        code, _ = run_json(
+            capsys, "simulate", bundled_config_path("loop_a"), "--out", str(tmp_path)
+        )
+        assert code == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        if edit == "delete":
+            del lines[251]
+        elif edit == "swap":
+            lines[100], lines[300] = lines[300], lines[100]
+        path.write_bytes(b"".join(lines))
+        code, rep = run_json(
+            capsys, "audit", bundled_config_path(config), "--trajectory", str(path)
+        )
+        assert code == 1
+        assert rep["error"].startswith(f"trajectory {path}: {error}")
+        assert rep["failures"] == [rep["error"]]
+
     def test_missing_trajectory_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["audit", "--config", bundled_config_path("loop_a")])
@@ -809,3 +838,50 @@ class TestProcessEntry:
         assert len(blocks) == 1
         assert [ast.unparse(stmt) for stmt in blocks[0].body] == [f"{name}()"]
         assert getattr(cli, name) is entry
+
+
+class TestScipyFreeCommands:
+    """Importing passquant, and every command that neither discretizes nor
+    solves an LMI, load no scipy: ``linalg`` imports it inside the functions
+    that call it.  Each check runs in a fresh interpreter."""
+
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "import passquant\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    from passquant.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')))\n"
+    )
+
+    def scipy_modules(self, tmp_path, *argvs):
+        """The scipy modules loaded once ``cli.main`` has run each argv, each
+        exiting 0, in one fresh interpreter."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert self.scipy_modules(tmp_path) == []
+
+    def test_degrade_compose_and_audit_load_no_scipy(self, capsys, tmp_path):
+        # example1 and example2 have no plant section to compose or audit
+        argvs = [["degrade", "--config", bundled_config_path(name)]
+                 for name in ("example1", "example2")]
+        for name in ("example5", "loop_a", "loop_b", "loop_c"):
+            out = tmp_path / name
+            code, _ = run_json(capsys, "simulate", bundled_config_path(name), "--out", str(out))
+            assert code == 0
+            config = ["--config", bundled_config_path(name)]
+            argvs += [["degrade", *config], ["compose", *config],
+                      ["audit", *config, "--trajectory", str(out / "trajectory.csv")]]
+        assert self.scipy_modules(tmp_path, *argvs) == []
+
+    def test_bound_loads_scipy_linalg(self, tmp_path):
+        loaded = self.scipy_modules(tmp_path, ["bound", "--config", bundled_config_path("loop_a")])
+        assert "scipy.linalg" in loaded
