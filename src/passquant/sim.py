@@ -45,15 +45,11 @@ _SIGNALS = {"u1": "u1", "u2tilde": "u2_tilde", "u2": "u2", "y1": "y1", "y2": "y2
             "y2tilde": "y2_tilde"}
 
 
-def _columns(stem, width):
-    return [f"{stem}_{i+1}" for i in range(width)]
-
-
 def _header(n1, n2, m):
     """The columns of a trajectory CSV: ``k``, plant state, controller (grid)
     state, the signals in :data:`_SIGNALS` order, then ``V``."""
-    return ["k", *_columns("x1", n1), *_columns("x2", n2),
-            *(name for stem in _SIGNALS for name in _columns(stem, m)), "V"]
+    widths = {"x1": n1, "x2": n2, **dict.fromkeys(_SIGNALS, m)}
+    return ["k", *(f"{stem}_{i + 1}" for stem, width in widths.items() for i in range(width)), "V"]
 
 
 @dataclass
@@ -166,9 +162,8 @@ class Trajectory:
     def to_csv(self, path, storage=None):
         """Write one row per step with 17 significant digits.
 
-        Columns: ``k``, plant state, controller (grid) state, then
-        ``u1, u2tilde, u2, y1, y2, y2tilde`` and ``V`` when a storage is
-        attached.  A final row carries the terminal states.  Raises
+        Columns as :func:`_header` lists them; the ``V`` cells are empty
+        without a storage.  A final row carries the terminal states.  Raises
         :class:`ToolkitError` naming the file if it cannot be written.
         """
         m, n1 = self.u1.shape[1], self.x1.shape[1]
