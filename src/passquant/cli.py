@@ -46,22 +46,10 @@ def _sampled_stage_indices(spec: SystemSpec, tau, lambdas):
     )
 
 
-def _twin(cfg: AnalysisConfig):
-    """``(lip, eps)`` of the symbolic twin, or None when the loop runs the
-    plain quantized controller (``MODES[0]``).
-
-    Disturbance-injected runs use the twin's constants too: the radius
-    :func:`sim.simulate` injects is what a symbolic replacement produces.
-    """
-    if cfg.mode == sim.MODES[0]:
-        return None
-    return abstraction.lipschitz_output_bound(cfg.controller.model), cfg.eps
-
-
 def _controller_quantized_indices(cfg: AnalysisConfig, twin):
     """Controller indices after input/output quantization.
 
-    The symbolic ``twin`` (see :func:`_twin`) keeps the quantized indices
+    The symbolic ``twin`` (see :func:`sim._twin`) keeps the quantized indices
     but carries the larger bias of its state-quantization mismatch.
     """
     stage = _sampled_stage_indices(cfg.controller, cfg.tau, cfg.lambdas)
@@ -104,7 +92,8 @@ def _compose(cfg: AnalysisConfig):
     if cfg.plant is None:
         raise ToolkitError("composition requires a plant section")
     plant_idx = _sampled_stage_indices(cfg.plant, cfg.tau, cfg.lambdas)
-    ctrl_idx = _controller_quantized_indices(cfg, _twin(cfg))
+    twin = sim._twin(cfg.mode, cfg.controller.model, cfg.eps)
+    ctrl_idx = _controller_quantized_indices(cfg, twin)
     nu_hat = cfg.nu_hat
     if nu_hat is None:
         nu_hat = passivity.choose_nu_hat(plant_idx, ctrl_idx)
@@ -173,7 +162,8 @@ def _compute_bounds(cfg: AnalysisConfig, traj=None):
     # looked up on the module in every mode, where the benchmark's tracer wraps it
     report = bounds.loop_bounds(
         composed, cert1, cert2, storage, _reference_norm(cfg), cfg.mu1, cfg.mu2,
-        cfg.controller.model.m, lam=cfg.lam, d3=cfg.d3, v_first=v_first, twin=_twin(cfg),
+        cfg.controller.model.m, lam=cfg.lam, d3=cfg.d3, v_first=v_first,
+        twin=sim._twin(cfg.mode, cfg.controller.model, cfg.eps),
     )
     margin = bounds.margin_check(
         report.eta2, report.mp,

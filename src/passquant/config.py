@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .passivity import GainCertificate, IndexSet, LambdaChoices, _quadratic_form
-from .sim import MODES
+from .sim import _TWIN_CONSTANTS, MODES
 from .systems import LtiModel, NonlinearModel
 
 __all__ = [
@@ -309,14 +309,14 @@ class AnalysisConfig:
     storage_tau_scaled: bool = False
 
     def __post_init__(self):
-        # the seed is nonnegative, a mode that runs the symbolic twin's
-        # constants needs the symbolic section, and the keys only the
-        # symbolic loop reads are rejected in the other modes; this holds
-        # for configs built or replaced in code as well
+        # the seed is nonnegative, each twin constant the mode's loop reads
+        # needs the symbolic section, and the keys only the loop on the eta
+        # grid reads are rejected elsewhere, in configs built in code too
         _integer(0)(self.seed, "simulation.seed")
-        if self.mode != MODES[0] and self.eps is None:
+        twin = _TWIN_CONSTANTS[_mode(self.mode, "simulation.mode")]
+        if any(getattr(self, name) is None for name in twin):
             raise ConfigError(f"simulation.mode: {self.mode!r} needs the symbolic section")
-        if self.mode != "symbolic":
+        if "eta" not in twin:
             for path, name in (("symbolic.eta_sweep", "eta_sweep"), ("simulation.x2s_0", "x2s_0")):
                 if getattr(self, name) is not None:
                     raise ConfigError(

@@ -410,10 +410,10 @@ def choose_nu_hat(idx1: IndexSet, idx2: IndexSet):
 
     Searches ``(min(nu1, nu2) - 10, min(nu1, nu2))`` to a width of 1e-6,
     or until the float spacing of large indices stops the probes moving
-    strictly inside the bracket.  The objective is monotone in ``nu_hat``
-    for fixed subsystem indices, so the maximizer typically sits at the far
-    end of the window; the search still confirms local optimality at the
-    returned point, which lies strictly below ``min(nu1, nu2)``.  An index
+    strictly inside the bracket.  ``rho_hat`` never increases as ``nu_hat``
+    rises, so where it falls the search returns its last bracket's midpoint
+    above the window's lower edge (-10.174999607905967 on loop_a); a tie
+    moves up.  The result lies strictly below ``min(nu1, nu2)``.  An index
     so large that the window holds no float below it raises
     :class:`ParameterError`.
     """

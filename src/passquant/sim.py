@@ -38,6 +38,15 @@ __all__ = [
 
 # the first mode, the plain quantized controller, is the default
 MODES = ("sampled-quantized", "symbolic", "disturbance-injected")
+# the twin constants the loop of each mode reads
+_TWIN_CONSTANTS = dict(zip(MODES, ((), ("eta", "eps"), ("eps",))))
+
+
+def _twin(mode, controller, eps):
+    """``(lip, eps)`` of the symbolic twin a loop in ``mode`` is certified
+    with (disturbance-injected runs inject its gap), None in ``MODES[0]``."""
+    return None if mode == MODES[0] else (lipschitz_output_bound(controller), eps)
+
 
 # trajectory CSV column stem -> Trajectory field of each loop signal, in
 # column order
@@ -59,13 +68,15 @@ class LoopConfig:
     The plant must be a strictly proper :class:`LtiModel` or
     :class:`NonlinearModel`, the controller either of the two; ``x1_0``
     must have ``n1`` entries, ``x2_0`` and ``x2s_0`` ``n2``, ``r1`` and
-    ``r2`` ``m`` (absent references are stored as zeros).  Symbolic mode
-    needs ``eta`` and ``eps``, which :func:`abstraction.check_bisim_params`,
-    not the run, certifies; the twin starts from ``x2s_0`` (``x2_0`` when
-    None) rounded to the ``eta`` grid, which must lie within ``eps`` of
-    ``x2_0`` in the inf-norm.  Disturbance mode needs ``eps`` and a
-    controller Lipschitz bound ``lip``: it draws, with ``seed``, within the
-    twin's output gap ``lip*eps + 2 sqrt(m) mu2``.
+    ``r2`` ``m`` (absent references are stored as zeros).  The modes are
+    :data:`MODES`; this module alone decides what each reads and whether it
+    is certified with the symbolic twin.  Symbolic mode needs ``eta`` and
+    ``eps``, which :func:`abstraction.check_bisim_params`, not the run,
+    certifies; the twin starts from ``x2s_0`` (``x2_0`` when None) rounded to
+    the ``eta`` grid, which must lie within ``eps`` of ``x2_0`` in the
+    inf-norm.  Disturbance mode needs ``eps`` and a controller Lipschitz
+    bound ``lip``: it draws, with ``seed``, within the twin's output gap
+    ``lip*eps + 2 sqrt(m) mu2``.
     """
 
     plant: Union[LtiModel, NonlinearModel]
@@ -100,14 +111,12 @@ class LoopConfig:
         m = self.plant.m
         if self.controller.m != m:
             raise ParameterError("plant and controller must share the signal dimension")
-        # the twin's constants each twin mode reads
-        twin = {"symbolic": ("eta", "eps"), "disturbance-injected": ("eps",)}.get(self.mode, ())
-        for name in twin:
+        for name in _TWIN_CONSTANTS[self.mode]:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.mode} mode requires a positive {name}")
             _positive(**{name: getattr(self, name)})
         if self.mode == "disturbance-injected":
-            lipschitz_output_bound(self.controller)  # raises without a bound
+            _twin(self.mode, self.controller, self.eps)  # raises without a bound
         n1, n2 = self.plant.n, self.controller.n
         for name, size in {"x1_0": n1, "x2_0": n2, "x2s_0": n2, "r1": m, "r2": m}.items():
             value = getattr(self, name)
@@ -283,7 +292,7 @@ def simulate(config: LoopConfig) -> Trajectory:
         ctrl_sym = SymbolicController(ctrl_exact, config.eta, config.mu1, x2s0)
     radius = None
     if config.mode == "disturbance-injected":
-        twin = lipschitz_output_bound(config.controller), config.eps
+        twin = _twin(config.mode, config.controller, config.eps)
         radius = _ChannelErrors.of(m, mu1, mu2, twin).gap
     rng = np.random.default_rng(config.seed)
 

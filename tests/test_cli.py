@@ -256,6 +256,35 @@ class TestComposeCommand:
         with pytest.raises(ConfigError, match="^symbolic.eta_sweep: read only when"):
             replace(cfg, eta_sweep=[0.1])
 
+    def test_a_config_needs_every_twin_constant_its_mode_reads(self):
+        # the symbolic loop reads eta as well as eps; without it the error
+        # used to surface only in simulate, as a ParameterError
+        cfg = load_config(bundled_config_path("example5"))
+        with pytest.raises(ConfigError, match=r"^simulation.mode: 'symbolic' needs the symbolic"):
+            replace(cfg, eta=None)
+        # the injected mismatch reads eps alone
+        replace(cfg, mode="disturbance-injected", eta=None, eta_sweep=None)
+        with pytest.raises(ConfigError, match=r"^simulation.mode: unknown mode 'bogus'$"):
+            replace(cfg, mode="bogus")
+
+    def test_disturbance_injected_loop_is_certified_with_the_twin(self):
+        # its injected radius is the twin's output gap, so compose and bound
+        # carry the twin's (lip, eps) exactly as the symbolic loop does
+        cfg = load_config(bundled_config_path("example5"))
+        reports = {}
+        for mode in ("symbolic", "disturbance-injected", "sampled-quantized"):
+            mode_cfg = replace(cfg, mode=mode, eta_sweep=None)
+            bound, _ = cli.cmd_bound(mode_cfg)
+            reports[mode] = cli.cmd_compose(mode_cfg)[0], {**bound, "mode": None}
+        assert reports["disturbance-injected"] == reports["symbolic"]
+        constants = reports["symbolic"][1]["constants"]
+        assert (constants["lip"], constants["eps"]) == (pytest.approx(0.6727, abs=1e-4), 0.25)
+        delta = {mode: compose["controller_stage"]["delta"]
+                 for mode, (compose, _) in reports.items()}
+        assert delta["sampled-quantized"] == pytest.approx(0.012957, abs=1e-6)
+        assert delta["symbolic"] == pytest.approx(1.80488, abs=1e-5)
+        assert "lip" not in reports["sampled-quantized"][1]["constants"]
+
 
 class TestSdCommand:
     def test_example5_certificates(self, capsys):

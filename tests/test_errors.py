@@ -534,15 +534,35 @@ def test_parameters_are_checked_by_the_rules_only():
     for path in sorted(Path(passquant.__file__).parent.glob("*.py")):
         if path.name in RULE_FREE:
             continue
-        source = path.read_text(encoding="utf-8")
-        functions = [
-            node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
-        ]
-        for number, line in enumerate(source.splitlines(), 1):
-            owners = {
-                (path.name, node.name) for node in functions
-                if node.lineno <= number <= node.end_lineno
-            }
-            if HAND_WRITTEN.search(line) and not owners & CALLBACK_CHECKS:
+        for number, line, owners in _source_lines(path):
+            if HAND_WRITTEN.search(line) and not {(path.name, f) for f in owners} & CALLBACK_CHECKS:
                 offending.append(f"{path.name}:{number}: {line.strip()}")
     assert not offending, "hand-written checks outside errors.py:\n" + "\n".join(offending)
+
+
+def _source_lines(path):
+    """``(line number, line, names of the functions around it)`` for every
+    line of a package module."""
+    source = path.read_text(encoding="utf-8")
+    functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+    for number, line in enumerate(source.splitlines(), 1):
+        yield number, line, {node.name for node in functions
+                             if node.lineno <= number <= node.end_lineno}
+
+
+def test_only_sim_decides_what_a_mode_means():
+    # sim defines the loop modes: the CLI and the config compare no mode,
+    # and the twin's Lipschitz bound is asked for once, in sim._twin
+    package = Path(passquant.__file__).parent
+    compared = [
+        f"{name}:{number}: {line.strip()}" for name in ("cli.py", "config.py")
+        for number, line, _ in _source_lines(package / name) if re.search(r"mode *(==|!=)", line)
+    ]
+    assert not compared, "mode tests outside sim.py:\n" + "\n".join(compared)
+    uses = [
+        (path.name, line.strip().startswith("def "), owners)
+        for path in sorted(package.glob("*.py"))
+        for _, line, owners in _source_lines(path) if "lipschitz_output_bound(" in line
+    ]
+    assert uses == [("abstraction.py", True, {"lipschitz_output_bound"}),
+                    ("sim.py", False, {"_twin"})]
