@@ -529,6 +529,16 @@ RULE_FREE = {"errors.py", "config.py"}
 CALLBACK_CHECKS = {("systems.py", "_values")}
 
 
+def _source_lines(path):
+    """``(line number, line, names of the functions around it)`` for every
+    line of a package module."""
+    source = path.read_text(encoding="utf-8")
+    functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+    for number, line in enumerate(source.splitlines(), 1):
+        yield number, line, {node.name for node in functions
+                             if node.lineno <= number <= node.end_lineno}
+
+
 def test_parameters_are_checked_by_the_rules_only():
     offending = []
     for path in sorted(Path(passquant.__file__).parent.glob("*.py")):
@@ -538,16 +548,6 @@ def test_parameters_are_checked_by_the_rules_only():
             if HAND_WRITTEN.search(line) and not {(path.name, f) for f in owners} & CALLBACK_CHECKS:
                 offending.append(f"{path.name}:{number}: {line.strip()}")
     assert not offending, "hand-written checks outside errors.py:\n" + "\n".join(offending)
-
-
-def _source_lines(path):
-    """``(line number, line, names of the functions around it)`` for every
-    line of a package module."""
-    source = path.read_text(encoding="utf-8")
-    functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
-    for number, line in enumerate(source.splitlines(), 1):
-        yield number, line, {node.name for node in functions
-                             if node.lineno <= number <= node.end_lineno}
 
 
 def test_only_sim_decides_what_a_mode_means():
